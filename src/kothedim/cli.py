@@ -37,6 +37,9 @@ OUT_DIR_ENV = "KOTHEDIM_OUT"
 
 _CSV_HEADER = f"# kothedim schema={SCHEMA_VERSION}"
 
+# counts and matrix indices start at 1; click rejects 0 with exit 2
+POSITIVE = click.IntRange(min=1)
+
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
@@ -203,7 +206,7 @@ def _tables_for(
 @click.option("--alpha", "alpha_spec", required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--q", type=int, required=True)
-@click.option("--count", type=int, default=50, show_default=True)
+@click.option("--count", type=POSITIVE, default=50, show_default=True)
 @click.option(
     "--horizon",
     type=int,
@@ -298,8 +301,8 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     required=True,
 )
 @click.option("--alpha", "alpha_spec", required=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--k", type=int, default=None)
+@click.option("--p", type=POSITIVE, default=1, show_default=True)
+@click.option("--k", type=POSITIVE, default=None)
 @click.option("--j", "j_value", type=str, default=None)
 @click.option("--lambda", "lambda_value", type=str, default=None)
 @click.option("--n", "--N", "horizon", type=int, default=1000, show_default=True)
@@ -342,7 +345,7 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
 )
 @click.option("--alpha", "alpha_spec", required=True)
 @click.option("--pairs", type=str, default="1:2", show_default=True)
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=POSITIVE, default=200, show_default=True)
 @click.option("--theta", type=str, default="0")
 @click.option("--tail-window", type=int, default=50, show_default=True)
 @click.option("--out", type=str, default=None)
@@ -417,7 +420,7 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
 @click.option("--alpha", "alpha_spec", required=True)
 @click.option("--p", type=int, required=True)
 @click.option("--q", type=int, required=True)
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=POSITIVE, default=200, show_default=True)
 @click.option("--out", type=str, default=None)
 def plot_data_cmd(alpha_spec, p, q, count, out):
     """CSV companion for plots: n, -log d_n, alpha_{n+1} and their ratio."""

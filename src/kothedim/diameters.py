@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import LogExponent, LogTerm, Rational, exp_to_float
+from .exact import LogExponent, LogTerm, Rational, exp_to_float, scaled_exponent
 from .grid import BandIndexing
 from .kothe import KotheFamily, a_pq, c_pq
 from .sequences import PrefixExhaustedError
@@ -121,17 +121,18 @@ def oracle_diameters(
     if prefix_len < 2:
         raise ValueError("oracle prefix must have at least 2 terms")
     seq = family.seq
+    pq = p * q
     terms = []
     for m in range(1, prefix_len + 1):
         coeff = family.ratio_coeff(p, q, m)
-        terms.append((coeff * seq.value(m), coeff, m))
+        terms.append((-scaled_exponent(coeff, m, seq, pq), m, coeff))
     # descending by exact value; ties broken by smaller ratio index
-    terms.sort(key=lambda t: (-t[0], t[2]))
+    terms.sort()
 
-    bound = c_pq(p, q) * seq.value(prefix_len + 1)
+    bound = scaled_exponent(c_pq(p, q), prefix_len + 1, seq, pq)
     horizon = -1
-    for idx, (value, _, _) in enumerate(terms):
-        if value > bound:
+    for idx, (neg_key, _, _) in enumerate(terms):
+        if -neg_key > bound:
             horizon = idx
         else:
             break
@@ -158,7 +159,7 @@ def oracle_diameters(
             source_ratio_index=m,
             certified=idx <= horizon,
         )
-        for idx, (_, coeff, m) in enumerate(terms)
+        for idx, (_, m, coeff) in enumerate(terms)
     ]
     return DiameterTable(
         p=p,
@@ -193,14 +194,33 @@ def oracle_diameters_certified(
 def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int | None:
     """Greatest off-band m with alpha_m <= A_pq alpha_{n_a}, None if none > n_a.
 
-    alpha is strictly increasing, so the qualifying set is a prefix: scan up
-    to its last element, then step down over the (at most q-p wide) band
-    block to the nearest off-band index.
+    alpha is strictly increasing, so the qualifying set is a prefix.  Its
+    last element is found by galloping from n_a, doubling the step while the
+    probe still qualifies, then bisecting the last step (unbounded search,
+    Bentley and Yao 1976); each probe compares scaled integers.  A probe
+    never passes the stored values while a stored one can still decide, so
+    a file prefix is read past, raising PrefixExhaustedError, exactly when
+    every stored index from n_a on qualifies.  Then step down over the (at
+    most q-p wide) band block to the nearest off-band index.
     """
-    threshold = threshold_mult * seq.value(n_a)
-    m = n_a
-    while seq.value(m + 1) <= threshold:
-        m += 1
+    bound = threshold_mult.numerator * seq.scaled(n_a)
+    den = threshold_mult.denominator
+    lo, step = n_a, 1  # lo qualifies: A_pq > 1
+    while True:
+        probe = lo + step
+        if lo < len(seq) < probe:
+            probe = len(seq)
+        if den * seq.scaled(probe) > bound:
+            break
+        lo, step = probe, 2 * step
+    hi = probe
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if den * seq.scaled(mid) <= bound:
+            lo = mid
+        else:
+            hi = mid
+    m = lo
     while m > n_a and bnd.contains(m):
         m -= 1
     return m if m > n_a else None
@@ -436,12 +456,13 @@ def closedform_diameters(
         )
         for n in range(count)
     ]
-    # monotonicity of the assembled table (exact)
-    for a_entry, b_entry in zip(entries, entries[1:]):
-        if a_entry.log_value(seq) < b_entry.log_value(seq):
-            raise CoverageError(
-                f"diameters not non-increasing at index {b_entry.n}"
-            )
+    # monotonicity of the assembled table, streamed over scaled exponents
+    prev_key = None
+    for n in range(count):
+        key = scaled_exponent(slot_coeff[n], slot_index[n], seq, p * q)
+        if prev_key is not None and prev_key < key:
+            raise CoverageError(f"diameters not non-increasing at index {n}")
+        prev_key = key
     return DiameterTable(
         p=p,
         q=q,

@@ -1,10 +1,15 @@
 """Exact rational scalars and symbolic log-domain values.
 
-Every comparison made anywhere in this package reduces to exact rational
-arithmetic: either a plain coefficient (a :class:`fractions.Fraction`) or a
-value of the form ``e^(coeff * alpha_n)`` compared through big-integer cross
-multiplication.  Floats appear only in display/export paths and are flagged
-as non-authoritative there.
+Every comparison made anywhere in this package is exact.  A plain
+coefficient is a :class:`fractions.Fraction`.  A value of the form
+``e^(coeff * alpha_n)`` is ordered by its exponent, and the diameter
+engines and the verification harness compare exponents as plain integers:
+within one (p, q) table every coefficient is ``c_pq`` or ``c_pq - 1``, whose
+denominators divide ``pq``, so ``coeff * alpha_n`` scaled by
+``pq * seq.scale`` is the integer (coefficient numerator over ``pq``) times
+(``alpha_n`` scaled by the sequence's least common denominator), see
+:func:`scaled_exponent`.  Floats appear only in display/export paths and
+are flagged as non-authoritative there.
 """
 from __future__ import annotations
 
@@ -102,6 +107,26 @@ def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:
     return rational_cmp(x.log_value(seq), y.log_value(seq))
 
 
+def scaled_exponent(
+    coeff: Rational, index: int, seq: "ExponentSequence", denom: int
+) -> int:
+    """The exponent ``coeff * alpha_index`` times ``denom * seq.scale``, exactly.
+
+    ``denom`` must be a multiple of ``coeff``'s denominator; ``pq`` serves
+    both coefficients of a (p, q) table.  For one ``denom`` and one sequence
+    the factor is the same positive integer, so these keys order the
+    exponents, and the values ``e^(coeff * alpha_index)``, as
+    :func:`logterm_cmp` does, ties included, without Fraction arithmetic.
+    """
+    numerator, rest = divmod(coeff.numerator * denom, coeff.denominator)
+    if rest:
+        raise ValueError(
+            f"coefficient {format_rational(coeff)} has no denominator "
+            f"dividing {denom}"
+        )
+    return numerator * seq.scaled(index)
+
+
 def exp_to_float(exponent: Rational) -> tuple[float, bool]:
     """Best-effort ``e^exponent`` as a double; flag set when clamped."""
     if exponent >= _EXP_OVERFLOW:
@@ -116,7 +141,8 @@ def fraction_to_float(x: Rational) -> tuple[float, bool]:
     try:
         return float(x), False
     except OverflowError:
-        return math.copysign(math.inf, x.numerator), True
+        # the sign decides the clamp; float(x.numerator) would overflow too
+        return (math.inf if x > 0 else -math.inf), True
 
 
 def logterm_to_float(x: LogTerm, seq: "ExponentSequence") -> tuple[float, bool]:

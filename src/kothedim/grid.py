@@ -143,9 +143,10 @@ class BandIndexing:
             raise ValueError(f"{m} is a band element")
         if m <= self.marker(self.k_min):
             raise ValueError(f"{m} precedes the first column-{self.p} marker")
+        # gallop (the step doubles), then bisect: O(log k) marker calls
         lo, hi = self.k_min, self.k_min + 1
         while self.marker(hi) < m:
-            lo, hi = hi, hi + max(1, hi - lo)
+            lo, hi = hi, hi + 2 * (hi - lo)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self.marker(mid) < m:

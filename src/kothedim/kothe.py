@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import LogTerm, Rational, exp_to_float
 from .grid import column_of, pair_index
@@ -22,6 +23,7 @@ class SearchCapExceeded(RuntimeError):
     """A bounded witness search ran out of budget."""
 
 
+@lru_cache(maxsize=256)  # ratio_coeff asks once per ratio term
 def c_pq(p: int, q: int) -> Rational:
     """The negative ratio coefficient -1/p + 1/q."""
     if not q > p >= 1:

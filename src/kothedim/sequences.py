@@ -42,6 +42,11 @@ class ExponentSequence:
     ``memo`` holds alpha_1..alpha_len as exact rationals and grows on demand
     for the generated kinds.  Mutation is append-only; the intended pattern
     is "prefill, then share read-only".
+
+    ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
+    every n: 1 for the generated kinds, whose values are integers, and the
+    least common denominator of the stored prefix for ``file`` alphas,
+    whose prefix never grows.
     """
 
     name: str
@@ -50,6 +55,7 @@ class ExponentSequence:
     degree: int | None = None
     path: str | None = None
     memo: list[Rational] = field(default_factory=list)
+    scale: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
         if self.declared_class not in (STABLE, UNSTABLE, UNSPECIFIED):
@@ -61,6 +67,8 @@ class ExponentSequence:
                     f"{self.name}: alpha_{i + 1}={format_rational(v)} breaks "
                     "strict positive increase"
                 )
+        if self.kind == "file":
+            self.scale = math.lcm(*(v.denominator for v in self.memo))
 
     # -- construction ----------------------------------------------------
 
@@ -169,6 +177,13 @@ class ExponentSequence:
                 )
             self.memo.append(v)
         return self.memo[n - 1]
+
+    def scaled(self, n: int) -> int:
+        """The exact integer ``alpha_n * scale``; extends the memo as needed."""
+        v = self.value(n)
+        if self.scale == 1:
+            return v.numerator
+        return v.numerator * (self.scale // v.denominator)
 
     def prefill(self, n: int) -> None:
         self.value(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diameters import DiameterTable
-from .exact import Rational, fraction_to_float
+from .exact import Rational, fraction_to_float, scaled_exponent
 from .kothe import KotheFamily, c_pq
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
@@ -58,14 +58,16 @@ def verify_sandwich(
     """Exact scan of both bounds over the certified range (n >= 1)."""
     seq = family.seq
     c = c_pq(p, q)
+    pq = p * q
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
     for n in range(1, horizon + 1):
-        value = table.entry(n).log_value(seq)
-        if value > c * seq.value(n):
+        entry = table.entry(n)
+        value = scaled_exponent(entry.coeff, entry.alpha_index, seq, pq)
+        if value > scaled_exponent(c, n, seq, pq):
             upper_violations.append(n)
-        if value < c * seq.value(4 * n):
+        if value < scaled_exponent(c, 4 * n, seq, pq):
             lower_violations.append(n)
     if lower_violations and lower_violations[-1] >= horizon:
         n_found = None
@@ -228,17 +230,19 @@ def edd_tail_check(
     if upto is not None:
         horizon = min(horizon, upto)
     threshold = table.tail_start
+    pq = p * q
+
+    def ratio_key(m: int) -> int:
+        return scaled_exponent(family.ratio_coeff(p, q, m), m, seq, pq)
+
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
-        cur = family.ratio_coeff(p, q, m) * seq.value(m)
-        nxt = family.ratio_coeff(p, q, m + 1) * seq.value(m + 1)
-        if cur < nxt:
+        if ratio_key(m) < ratio_key(m + 1):
             witnesses.append({"type": "ratio-order", "m": m})
             break
     for n in range(threshold, horizon + 1):
         entry = table.entry(n)
-        want = family.ratio_coeff(p, q, n + 1) * seq.value(n + 1)
-        if entry.log_value(seq) != want:
+        if scaled_exponent(entry.coeff, entry.alpha_index, seq, pq) != ratio_key(n + 1):
             witnesses.append({"type": "value", "n": n})
             break
     return CheckReport(

@@ -216,3 +216,33 @@ def test_file_alpha_via_cli(runner, tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     agree = lines[1].split(",").index("values_equal")
     assert all(r[agree] == "True" for r in rows)
+
+
+def test_plot_data_factorial_past_float_range(runner):
+    # alpha_n for n > 170 no longer fits a double: the float columns clamp
+    result = invoke(runner, ["plot-data", "--alpha", "factorial", "--p", "1", "--q", "2", "--count", "200"])
+    assert result.exit_code == 0
+    lines = result.output.strip().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 200
+    assert [r[0] for r in rows] == [str(n) for n in range(200)]
+    alpha_col = lines[1].split(",").index("alpha_next")
+    assert rows[-1][alpha_col] == "inf"
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "0"], "--count"),
+        (["verify", "--what", "sandwich", "--alpha", "linear", "--count", "0"], "--count"),
+        (["plot-data", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "0"], "--count"),
+        (["check", "--criterion", "dn", "--alpha", "linear", "--p", "0"], "--p"),
+        (["check", "--criterion", "omega", "--alpha", "linear", "--p", "0"], "--p"),
+        (["check", "--criterion", "nuclearity", "--alpha", "linear", "--k", "0"], "--k"),
+    ],
+)
+def test_non_positive_counts_and_indices_exit_2(runner, args, option):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output

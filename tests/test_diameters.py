@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kothedim.diameters import (
+    _find_i,
     closedform_diameters,
     epsilon_n,
     oracle_diameters,
     oracle_diameters_certified,
 )
-from kothedim.kothe import KotheFamily, c_pq
-from kothedim.sequences import UNSPECIFIED, ExponentSequence
+from kothedim.grid import BandIndexing
+from kothedim.kothe import KotheFamily, a_pq, c_pq
+from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
 
 
 def family(spec: str) -> KotheFamily:
@@ -206,6 +208,102 @@ def test_oracle_equals_closedform_random_alpha(p, gap, seed):
     closed = closedform_diameters(fam, p, q, count)
     oracle = oracle_diameters_certified(fam, p, q, count)
     assert log_values(oracle, seq, count) == log_values(closed, seq)
+
+
+def random_rational_alpha(rng: random.Random, length: int) -> list[Fraction]:
+    values = []
+    cur = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    for _ in range(length):
+        values.append(cur)
+        roll = rng.random()
+        if roll < 0.5:
+            cur = cur + Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        elif roll < 0.8:
+            cur = cur * Fraction(rng.randint(5, 9), 4)
+        else:
+            cur = cur * rng.randint(2, 7)
+    return values
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=5),
+    gap=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10**6),
+    lam=st.fractions(min_value=Fraction(1, 97), max_value=1000, max_denominator=97),
+)
+def test_scaling_alpha_leaves_both_tables_unchanged(p, gap, seed, lam):
+    """Only the order of the c * alpha_m matters, so alpha -> lam * alpha
+    (lam > 0 rational) keeps every (coeff, alpha_index, segment)."""
+    q = p + gap
+    values = random_rational_alpha(random.Random(seed), 400)
+    tables = []
+    for memo in (values, [lam * v for v in values]):
+        fam = KotheFamily(
+            ExponentSequence(name="file", kind="file", declared_class=UNSPECIFIED, memo=memo)
+        )
+        tables.append(
+            (
+                closedform_diameters(fam, p, q, 40).entries,
+                oracle_diameters_certified(fam, p, q, 40).entries,
+            )
+        )
+    assert tables[0] == tables[1]
+
+
+def linear_scan_find_i(seq, bnd, mult, n_a):
+    """Reference: the one-step scan that _find_i replaces."""
+    threshold = mult * seq.value(n_a)
+    m = n_a
+    while seq.value(m + 1) <= threshold:
+        m += 1
+    while m > n_a and bnd.contains(m):
+        m -= 1
+    return m if m > n_a else None
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7), (1, 9)])
+def test_find_i_matches_linear_scan(spec, pq):
+    p, q = pq
+    seq = ExponentSequence.from_spec(spec)
+    bnd = BandIndexing(p=p, q=q)
+    mult = a_pq(p, q)
+    for a in range(1, 60 if spec in ("linear", "poly:2") else 25):
+        n_a = bnd.element(a)
+        assert _find_i(seq, bnd, mult, n_a) == linear_scan_find_i(seq, bnd, mult, n_a)
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7)])
+def test_find_i_on_file_prefixes_around_i_a(pq):
+    """A prefix ending right after i_a succeeds; a shorter one raises the
+    scan's own PrefixExhaustedError."""
+    p, q = pq
+    bnd = BandIndexing(p=p, q=q)
+    mult = a_pq(p, q)
+    for a in range(1, 8):
+        n_a = bnd.element(a)
+        # the scan reads alpha up to index `last + 1`, the first that fails
+        threshold = mult * n_a
+        last = n_a
+        while last + 1 <= threshold:
+            last += 1
+        for length in range(n_a, last + 4):
+            outcomes = []
+            for find in (_find_i, linear_scan_find_i):
+                seq = ExponentSequence(
+                    name="prefix",
+                    kind="file",
+                    declared_class=UNSPECIFIED,
+                    memo=[Fraction(n) for n in range(1, length + 1)],
+                )
+                try:
+                    outcomes.append(find(seq, bnd, mult, n_a))
+                except PrefixExhaustedError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            if length > last:
+                assert not isinstance(outcomes[0], str)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kothedim.exact import (
@@ -11,12 +11,14 @@ from kothedim.exact import (
     LESS,
     LogTerm,
     format_rational,
+    fraction_to_float,
     logterm_cmp,
     logterm_to_float,
     parse_rational,
     rational_cmp,
+    scaled_exponent,
 )
-from kothedim.sequences import ExponentSequence
+from kothedim.sequences import UNSPECIFIED, ExponentSequence
 
 rationals = st.fractions(
     min_value=Fraction(-10**30), max_value=Fraction(10**30), max_denominator=10**15
@@ -120,3 +122,72 @@ def test_logterm_json_shape():
     clamped = LogTerm(Fraction(-1, 2), 100).to_json(ExponentSequence.factorial())
     assert clamped["approx"] == 0.0
     assert clamped["approx_clamped"] is True
+
+
+def test_fraction_to_float_clamps_by_sign():
+    assert fraction_to_float(Fraction(3, 4)) == (0.75, False)
+    huge = Fraction(10**400, 7)
+    assert fraction_to_float(huge) == (math.inf, True)
+    assert fraction_to_float(-huge) == (-math.inf, True)
+    # a huge numerator over a huge denominator is still an ordinary double
+    assert fraction_to_float(Fraction(10**400 + 1, 2 * 10**400)) == (0.5, False)
+
+
+# a rational file alpha: strictly increasing, denominators 1..12
+RATIONAL_FILE = ExponentSequence(
+    name="rational",
+    kind="file",
+    declared_class=UNSPECIFIED,
+    memo=[Fraction(n * (n + 1), 2) + Fraction(1, 1 + n % 12) for n in range(1, 61)],
+)
+KERNEL_SEQUENCES = {
+    "linear": ExponentSequence.linear(),
+    "factorial": ExponentSequence.factorial(),
+    "rational": RATIONAL_FILE,
+}
+
+
+def test_scale_is_the_prefix_lcd():
+    assert ExponentSequence.linear().scale == 1
+    assert RATIONAL_FILE.scale == math.lcm(*range(1, 13))
+    for n in (1, 7, 60):
+        assert RATIONAL_FILE.scaled(n) == RATIONAL_FILE.value(n) * RATIONAL_FILE.scale
+    assert ExponentSequence.factorial().scaled(6) == 720
+
+
+def test_scaled_exponent_exact_tie():
+    # e^(-3/2 * a_1) = e^(-1/2 * a_3) for linear alpha, with pq = 2
+    seq = ExponentSequence.linear()
+    assert scaled_exponent(Fraction(-3, 2), 1, seq, 2) == -3
+    assert scaled_exponent(Fraction(-1, 2), 3, seq, 2) == -3
+
+
+def test_scaled_exponent_rejects_a_foreign_denominator():
+    with pytest.raises(ValueError):
+        scaled_exponent(Fraction(1, 3), 1, ExponentSequence.linear(), 4)
+
+
+@st.composite
+def table_terms(draw):
+    """Two terms of one (p, q) table: coefficients with denominator dividing pq."""
+    p = draw(st.integers(min_value=1, max_value=6))
+    q = p + draw(st.integers(min_value=1, max_value=5))
+    pq = p * q
+    terms = [
+        (Fraction(draw(st.integers(min_value=-3 * pq, max_value=3 * pq)), pq),
+         draw(st.integers(min_value=1, max_value=60)))
+        for _ in range(2)
+    ]
+    return pq, terms
+
+
+@settings(max_examples=300)
+@given(spec=st.sampled_from(sorted(KERNEL_SEQUENCES)), drawn=table_terms())
+@example(spec="linear", drawn=(2, [(Fraction(-3, 2), 1), (Fraction(-1, 2), 3)]))
+def test_scaled_exponent_order_matches_logterm_cmp(spec, drawn):
+    seq = KERNEL_SEQUENCES[spec]
+    pq, ((c1, m1), (c2, m2)) = drawn
+    k1 = scaled_exponent(c1, m1, seq, pq)
+    k2 = scaled_exponent(c2, m2, seq, pq)
+    want = logterm_cmp(LogTerm(c1, m1), LogTerm(c2, m2), seq)
+    assert (k1 > k2) - (k1 < k2) == want

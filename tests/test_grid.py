@@ -111,3 +111,34 @@ def test_locate_k_brackets():
         assert b.marker(k) < m < b.marker(k + 1)
     with pytest.raises(ValueError):
         b.locate_k(4)  # band element
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (2, 5), (3, 7), (1, 9)])
+def test_locate_k_matches_linear_reference(p, q):
+    b = BandIndexing(p=p, q=q)
+    k = b.k_min  # the linear reference walks the markers alongside m
+    for m in range(b.marker(b.k_min) + 1, 3000):
+        if b.contains(m):
+            continue
+        while b.marker(k + 1) < m:
+            k += 1
+        assert b.locate_k(m) == k
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 7)])
+def test_locate_k_makes_logarithmically_many_marker_calls(p, q):
+    b = BandIndexing(p=p, q=q)
+    calls = []
+
+    def counting_marker(k):
+        calls.append(k)
+        return BandIndexing.marker(b, k)
+
+    b.marker = counting_marker
+    for m in (10**4 + 1, 10**6 + 1, 10**9 + 1):
+        while b.contains(m):
+            m += 1
+        calls.clear()
+        k = b.locate_k(m)
+        assert BandIndexing.marker(b, k) < m < BandIndexing.marker(b, k + 1)
+        assert len(calls) <= 2 * (k - b.k_min + 2).bit_length() + 2
