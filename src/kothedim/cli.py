@@ -209,10 +209,10 @@ def _tables_for(
 @click.option("--count", type=POSITIVE, default=50, show_default=True)
 @click.option(
     "--horizon",
-    type=int,
+    type=click.IntRange(min=2),
     default=None,
     help="Fixed ratio-prefix length for the oracle (default: grown until "
-    "the first count entries certify); must be >= count.",
+    "the first count entries certify); must be >= count and >= 2.",
 )
 @click.option(
     "--method",
@@ -305,7 +305,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
 @click.option("--k", type=POSITIVE, default=None)
 @click.option("--j", "j_value", type=str, default=None)
 @click.option("--lambda", "lambda_value", type=str, default=None)
-@click.option("--n", "--N", "horizon", type=int, default=1000, show_default=True)
+@click.option("--n", "--N", "horizon", type=POSITIVE, default=1000, show_default=True)
 @click.option("--b", "--B", "bound", type=str, default="1000000")
 @click.option("--search-cap", type=int, default=100_000, show_default=True)
 @click.option("--out", type=str, default=None)

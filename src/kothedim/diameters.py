@@ -90,9 +90,6 @@ class DiameterTable:
     def entry(self, n: int) -> DiameterEntry:
         return self.entries[n]
 
-    def certified_entries(self) -> list[DiameterEntry]:
-        return self.entries[: self.certified_horizon + 1]
-
 
 def epsilon_n(table: DiameterTable, n: int) -> LogExponent:
     """The exact exponent -log d_n, defined only on the certified range."""

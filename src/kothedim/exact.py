@@ -45,8 +45,14 @@ def rational_cmp(a: Rational, b: Rational) -> int:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse ``"p/q"`` or a plain integer/decimal string into a Fraction."""
-    return Fraction(text.strip())
+    """Parse ``"p/q"`` or a plain integer/decimal string into a Fraction.
+
+    Malformed text and a zero denominator both raise ``ValueError``.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text.strip()!r}") from None
 
 
 def format_rational(x: Rational) -> str:
@@ -129,11 +135,21 @@ def scaled_exponent(
 
 def exp_to_float(exponent: Rational) -> tuple[float, bool]:
     """Best-effort ``e^exponent`` as a double; flag set when clamped."""
-    if exponent >= _EXP_OVERFLOW:
+    return exp_quotient_to_float(exponent.numerator, exponent.denominator)
+
+
+def exp_quotient_to_float(num: int, den: int) -> tuple[float, bool]:
+    """``e^(num/den)`` for ints with ``den > 0``, as :func:`exp_to_float`.
+
+    The clamps compare integers, and ``num / den`` is the correctly rounded
+    quotient that ``float(Fraction(num, den))`` gives, so the result does
+    not depend on whether ``num/den`` is in lowest terms.
+    """
+    if num >= _EXP_OVERFLOW * den:
         return math.inf, True
-    if exponent <= _EXP_UNDERFLOW:
+    if num <= _EXP_UNDERFLOW * den:
         return 0.0, True
-    return math.exp(exponent), False
+    return math.exp(num / den), False
 
 
 def fraction_to_float(x: Rational) -> tuple[float, bool]:

@@ -105,11 +105,6 @@ class BandIndexing:
         while len(self.n_list) < count:
             self._expand_one_diagonal()
 
-    def extend_past(self, n: int) -> None:
-        """Grow n_list until its last element is > n."""
-        while not self.n_list or self.n_list[-1] <= n:
-            self._expand_one_diagonal()
-
     def element(self, i: int) -> int:
         """n_i (1-based)."""
         if i < 1:
@@ -129,10 +124,6 @@ class BandIndexing:
     def s_k(self, k: int) -> int:
         """1-based index of marker(k) within n_list (closed form, no scan)."""
         return band_count_below(self.p, self.q, self.marker(k)) + 1
-
-    def s_list(self, k_count: int) -> list[int]:
-        """s_0, s_1, ..., s_{k_count-1} (the k >= 0 markers)."""
-        return [self.s_k(k) for k in range(k_count)]
 
     def count_below(self, m: int) -> int:
         return band_count_below(self.p, self.q, m)

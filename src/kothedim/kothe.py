@@ -4,8 +4,12 @@ Matrix entries live entirely in the exponent: entry (k, n) is
 ``e^(coeff * alpha_n)`` with coeff = -1/k on columns s >= k and
 coeff = -1/k + 1 below (n in column s).  Because every exponent is a
 rational multiple of the same alpha_n, each per-n inequality in the
-nuclearity/DN/Omega/regularity checks divides through by alpha_n > 0 and
-becomes a pure rational inequality, decided exactly.
+nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
+pure rational inequality, decided exactly.  The checks that do depend on
+alpha (the nuclearity witnesses and display terms, the (d2) witness
+search and the regularity criterion) are decided on scaled integers:
+both sides are cross-multiplied by their positive denominators and by
+``seq.scale``, and compared as plain ints.
 """
 from __future__ import annotations
 
@@ -13,7 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import LogTerm, Rational, exp_to_float
+from .exact import (
+    LogTerm,
+    Rational,
+    exp_quotient_to_float,
+    exp_to_float,
+    scaled_exponent,
+)
 from .grid import column_of, pair_index
 from .report import FAIL, PASS, CheckReport
 from .sequences import ExponentSequence
@@ -50,6 +60,13 @@ def omega_j_bound(p: int, k: int) -> Rational:
     )
 
 
+def _column_coeff(k: int, s: int) -> Rational:
+    """The coefficient of row k on column s: -1/k, plus 1 when k > s."""
+    if k <= s:
+        return Fraction(-1, k)
+    return Fraction(-1, k) + 1
+
+
 @dataclass
 class KotheFamily:
     """The matrix family parameterized by an exponent sequence alpha."""
@@ -59,10 +76,7 @@ class KotheFamily:
     def entry_coeff(self, k: int, n: int) -> Rational:
         if k < 1 or n < 1:
             raise ValueError("matrix indices are 1-based")
-        s = column_of(n)
-        if k <= s:
-            return Fraction(-1, k)
-        return Fraction(-1, k) + 1
+        return _column_coeff(k, column_of(n))
 
     def log_entry(self, k: int, n: int) -> LogTerm:
         return LogTerm(self.entry_coeff(k, n), n)
@@ -74,9 +88,6 @@ class KotheFamily:
         if s >= q or s < p:
             return c
         return c - 1
-
-    def ratio_term(self, p: int, q: int, n: int) -> LogTerm:
-        return LogTerm(self.ratio_coeff(p, q, n), n)
 
 
 # -- Grothendieck-Pietsch nuclearity ---------------------------------------
@@ -90,17 +101,28 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     geometric tail bound r^(horizon+1)/(1-r) with r = e^(-1/(k(k+1))) are
     reported for display.
     """
+    seq = family.seq
     bound = Fraction(-1, k) + Fraction(1, k + 1)
+    # the difference depends on n only through its column region: s < k,
+    # s = k or s > k.  Per region: the difference, whether it breaks the
+    # bound, and the difference as an int over (denominator * scale).
+    regions = []
+    for s in (k - 1, k, k + 1):
+        diff = _column_coeff(k, s) - _column_coeff(k + 1, s)
+        regions.append((diff, diff > bound, diff.numerator, diff.denominator * seq.scale))
+    seq.prefill(horizon)  # every n <= horizon is read: fill the memo in bulk
     witnesses = []
     partial_sum = 0.0
     alpha_dominates = True
     for n in range(1, horizon + 1):
-        diff = family.entry_coeff(k, n) - family.entry_coeff(k + 1, n)
-        if diff > bound:
+        s = column_of(n)
+        diff, exceeds, num, den = regions[(s >= k) + (s > k)]
+        if exceeds:
             witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
-        term, _ = exp_to_float(diff * family.seq.value(n))
+        alpha = seq.scaled(n)
+        term, _ = exp_quotient_to_float(num * alpha, den)
         partial_sum += term
-        if family.seq.value(n) < n:
+        if alpha < n * seq.scale:
             alpha_dominates = False
     details: dict = {
         "partial_sum_float": partial_sum,
@@ -300,12 +322,16 @@ def check_d2_failure(
     """
     if j < 1:
         raise ValueError("need j >= 1")
+    seq = family.seq
     bound = Fraction(bound)
     coefficient = Fraction(j + 2, j * (j + 1))
+    # coefficient * alpha_n > bound, cross-multiplied by the positive
+    # denominators of both sides and by seq.scale
+    lhs_factor = coefficient.numerator * bound.denominator
+    rhs = bound.numerator * coefficient.denominator * seq.scale
     for y in range(search_cap):
         n = pair_index(j - 1, y)
-        value = coefficient * family.seq.value(n)
-        if value > bound:
+        if lhs_factor * seq.scaled(n) > rhs:
             return CheckReport(
                 criterion="d2-failure",
                 params={"j": j, "B": bound, "alpha": family.seq.name},
@@ -315,7 +341,7 @@ def check_d2_failure(
                         "n": n,
                         "column": j,
                         "exponent_coeff": coefficient,
-                        "exponent_value": value,
+                        "exponent_value": coefficient * seq.value(n),
                     }
                 ],
                 details={"scanned_column_elements": y + 1},
@@ -329,14 +355,20 @@ def check_d2_failure(
 
 
 def regularity_criterion(family: KotheFamily, s: int, n: int) -> bool:
-    """(1 + s(s+1)) alpha_n <= alpha_{n+1}, exactly."""
-    return (1 + s * (s + 1)) * family.seq.value(n) <= family.seq.value(n + 1)
+    """(1 + s(s+1)) alpha_n <= alpha_{n+1}, exactly (both sides times scale)."""
+    return (1 + s * (s + 1)) * family.seq.scaled(n) <= family.seq.scaled(n + 1)
 
 
 def definition_regular_at(family: KotheFamily, k: int, n: int) -> bool:
     """Matrix-level regularity a_{k+1,n}/a_{k,n} <= a_{k+1,n+1}/a_{k,n+1}."""
-    lhs = (family.entry_coeff(k + 1, n) - family.entry_coeff(k, n)) * family.seq.value(n)
-    rhs = (family.entry_coeff(k + 1, n + 1) - family.entry_coeff(k, n + 1)) * family.seq.value(n + 1)
+    # each coefficient difference is 1/(k(k+1)), plus 1 on column k
+    denom = k * (k + 1)
+    lhs, rhs = (
+        scaled_exponent(
+            family.entry_coeff(k + 1, m) - family.entry_coeff(k, m), m, family.seq, denom
+        )
+        for m in (n, n + 1)
+    )
     return lhs <= rhs
 
 

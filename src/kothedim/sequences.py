@@ -39,9 +39,10 @@ class PrefixExhaustedError(SequenceError):
 class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
-    ``memo`` holds alpha_1..alpha_len as exact rationals and grows on demand
-    for the generated kinds.  Mutation is append-only; the intended pattern
-    is "prefill, then share read-only".
+    ``memo`` holds alpha_1..alpha_len.  For the generated kinds it holds
+    plain ints and grows on demand; for ``file`` alphas it holds the stored
+    rationals and never grows.  Mutation is append-only; the intended
+    pattern is "prefill, then share read-only".
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
@@ -54,7 +55,7 @@ class ExponentSequence:
     declared_class: str
     degree: int | None = None
     path: str | None = None
-    memo: list[Rational] = field(default_factory=list)
+    memo: list[int | Rational] = field(default_factory=list)
     scale: int = field(init=False, default=1)
 
     def __post_init__(self) -> None:
@@ -145,48 +146,62 @@ class ExponentSequence:
 
     # -- evaluation -------------------------------------------------------
 
-    def _next_value(self, n: int) -> Rational:
-        """alpha_n for the generated kinds, assuming alpha_{n-1} is memoized."""
-        if self.kind == "linear":
-            return Fraction(n)
-        if self.kind == "polynomial":
-            return Fraction(n**self.degree)
-        if self.kind == "factorial":
-            prev = self.memo[-1] if self.memo else Fraction(1)
-            return prev * n if n > 1 else Fraction(1)
-        if self.kind == "superproduct":
-            prev = self.memo[-1] if self.memo else Fraction(1)
-            i = n - 1
-            return prev * (1 + i * (i + 1)) if n > 1 else Fraction(1)
-        raise PrefixExhaustedError(
-            f"{self.name}: prefix of length {len(self.memo)} exhausted at n={n}"
-        )
+    def _extend(self, n: int) -> None:
+        """Grow the memo of a generated kind to alpha_1..alpha_n, as ints.
 
-    def value(self, n: int) -> Rational:
-        """Exact alpha_n (1-based); extends the memo as needed."""
+        Strict increase holds by construction: ``linear`` and ``poly:d``
+        are n and n**d with d >= 1, and the successive ratios of
+        ``factorial`` and ``superproduct`` are at least 2.
+        """
+        memo = self.memo
+        m = len(memo)
+        if self.kind == "linear":
+            memo.extend(range(m + 1, n + 1))
+        elif self.kind == "polynomial":
+            d = self.degree
+            memo.extend(i**d for i in range(m + 1, n + 1))
+        elif self.kind in ("factorial", "superproduct"):
+            # alpha_1 = 1 and alpha_{i+1} = alpha_i * r_i, with r_i = i + 1
+            # (factorial) or 1 + i(i+1) (superproduct)
+            if not memo:
+                memo.append(1)
+            if self.kind == "factorial":
+                ratios = range(len(memo) + 1, n + 1)
+            else:
+                ratios = (1 + i * (i + 1) for i in range(len(memo), n))
+            v = memo[-1]
+            for r in ratios:
+                v *= r
+                memo.append(v)
+        else:
+            raise PrefixExhaustedError(
+                f"{self.name}: prefix of length {m} exhausted at n={m + 1}"
+            )
+
+    def _stored(self, n: int) -> int | Rational:
+        """The memo entry for alpha_n (1-based); extends the memo as needed."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
-        while len(self.memo) < n:
-            m = len(self.memo) + 1
-            v = self._next_value(m)
-            prev = self.memo[-1] if self.memo else Fraction(0)
-            if v <= prev:
-                raise SequenceError(
-                    f"{self.name}: alpha_{m}={format_rational(v)} breaks "
-                    "strict positive increase"
-                )
-            self.memo.append(v)
+        if len(self.memo) < n:
+            self._extend(n)
         return self.memo[n - 1]
+
+    def value(self, n: int) -> Rational:
+        """Exact alpha_n (1-based) as a Fraction; extends the memo as needed."""
+        v = self._stored(n)
+        return v if self.kind == "file" else Fraction(v)
 
     def scaled(self, n: int) -> int:
         """The exact integer ``alpha_n * scale``; extends the memo as needed."""
-        v = self.value(n)
-        if self.scale == 1:
-            return v.numerator
+        v = self._stored(n)
+        if self.kind != "file":
+            return v
         return v.numerator * (self.scale // v.denominator)
 
     def prefill(self, n: int) -> None:
-        self.value(n)
+        """Store alpha_1..alpha_n; a no-op when they are already stored."""
+        if len(self.memo) < n:
+            self._extend(n)
 
     def __len__(self) -> int:
         return len(self.memo)

@@ -246,3 +246,38 @@ def test_non_positive_counts_and_indices_exit_2(runner, args, option):
     assert result.exit_code == 2
     assert f"Invalid value for '{option}'" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--criterion", "dn", "--alpha", "linear", "--lambda", "1/0"],
+        ["check", "--criterion", "omega", "--alpha", "linear", "--j", "1/0"],
+        ["check", "--criterion", "d2", "--alpha", "linear", "--B", "1/0"],
+        ["verify", "--what", "delta-probe", "--alpha", "factorial", "--count", "10",
+         "--theta", "1/0"],
+    ],
+)
+def test_zero_denominator_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "error: zero denominator in rational '1/0'" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_oracle_horizon_below_two_exits_2(runner):
+    args = ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "1",
+            "--horizon", "1", "--method", "oracle"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for '--horizon'" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_non_positive_check_horizon_exits_2(runner, horizon):
+    args = ["check", "--criterion", "regularity", "--alpha", "linear", "--N", horizon]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for '--n' / '--N'" in result.output
+    assert "Traceback" not in result.output

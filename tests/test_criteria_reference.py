@@ -1,0 +1,285 @@
+"""The integer criterion loops against a naive Fraction reference.
+
+``check_regularity``, ``check_d2_failure`` and ``check_nuclearity`` decide
+every n on scaled integers.  The references below decide the same
+inequalities the direct way: each exponent is a Fraction ``coeff *
+alpha_n`` built from ``seq.value``, and the display terms go through
+``math.exp`` of that Fraction.  Reports must agree exactly, floats included.
+"""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kothedim.exact import exp_quotient_to_float, exp_to_float
+from kothedim.grid import column_of, pair_index
+from kothedim.kothe import (
+    KotheFamily,
+    SearchCapExceeded,
+    check_d2_failure,
+    check_nuclearity,
+    check_regularity,
+)
+from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
+
+
+def coeff(k, n):
+    """Entry coefficient of row k at position n: -1/k, plus 1 when k > s."""
+    return Fraction(-1, k) + (1 if k > column_of(n) else 0)
+
+
+def ref_regularity(seq, horizon, definition_k=12):
+    def crit(s, n):
+        return (1 + s * (s + 1)) * seq.value(n) <= seq.value(n + 1)
+
+    def defn(k, n):
+        lhs = (coeff(k + 1, n) - coeff(k, n)) * seq.value(n)
+        rhs = (coeff(k + 1, n + 1) - coeff(k, n + 1)) * seq.value(n + 1)
+        return lhs <= rhs
+
+    witnesses = []
+    for n in range(1, horizon + 1):
+        s = column_of(n)
+        if not crit(s, n):
+            witnesses.append(
+                {
+                    "n": n,
+                    "column": s,
+                    "required_ratio": Fraction(1 + s * (s + 1)),
+                    "actual_ratio": seq.value(n + 1) / seq.value(n),
+                }
+            )
+            if len(witnesses) >= 5:
+                break
+    definition_n = min(horizon, 300)
+    agrees, witness = True, None
+    for n in range(1, definition_n + 1):
+        s = column_of(n)
+        for k in range(1, definition_k + 1):
+            expected = crit(s, n) if (k == s and n >= 2) else True
+            if defn(k, n) != expected:
+                agrees, witness = False, {"k": k, "n": n}
+                break
+        if not agrees:
+            break
+    return witnesses, {
+        "definition_window": {"K": definition_k, "N": definition_n},
+        "definition_agrees_with_criterion": agrees,
+        "definition_witness": witness,
+    }
+
+
+def ref_d2(seq, j, bound, search_cap):
+    coefficient = Fraction(j + 2, j * (j + 1))
+    for y in range(search_cap):
+        n = pair_index(j - 1, y)
+        value = coefficient * seq.value(n)
+        if value > bound:
+            return n, value, y + 1
+    return None
+
+
+def ref_exp(exponent):
+    if exponent >= 710:
+        return math.inf
+    if exponent <= -746:
+        return 0.0
+    return math.exp(exponent)
+
+
+def ref_nuclearity(seq, k, horizon):
+    bound = Fraction(-1, k) + Fraction(1, k + 1)
+    witnesses, partial_sum, dominates = [], 0.0, True
+    for n in range(1, horizon + 1):
+        diff = coeff(k, n) - coeff(k + 1, n)
+        if diff > bound:
+            witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
+        partial_sum += ref_exp(diff * seq.value(n))
+        if seq.value(n) < n:
+            dominates = False
+    return witnesses, partial_sum, dominates
+
+
+def rational_file(values, name="rational"):
+    return ExponentSequence(name=name, kind="file", declared_class=UNSPECIFIED, memo=values)
+
+
+# strictly increasing, denominators 1..12 (scale = lcm(1..12) = 27720);
+# alpha_n < n for the first terms, so alpha does not dominate the index
+RATIONAL_VALUES = [
+    Fraction(n * (n + 1), 6) + Fraction(1, 1 + n % 12) for n in range(1, 801)
+]
+SPECS = ("linear", "poly:3", "factorial", "superproduct", "rational")
+
+
+def make_seq(spec):
+    if spec == "rational":
+        return rational_file(RATIONAL_VALUES)
+    return ExponentSequence.from_spec(spec)
+
+
+def test_rational_alpha_has_a_scale():
+    seq = make_seq("rational")
+    assert seq.scale == 27720
+    assert seq.value(1) < 1  # the nuclearity index-domination branch fails
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("horizon", [1, 2, 40, 400])
+def test_regularity_matches_reference(spec, horizon):
+    seq = make_seq(spec)
+    report = check_regularity(KotheFamily(seq), horizon)
+    witnesses, details = ref_regularity(make_seq(spec), horizon)
+    assert report.witnesses == witnesses
+    assert report.details == details
+    assert report.passed == (not witnesses)
+
+
+def test_regularity_reference_sees_pass_and_fail():
+    # the comparison above covers both verdicts
+    assert check_regularity(KotheFamily(make_seq("superproduct")), 400).passed
+    for spec in ("linear", "poly:3", "factorial", "rational"):
+        assert not check_regularity(KotheFamily(make_seq(spec)), 400).passed
+
+
+BOUNDS = [Fraction(-5), Fraction(0), Fraction(7, 3), Fraction(1000), Fraction(10**6, 7)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("j", [1, 2, 3])
+@pytest.mark.parametrize("bound", BOUNDS, ids=str)
+def test_d2_matches_reference(spec, j, bound):
+    cap = 35  # column elements; pair_index(2, 34) = 669 stays in the file prefix
+    want = ref_d2(make_seq(spec), j, bound, cap)
+    family = KotheFamily(make_seq(spec))
+    if want is None:
+        with pytest.raises(SearchCapExceeded):
+            check_d2_failure(family, j, bound, search_cap=cap)
+        return
+    n, value, scanned = want
+    report = check_d2_failure(family, j, bound, search_cap=cap)
+    assert report.witnesses == [
+        {
+            "n": n,
+            "column": j,
+            "exponent_coeff": Fraction(j + 2, j * (j + 1)),
+            "exponent_value": value,
+        }
+    ]
+    assert report.details == {"scanned_column_elements": scanned}
+
+
+def test_d2_reference_sees_a_rational_tie():
+    # (3/2) * alpha_n == bound is not a witness; the next column element is
+    seq = make_seq("rational")
+    n = pair_index(0, 5)
+    bound = Fraction(3, 2) * seq.value(n)
+    report = check_d2_failure(KotheFamily(seq), 1, bound, search_cap=35)
+    assert report.witnesses[0]["n"] == pair_index(0, 6)
+    assert ref_d2(seq, 1, bound, 35)[0] == pair_index(0, 6)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nuclearity_matches_reference(spec, k):
+    horizon = 800 if spec in ("rational", "factorial", "superproduct") else 3000
+    report = check_nuclearity(KotheFamily(make_seq(spec)), k, horizon)
+    witnesses, partial_sum, dominates = ref_nuclearity(make_seq(spec), k, horizon)
+    assert report.witnesses == witnesses
+    assert report.details["partial_sum_float"] == partial_sum
+    assert report.details["alpha_dominates_index"] == dominates
+    assert ("geometric_tail_bound_float" in report.details) == dominates
+
+
+def test_nuclearity_covers_both_exp_branches():
+    # linear k = 1: exponents -n/2 (or -3n/2 on column 1) cross -746 at n ~ 1492
+    seq = make_seq("linear")
+    exps = [(coeff(1, n) - coeff(2, n)) * seq.value(n) for n in range(1, 3001)]
+    assert any(e <= -746 for e in exps)
+    assert any(-746 < e < 710 and e.denominator > 1 for e in exps)
+    assert not check_nuclearity(KotheFamily(make_seq("rational")), 1, 50).details[
+        "alpha_dominates_index"
+    ]
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [
+        (710, 1), (709, 1), (1420, 2), (1419, 2), (10**400, 3),
+        (-746, 1), (-745, 1), (-1492, 2), (-1491, 2), (-(10**400), 7),
+        (3, 4), (-3, 4), (0, 5), (6, 8),
+        (2**1100 + 1, 2**1100),  # operands past the double range, a quotient within it
+    ],
+)
+def test_exp_quotient_matches_exp_of_the_fraction(num, den):
+    assert exp_quotient_to_float(num, den) == exp_to_float(Fraction(num, den))
+    value, clamped = exp_quotient_to_float(num, den)
+    assert value == ref_exp(Fraction(num, den))
+    assert clamped == (Fraction(num, den) >= 710 or Fraction(num, den) <= -746)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    k=st.integers(min_value=1, max_value=4),
+    j=st.integers(min_value=1, max_value=3),
+    bound=st.fractions(min_value=-10, max_value=10**4, max_denominator=50),
+)
+def test_random_rational_alpha_matches_reference(seed, k, j, bound):
+    rng = random.Random(seed)
+    values, cur = [], Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    for _ in range(120):
+        values.append(cur)
+        cur += Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    seq = rational_file(values)
+    family = KotheFamily(seq)
+    regularity = check_regularity(family, 100)
+    assert (regularity.witnesses, regularity.details) == ref_regularity(seq, 100)
+    nuclearity = check_nuclearity(family, k, 120)
+    witnesses, partial_sum, dominates = ref_nuclearity(seq, k, 120)
+    assert nuclearity.details["partial_sum_float"] == partial_sum
+    assert nuclearity.details["alpha_dominates_index"] == dominates
+    want = ref_d2(seq, j, bound, 10)
+    if want is None:
+        with pytest.raises(SearchCapExceeded):
+            check_d2_failure(family, j, bound, search_cap=10)
+    else:
+        witness = check_d2_failure(family, j, bound, search_cap=10).witnesses[0]
+        assert (witness["n"], witness["exponent_value"]) == want[:2]
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:3", "factorial", "superproduct"])
+def test_generated_memo_equals_the_recurrence(spec):
+    seq = ExponentSequence.from_spec(spec)
+    # grow the memo in uneven steps, as callers do
+    for n in (1, 2, 7, 8, 150, 600):
+        seq.prefill(n)
+    want, prev = [], None
+    for n in range(1, 601):
+        if spec == "linear":
+            v = n
+        elif spec == "poly:3":
+            v = n**3
+        elif spec == "factorial":
+            v = 1 if n == 1 else prev * n
+        else:
+            v = 1 if n == 1 else prev * (1 + (n - 1) * n)
+        want.append(v)
+        prev = v
+    assert seq.memo == want
+    assert all(type(v) is int for v in seq.memo)
+    value = seq.value(600)
+    assert type(value) is Fraction and value == want[-1]
+    assert seq.scaled(600) == want[-1]
+
+
+def test_file_memo_stays_rational_and_bounded():
+    seq = make_seq("rational")
+    assert seq.value(3) is seq.memo[2]
+    assert seq.scaled(3) == seq.value(3) * seq.scale
+    with pytest.raises(PrefixExhaustedError) as info:
+        seq.value(801)
+    assert str(info.value) == "rational: prefix of length 800 exhausted at n=801"
