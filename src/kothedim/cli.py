@@ -113,10 +113,10 @@ def main() -> None:
 
 
 @main.command("grid")
-@click.option("--max-n", type=int, default=21, show_default=True)
+@click.option("--max-n", type=POSITIVE, default=21, show_default=True)
 @click.option("--p", type=int, default=None)
 @click.option("--q", type=int, default=None)
-@click.option("--count", type=int, default=20, show_default=True)
+@click.option("--count", type=POSITIVE, default=20, show_default=True)
 @click.option("--out", type=str, default=None)
 def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | None):
     """Print the pairing table, or a band enumeration when --p/--q are given."""
@@ -153,8 +153,8 @@ def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | No
 
 @main.command("gen-matrix")
 @click.option("--alpha", "alpha_spec", required=True)
-@click.option("--k-max", type=int, default=6, show_default=True)
-@click.option("--n-max", type=int, default=15, show_default=True)
+@click.option("--k-max", type=POSITIVE, default=6, show_default=True)
+@click.option("--n-max", type=POSITIVE, default=15, show_default=True)
 @click.option("--out", type=str, default=None)
 def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     """Export the log-domain matrix entries e^(coeff * alpha_n)."""
@@ -307,7 +307,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
 @click.option("--lambda", "lambda_value", type=str, default=None)
 @click.option("--n", "--N", "horizon", type=POSITIVE, default=1000, show_default=True)
 @click.option("--b", "--B", "bound", type=str, default="1000000")
-@click.option("--search-cap", type=int, default=100_000, show_default=True)
+@click.option("--search-cap", type=POSITIVE, default=100_000, show_default=True)
 @click.option("--out", type=str, default=None)
 def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound, search_cap, out):
     """Run one matrix criterion check and emit its JSON report."""

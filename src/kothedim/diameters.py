@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import LogExponent, LogTerm, Rational, exp_to_float, scaled_exponent
+from .exact import (
+    LogExponent,
+    LogTerm,
+    Rational,
+    exp_to_float,
+    scaled_exponent,
+    scaled_numerator,
+)
 from .grid import BandIndexing
 from .kothe import KotheFamily, a_pq, c_pq
 from .sequences import PrefixExhaustedError
@@ -194,26 +201,25 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
     alpha is strictly increasing, so the qualifying set is a prefix.  Its
     last element is found by galloping from n_a, doubling the step while the
     probe still qualifies, then bisecting the last step (unbounded search,
-    Bentley and Yao 1976); each probe compares scaled integers.  A probe
+    Bentley and Yao 1976); each probe is one ``seq.compare``.  A probe
     never passes the stored values while a stored one can still decide, so
     a file prefix is read past, raising PrefixExhaustedError, exactly when
     every stored index from n_a on qualifies.  Then step down over the (at
     most q-p wide) band block to the nearest off-band index.
     """
-    bound = threshold_mult.numerator * seq.scaled(n_a)
-    den = threshold_mult.denominator
+    num, den = threshold_mult.numerator, threshold_mult.denominator
     lo, step = n_a, 1  # lo qualifies: A_pq > 1
     while True:
         probe = lo + step
         if lo < len(seq) < probe:
             probe = len(seq)
-        if den * seq.scaled(probe) > bound:
+        if seq.compare(den, probe, num, n_a) > 0:
             break
         lo, step = probe, 2 * step
     hi = probe
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if den * seq.scaled(mid) <= bound:
+        if seq.compare(den, mid, num, n_a) <= 0:
             lo = mid
         else:
             hi = mid
@@ -282,28 +288,33 @@ def closedform_diameters(
     if count < 1:
         raise ValueError("count must be >= 1")
     seq = family.seq
-    c = c_pq(p, q)
+    pq = p * q
+    blue = c_pq(p, q)
+    red = blue - 1
+    blue_num = scaled_numerator(blue, pq)
+    red_num = blue_num - pq
     bnd = BandIndexing(p=p, q=q)
     rows = _build_plan(family, bnd, count)
     n_1 = bnd.element(1)
 
-    # values: reds by plan position, blues in increasing index order
-    slot_coeff: list[Rational | None] = [None] * count
+    # values: reds by plan position, blues in increasing index order; each
+    # slot keeps its coefficient as the integer numerator over pq
+    slot_num: list[int | None] = [None] * count
     slot_index: list[int] = [0] * count
     red_at: dict[int, PlanRow] = {}
     for row in rows:
         if 0 <= row.j_a < count:
             red_at[row.j_a] = row
-            slot_coeff[row.j_a] = c - 1
+            slot_num[row.j_a] = red_num
             slot_index[row.j_a] = row.n_a
     m = 0
     for n in range(count):
-        if slot_coeff[n] is not None:
+        if slot_num[n] is not None:
             continue
         m += 1
         while bnd.contains(m):
             m += 1
-        slot_coeff[n] = c
+        slot_num[n] = blue_num
         slot_index[n] = m
 
     # segment labels from the interval formulas
@@ -445,7 +456,7 @@ def closedform_diameters(
     entries = [
         DiameterEntry(
             n=n,
-            coeff=slot_coeff[n],
+            coeff=blue if slot_num[n] == blue_num else red,
             alpha_index=slot_index[n],
             segment=labels[n],
             source_ratio_index=slot_index[n],
@@ -453,13 +464,12 @@ def closedform_diameters(
         )
         for n in range(count)
     ]
-    # monotonicity of the assembled table, streamed over scaled exponents
-    prev_key = None
-    for n in range(count):
-        key = scaled_exponent(slot_coeff[n], slot_index[n], seq, p * q)
-        if prev_key is not None and prev_key < key:
+    # monotonicity of the assembled table, one kernel call per adjacent pair
+    for n in range(1, count):
+        if seq.compare(
+            slot_num[n - 1], slot_index[n - 1], slot_num[n], slot_index[n]
+        ) < 0:
             raise CoverageError(f"diameters not non-increasing at index {n}")
-        prev_key = key
     return DiameterTable(
         p=p,
         q=q,

@@ -2,12 +2,16 @@
 
 Every comparison made anywhere in this package is exact.  A plain
 coefficient is a :class:`fractions.Fraction`.  A value of the form
-``e^(coeff * alpha_n)`` is ordered by its exponent, and the diameter
-engines and the verification harness compare exponents as plain integers:
-within one (p, q) table every coefficient is ``c_pq`` or ``c_pq - 1``, whose
-denominators divide ``pq``, so ``coeff * alpha_n`` scaled by
-``pq * seq.scale`` is the integer (coefficient numerator over ``pq``) times
-(``alpha_n`` scaled by the sequence's least common denominator), see
+``e^(coeff * alpha_n)`` is ordered by its exponent, and exponents are
+compared as integers: within one (p, q) table every coefficient is
+``c_pq`` or ``c_pq - 1``, whose denominators divide ``pq``, so
+:func:`scaled_numerator` turns each into an integer numerator over ``pq``.
+Two routes then decide the order.  The closed form, the verification
+harness and the regularity checks call ``ExponentSequence.compare(a, m, b,
+n)``, the sign of ``a * alpha_m - b * alpha_n``: it walks the small integer
+ratios ``alpha_i / alpha_{i-1}`` for ``factorial`` and ``superproduct`` and
+cross-multiplies scaled values for the other kinds.  The oracle, kept as
+the independent reference, orders by the big-integer keys of
 :func:`scaled_exponent`.  Floats appear only in display/export paths and
 are flagged as non-authoritative there.
 """
@@ -113,6 +117,18 @@ def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:
     return rational_cmp(x.log_value(seq), y.log_value(seq))
 
 
+def scaled_numerator(coeff: Rational, denom: int) -> int:
+    """The integer ``coeff * denom``; ``denom`` must be a multiple of
+    ``coeff``'s denominator, else ``ValueError``."""
+    numerator, rest = divmod(coeff.numerator * denom, coeff.denominator)
+    if rest:
+        raise ValueError(
+            f"coefficient {format_rational(coeff)} has no denominator "
+            f"dividing {denom}"
+        )
+    return numerator
+
+
 def scaled_exponent(
     coeff: Rational, index: int, seq: "ExponentSequence", denom: int
 ) -> int:
@@ -124,13 +140,7 @@ def scaled_exponent(
     exponents, and the values ``e^(coeff * alpha_index)``, as
     :func:`logterm_cmp` does, ties included, without Fraction arithmetic.
     """
-    numerator, rest = divmod(coeff.numerator * denom, coeff.denominator)
-    if rest:
-        raise ValueError(
-            f"coefficient {format_rational(coeff)} has no denominator "
-            f"dividing {denom}"
-        )
-    return numerator * seq.scaled(index)
+    return scaled_numerator(coeff, denom) * seq.scaled(index)
 
 
 def exp_to_float(exponent: Rational) -> tuple[float, bool]:

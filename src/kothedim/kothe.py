@@ -6,10 +6,11 @@ coeff = -1/k + 1 below (n in column s).  Because every exponent is a
 rational multiple of the same alpha_n, each per-n inequality in the
 nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
 pure rational inequality, decided exactly.  The checks that do depend on
-alpha (the nuclearity witnesses and display terms, the (d2) witness
-search and the regularity criterion) are decided on scaled integers:
-both sides are cross-multiplied by their positive denominators and by
-``seq.scale``, and compared as plain ints.
+alpha are decided on integers: the nuclearity witnesses and display
+terms and the (d2) witness search cross-multiply both sides by their
+positive denominators and by ``seq.scale``; the regularity criterion and
+the matrix definition compare ``a * alpha_n`` with ``b * alpha_{n+1}``
+through ``ExponentSequence.compare``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .exact import (
     Rational,
     exp_quotient_to_float,
     exp_to_float,
-    scaled_exponent,
+    scaled_numerator,
 )
 from .grid import column_of, pair_index
 from .report import FAIL, PASS, CheckReport
@@ -355,21 +356,27 @@ def check_d2_failure(
 
 
 def regularity_criterion(family: KotheFamily, s: int, n: int) -> bool:
-    """(1 + s(s+1)) alpha_n <= alpha_{n+1}, exactly (both sides times scale)."""
-    return (1 + s * (s + 1)) * family.seq.scaled(n) <= family.seq.scaled(n + 1)
+    """(1 + s(s+1)) alpha_n <= alpha_{n+1}, exactly."""
+    return family.seq.compare(1 + s * (s + 1), n, 1, n + 1) <= 0
+
+
+@lru_cache(maxsize=1024)  # the definition window asks once per (k, n)
+def _row_step(k: int, s: int) -> int:
+    """k(k+1) times the coefficient of row k+1 minus that of row k on
+    column s: 1, plus k(k+1) on column k."""
+    return scaled_numerator(_column_coeff(k + 1, s) - _column_coeff(k, s), k * (k + 1))
+
+
+def _definition_regular(
+    seq: ExponentSequence, k: int, n: int, s: int, s_next: int
+) -> bool:
+    """:func:`definition_regular_at` with n in column s and n+1 in s_next."""
+    return seq.compare(_row_step(k, s), n, _row_step(k, s_next), n + 1) <= 0
 
 
 def definition_regular_at(family: KotheFamily, k: int, n: int) -> bool:
     """Matrix-level regularity a_{k+1,n}/a_{k,n} <= a_{k+1,n+1}/a_{k,n+1}."""
-    # each coefficient difference is 1/(k(k+1)), plus 1 on column k
-    denom = k * (k + 1)
-    lhs, rhs = (
-        scaled_exponent(
-            family.entry_coeff(k + 1, m) - family.entry_coeff(k, m), m, family.seq, denom
-        )
-        for m in (n, n + 1)
-    )
-    return lhs <= rhs
+    return _definition_regular(family.seq, k, n, column_of(n), column_of(n + 1))
 
 
 def check_regularity(
@@ -403,11 +410,12 @@ def check_regularity(
         definition_n = min(horizon, 300)
     definition_agrees = True
     definition_witness = None
+    s_next = column_of(1)
     for n in range(1, definition_n + 1):
-        s = column_of(n)
+        s, s_next = s_next, column_of(n + 1)
         crit = regularity_criterion(family, s, n)
         for k in range(1, definition_k + 1):
-            defn = definition_regular_at(family, k, n)
+            defn = _definition_regular(family.seq, k, n, s, s_next)
             # the matrix definition binds exactly at k = s, matching the
             # column criterion, except at n = 1: there n and n+1 share
             # column 1 and the definition collapses to alpha_1 <= alpha_2,

@@ -27,6 +27,10 @@ _BUILTIN_CLASSES = {
 }
 
 
+# the unstable kinds, whose successive ratios alpha_i / alpha_{i-1} are ints
+_RATIO_KINDS = ("factorial", "superproduct")
+
+
 class SequenceError(ValueError):
     """Invalid sequence definition or violated monotonicity invariant."""
 
@@ -40,7 +44,8 @@ class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
     ``memo`` holds alpha_1..alpha_len.  For the generated kinds it holds
-    plain ints and grows on demand; for ``file`` alphas it holds the stored
+    plain ints and grows on demand (``factorial`` and ``superproduct``
+    start with alpha_1 = 1 stored); for ``file`` alphas it holds the stored
     rationals and never grows.  Mutation is append-only; the intended
     pattern is "prefill, then share read-only".
 
@@ -48,6 +53,12 @@ class ExponentSequence:
     every n: 1 for the generated kinds, whose values are integers, and the
     least common denominator of the stored prefix for ``file`` alphas,
     whose prefix never grows.
+
+    :meth:`compare` decides ``a * alpha_m`` against ``b * alpha_n`` for
+    integers a and b.  For ``factorial`` and ``superproduct`` it walks the
+    small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
+    the same ones the memo is built from) and never reads or grows the
+    memo; for the other kinds it cross-multiplies :meth:`scaled` integers.
     """
 
     name: str
@@ -70,6 +81,8 @@ class ExponentSequence:
                 )
         if self.kind == "file":
             self.scale = math.lcm(*(v.denominator for v in self.memo))
+        elif self.kind in _RATIO_KINDS and not self.memo:
+            self.memo.append(1)  # alpha_1; every later value is a ratio product
 
     # -- construction ----------------------------------------------------
 
@@ -146,12 +159,16 @@ class ExponentSequence:
 
     # -- evaluation -------------------------------------------------------
 
+    def _ratio(self, i: int) -> int:
+        """``alpha_i / alpha_{i-1}`` for i >= 2 of a ratio kind: i for
+        ``factorial``, 1 + (i-1)i for ``superproduct``; always >= 2."""
+        return i if self.kind == "factorial" else 1 + (i - 1) * i
+
     def _extend(self, n: int) -> None:
         """Grow the memo of a generated kind to alpha_1..alpha_n, as ints.
 
         Strict increase holds by construction: ``linear`` and ``poly:d``
-        are n and n**d with d >= 1, and the successive ratios of
-        ``factorial`` and ``superproduct`` are at least 2.
+        are n and n**d with d >= 1, and every :meth:`_ratio` is at least 2.
         """
         memo = self.memo
         m = len(memo)
@@ -160,18 +177,10 @@ class ExponentSequence:
         elif self.kind == "polynomial":
             d = self.degree
             memo.extend(i**d for i in range(m + 1, n + 1))
-        elif self.kind in ("factorial", "superproduct"):
-            # alpha_1 = 1 and alpha_{i+1} = alpha_i * r_i, with r_i = i + 1
-            # (factorial) or 1 + i(i+1) (superproduct)
-            if not memo:
-                memo.append(1)
-            if self.kind == "factorial":
-                ratios = range(len(memo) + 1, n + 1)
-            else:
-                ratios = (1 + i * (i + 1) for i in range(len(memo), n))
+        elif self.kind in _RATIO_KINDS:
             v = memo[-1]
-            for r in ratios:
-                v *= r
+            for i in range(m + 1, n + 1):
+                v *= self._ratio(i)
                 memo.append(v)
         else:
             raise PrefixExhaustedError(
@@ -197,6 +206,36 @@ class ExponentSequence:
         if self.kind != "file":
             return v
         return v.numerator * (self.scale // v.denominator)
+
+    def compare(self, a: int, m: int, b: int, n: int) -> int:
+        """The sign (-1, 0 or 1) of ``a * alpha_m - b * alpha_n``, exactly.
+
+        ``a`` and ``b`` are integers, typically coefficient numerators over
+        one shared positive denominator.  For the ratio kinds, once both
+        products are positive, the smaller index's alpha divides out and
+        the running product of the ratios between the two indices is
+        compared with the other integer; it is at least 2**steps, so the
+        walk stops after about log2 of the integers' quotient.
+        """
+        if self.kind not in _RATIO_KINDS:
+            d = a * self.scaled(m) - b * self.scaled(n)
+            return (d > 0) - (d < 0)
+        if m < 1 or n < 1:
+            raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa != sb or sa == 0:
+            return (sa > sb) - (sa < sb)  # alpha > 0: the signs decide
+        if sa < 0:
+            return -self.compare(-a, m, -b, n)
+        # a, b > 0.  m <= n: sign(a - b * R) with R = r_{m+1}...r_n, which
+        # only grows; m > n: sign(a * R - b) with R = r_{n+1}...r_m.
+        lo, hi, x, y = (m, n, b, a) if m <= n else (n, m, a, b)
+        for i in range(lo + 1, hi + 1):
+            x *= self._ratio(i)
+            if x > y:
+                break
+        s = (x > y) - (x < y)
+        return -s if m <= n else s
 
     def prefill(self, n: int) -> None:
         """Store alpha_1..alpha_n; a no-op when they are already stored."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diameters import DiameterTable
-from .exact import Rational, fraction_to_float, scaled_exponent
+from .exact import Rational, fraction_to_float, scaled_numerator
 from .kothe import KotheFamily, c_pq
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
@@ -55,19 +55,23 @@ class SandwichReport:
 def verify_sandwich(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> SandwichReport:
-    """Exact scan of both bounds over the certified range (n >= 1)."""
+    """Exact scan of both bounds over the certified range (n >= 1).
+
+    Coefficients are taken as integer numerators over pq and each bound is
+    one ``seq.compare``.
+    """
     seq = family.seq
-    c = c_pq(p, q)
     pq = p * q
+    c_num = scaled_numerator(c_pq(p, q), pq)
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
     for n in range(1, horizon + 1):
         entry = table.entry(n)
-        value = scaled_exponent(entry.coeff, entry.alpha_index, seq, pq)
-        if value > scaled_exponent(c, n, seq, pq):
+        num, m = scaled_numerator(entry.coeff, pq), entry.alpha_index
+        if seq.compare(num, m, c_num, n) > 0:
             upper_violations.append(n)
-        if value < scaled_exponent(c, 4 * n, seq, pq):
+        if seq.compare(num, m, c_num, 4 * n) < 0:
             lower_violations.append(n)
     if lower_violations and lower_violations[-1] >= horizon:
         n_found = None
@@ -232,17 +236,18 @@ def edd_tail_check(
     threshold = table.tail_start
     pq = p * q
 
-    def ratio_key(m: int) -> int:
-        return scaled_exponent(family.ratio_coeff(p, q, m), m, seq, pq)
+    def ratio_num(m: int) -> int:
+        return scaled_numerator(family.ratio_coeff(p, q, m), pq)
 
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
-        if ratio_key(m) < ratio_key(m + 1):
+        if seq.compare(ratio_num(m), m, ratio_num(m + 1), m + 1) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
     for n in range(threshold, horizon + 1):
         entry = table.entry(n)
-        if scaled_exponent(entry.coeff, entry.alpha_index, seq, pq) != ratio_key(n + 1):
+        num = scaled_numerator(entry.coeff, pq)
+        if seq.compare(num, entry.alpha_index, ratio_num(n + 1), n + 1) != 0:
             witnesses.append({"type": "value", "n": n})
             break
     return CheckReport(

@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kothedim.cli import main
 
@@ -239,6 +241,12 @@ def test_plot_data_factorial_past_float_range(runner):
         (["check", "--criterion", "dn", "--alpha", "linear", "--p", "0"], "--p"),
         (["check", "--criterion", "omega", "--alpha", "linear", "--p", "0"], "--p"),
         (["check", "--criterion", "nuclearity", "--alpha", "linear", "--k", "0"], "--k"),
+        (["grid", "--max-n", "-1"], "--max-n"),
+        (["grid", "--p", "1", "--q", "2", "--count", "-3"], "--count"),
+        (["gen-matrix", "--alpha", "linear", "--k-max", "0"], "--k-max"),
+        (["gen-matrix", "--alpha", "linear", "--n-max", "-2"], "--n-max"),
+        (["check", "--criterion", "d2", "--alpha", "linear", "--search-cap", "-5"],
+         "--search-cap"),
     ],
 )
 def test_non_positive_counts_and_indices_exit_2(runner, args, option):
@@ -280,4 +288,90 @@ def test_non_positive_check_horizon_exits_2(runner, horizon):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Invalid value for '--n' / '--N'" in result.output
+    assert "Traceback" not in result.output
+
+
+# -- every subcommand, generated arguments ---------------------------------
+
+# mostly valid values, so that most calls get past argument checking
+small = st.one_of(st.integers(1, 9), st.integers(-2, 0)).map(str)
+rational = st.one_of(
+    small,
+    st.builds("{}/{}".format, st.integers(-12, 12), st.integers(-2, 6)),
+)
+ALPHAS = ["linear", "factorial", "superproduct", "poly:2", "poly:0", "nope"]
+
+
+def options(draw, pairs):
+    """Each (option, strategy) pair either given or left to its default."""
+    args = []
+    for name, values in pairs:
+        if draw(st.booleans()):
+            args += [name, draw(values)]
+    return args
+
+
+@st.composite
+def p_and_q(draw):
+    """``p`` and ``q``, mostly with q > p >= 1."""
+    p = draw(st.integers(-1, 4))
+    return p, p + draw(st.one_of(st.integers(1, 4), st.integers(-1, 0)))
+
+
+@st.composite
+def cli_args(draw, file_alpha):
+    alpha = st.sampled_from(ALPHAS + [file_alpha] * 3)
+    sub = draw(st.sampled_from(
+        ["grid", "gen-matrix", "diameters", "check", "verify", "plot-data"]
+    ))
+    if sub == "grid":
+        args = [sub] + options(draw, [("--max-n", small), ("--count", small)])
+        if draw(st.booleans()):
+            p, q = draw(p_and_q())
+            args += ["--p", str(p)] + (["--q", str(q)] if draw(st.booleans()) else [])
+        return args
+    head = [sub, "--alpha", draw(alpha)]
+    if sub == "gen-matrix":
+        return head + options(draw, [("--k-max", small), ("--n-max", small)])
+    if sub in ("diameters", "plot-data"):
+        p, q = draw(p_and_q())
+        head += ["--p", str(p), "--q", str(q), "--count", draw(small)]
+        if sub == "plot-data":
+            return head
+        return head + options(draw, [
+            ("--horizon", st.integers(0, 30).map(str)),
+            ("--method", st.sampled_from(["oracle", "closed", "both"])),
+            ("--output", st.sampled_from(["csv", "json", "table"])),
+        ])
+    if sub == "check":
+        criterion = draw(st.sampled_from(["nuclearity", "dn", "omega", "d2", "regularity"]))
+        return [sub, "--criterion", criterion] + head[1:] + options(draw, [
+            ("--p", small), ("--k", small), ("--j", rational), ("--lambda", rational),
+            ("--N", st.integers(-1, 200).map(str)), ("--B", rational),
+            ("--search-cap", small),
+        ])
+    what = draw(st.sampled_from(["sandwich", "eadd", "aa", "edd-tail", "delta-probe"]))
+    pairs = st.lists(p_and_q(), min_size=1, max_size=3).map(
+        lambda pqs: ",".join(f"{p}:{q}" for p, q in pqs)
+    )
+    return [sub, "--what", what] + head[1:] + options(draw, [
+        ("--pairs", pairs), ("--count", st.integers(-1, 40).map(str)),
+        ("--theta", rational), ("--tail-window", small),
+    ])
+
+
+@pytest.fixture(scope="module")
+def file_alpha(tmp_path_factory):
+    path = tmp_path_factory.mktemp("alpha") / "rational.txt"
+    # alpha_n = n^2 + 1/(1 + n % 4): strictly increasing, rational
+    path.write_text("".join(f"{n * n * (1 + n % 4) + 1}/{1 + n % 4}\n" for n in range(1, 41)))
+    return f"file:{path}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_exit_code_is_documented(data, file_alpha):
+    args = data.draw(cli_args(file_alpha))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4, 5), (args, result.output, result.exception)
     assert "Traceback" not in result.output

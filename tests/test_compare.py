@@ -1,0 +1,124 @@
+"""``ExponentSequence.compare`` against a naive Fraction reference.
+
+The reference values are computed here from the closed forms (``n``,
+``n**3``, ``n!``, the superproduct), not from the sequence's memo, so a
+wrong ratio in the kernel cannot hide behind the same ratio in the memo.
+"""
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kothedim.diameters import closedform_diameters
+from kothedim.kothe import KotheFamily, check_regularity
+from kothedim.sequences import (
+    UNSPECIFIED,
+    ExponentSequence,
+    PrefixExhaustedError,
+    SequenceError,
+)
+from kothedim.verify import edd_tail_check, verify_sandwich
+
+# strictly increasing, denominators 1..7 (scale 420)
+RATIONAL_VALUES = [Fraction(n * n, 3) + Fraction(1, 1 + n % 7) for n in range(1, 81)]
+SPECS = ("linear", "poly:3", "factorial", "superproduct", "rational")
+RATIO_SPECS = ("factorial", "superproduct")
+
+
+def make_seq(spec):
+    if spec == "rational":
+        return ExponentSequence(
+            name="rational", kind="file", declared_class=UNSPECIFIED,
+            memo=list(RATIONAL_VALUES),
+        )
+    return ExponentSequence.from_spec(spec)
+
+
+def alpha(spec, n):
+    if spec == "linear":
+        return Fraction(n)
+    if spec == "poly:3":
+        return Fraction(n**3)
+    if spec == "factorial":
+        return Fraction(math.factorial(n))
+    if spec == "superproduct":
+        return Fraction(math.prod(1 + i * (i + 1) for i in range(n)))
+    return RATIONAL_VALUES[n - 1]
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+coefficients = st.integers(min_value=-10**6, max_value=10**6)
+indices = st.integers(min_value=1, max_value=len(RATIONAL_VALUES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=st.sampled_from(SPECS), a=coefficients, m=indices, b=coefficients, n=indices)
+@example(spec="factorial", a=2, m=1, b=1, n=2)
+@example(spec="superproduct", a=3, m=1, b=1, n=2)
+@example(spec="factorial", a=0, m=5, b=0, n=9)
+@example(spec="superproduct", a=-7, m=2, b=-1, n=3)
+@example(spec="linear", a=-3, m=1, b=-1, n=3)
+@example(spec="factorial", a=10**6, m=3, b=1, n=12)
+def test_compare_matches_the_fraction_reference(spec, a, m, b, n):
+    seq = make_seq(spec)
+    assert seq.compare(a, m, b, n) == sign(a * alpha(spec, m) - b * alpha(spec, n))
+    if spec in RATIO_SPECS:
+        assert len(seq) == 1  # the walk never grows the memo
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_compare_decides_exact_ties(spec):
+    """a * alpha_m = b * alpha_n with a/b = alpha_n/alpha_m in lowest terms,
+    for every index pair up to 9 and both signs; a one-unit nudge of a moves
+    the sign by the sign of alpha_m > 0."""
+    seq = make_seq(spec)
+    for m in range(1, 10):
+        for n in range(1, 10):
+            r = alpha(spec, n) / alpha(spec, m)
+            for k in (1, -1, 3):
+                a, b = k * r.numerator, k * r.denominator
+                assert seq.compare(a, m, b, n) == 0
+                assert seq.compare(a + 1, m, b, n) == 1
+                assert seq.compare(a - 1, m, b, n) == -1
+
+
+def test_compare_named_ties():
+    assert ExponentSequence.factorial().compare(2, 1, 1, 2) == 0
+    assert ExponentSequence.superproduct().compare(3, 1, 1, 2) == 0
+    assert ExponentSequence.superproduct().compare(1, 3, 7, 2) == 0  # 21 = 7 * 3
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_compare_rejects_index_zero(spec):
+    with pytest.raises(SequenceError):
+        make_seq(spec).compare(1, 0, 1, 1)
+    with pytest.raises(SequenceError):
+        make_seq(spec).compare(1, 1, 1, 0)
+
+
+def test_compare_on_a_file_prefix_raises_where_scaled_does():
+    seq = make_seq("rational")
+    with pytest.raises(PrefixExhaustedError) as info:
+        seq.compare(1, 1, 1, 81)
+    assert str(info.value) == "rational: prefix of length 80 exhausted at n=81"
+
+
+@pytest.mark.parametrize("spec", RATIO_SPECS)
+def test_closed_form_and_verify_keep_the_memo_at_count(spec):
+    family = KotheFamily(ExponentSequence.from_spec(spec))
+    count = 4000
+    table = closedform_diameters(family, 1, 2, count)
+    verify_sandwich(family, 1, 2, table)
+    edd_tail_check(family, 1, 2, table)
+    assert len(family.seq) <= count + 1
+
+
+def test_regularity_check_keeps_the_superproduct_memo_small():
+    family = KotheFamily(ExponentSequence.superproduct())
+    assert check_regularity(family, 5000).passed
+    assert len(family.seq) <= 301

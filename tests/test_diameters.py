@@ -358,3 +358,29 @@ def test_terzioglu_bracket():
         excluded = set(rng.sample(range(1, prefix + 1), n))
         sup = max(v for m, v in ratios.items() if m not in excluded)
         assert d_n <= sup
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct", "rational"])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7)])
+def test_oracle_certification_is_monotone_in_the_prefix(spec, pq):
+    """An entry certified at prefix P keeps its (coeff, alpha_index) and
+    stays certified at prefix 2P: every unseen term lies strictly below it."""
+    p, q = pq
+    if spec == "rational":
+        seq = ExponentSequence(
+            name="rational", kind="file", declared_class=UNSPECIFIED,
+            memo=random_rational_alpha(random.Random(7), 400),
+        )
+    else:
+        seq = ExponentSequence.from_spec(spec)
+    fam = KotheFamily(seq)
+    certified = 0
+    for prefix in (8, 30, 100, 190):
+        small = oracle_diameters(fam, p, q, prefix)
+        large = oracle_diameters(fam, p, q, 2 * prefix)
+        assert large.certified_horizon >= small.certified_horizon
+        for e in small.entries[: small.certified_horizon + 1]:
+            f = large.entries[e.n]
+            assert (f.coeff, f.alpha_index, f.certified) == (e.coeff, e.alpha_index, True)
+        certified += small.certified_horizon + 1
+    assert certified > 0
