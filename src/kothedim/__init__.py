@@ -9,7 +9,7 @@ from .diameters import (
     oracle_diameters,
     oracle_diameters_certified,
 )
-from .exact import LogExponent, LogTerm, Rational, logterm_cmp, rational_cmp
+from .exact import LogTerm, Rational, logterm_cmp, rational_cmp
 from .grid import band, column_of, pair_index, unpair
 from .kothe import (
     KotheFamily,
@@ -38,7 +38,6 @@ __all__ = [
     "DiameterTable",
     "ExponentSequence",
     "KotheFamily",
-    "LogExponent",
     "LogTerm",
     "PlanRow",
     "Rational",

@@ -46,13 +46,6 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _alpha(spec: str) -> sq.ExponentSequence:
-    try:
-        return sq.ExponentSequence.from_spec(spec)
-    except sq.SequenceError as exc:
-        _fail(EXIT_BAD_CONFIG, str(exc))
-
-
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
     pairs = []
     for chunk in text.split(","):
@@ -104,7 +97,28 @@ def _float_str(x: float) -> str:
     return repr(x)
 
 
-@click.group()
+# exception -> (exit code, message prefix), first match wins:
+# PrefixExhaustedError is a SequenceError, which is a ValueError
+_EXIT_CODES = (
+    (sq.PrefixExhaustedError, EXIT_UNCERTIFIABLE, ""),
+    (km.SearchCapExceeded, EXIT_UNCERTIFIABLE, ""),
+    (dm.CoverageError, EXIT_INTERNAL, "segment coverage failure: "),
+    (ValueError, EXIT_BAD_CONFIG, ""),
+)
+
+
+class _Group(click.Group):
+    """Maps the errors of every subcommand to exit codes through _EXIT_CODES."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
+            code, prefix = next((c, pre) for kind, c, pre in _EXIT_CODES if isinstance(exc, kind))
+            _fail(code, f"{prefix}{exc}")
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact Kolmogorov diameters of a two-regime Köthe space family."""
 
@@ -158,18 +172,15 @@ def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | No
 @click.option("--out", type=str, default=None)
 def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     """Export the log-domain matrix entries e^(coeff * alpha_n)."""
-    family = km.KotheFamily(_alpha(alpha_spec))
+    family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     rows = []
-    try:
-        for k in range(1, k_max + 1):
-            for n in range(1, n_max + 1):
-                term = family.log_entry(k, n)
-                approx, _ = exp_to_float(term.log_value(family.seq))
-                rows.append(
-                    [k, n, column_of(n), format_rational(term.coeff), _float_str(approx)]
-                )
-    except sq.PrefixExhaustedError as exc:
-        _fail(EXIT_UNCERTIFIABLE, str(exc))
+    for k in range(1, k_max + 1):
+        for n in range(1, n_max + 1):
+            term = family.log_entry(k, n)
+            approx, _ = exp_to_float(term.log_value(family.seq))
+            rows.append(
+                [k, n, column_of(n), format_rational(term.coeff), _float_str(approx)]
+            )
     _emit(_csv(rows, ["k", "n", "column", "coeff", "approx"]), out)
 
 
@@ -185,20 +196,15 @@ def _tables_for(
     horizon: int | None = None,
 ) -> tuple[dm.DiameterTable | None, dm.DiameterTable | None]:
     oracle = closed = None
-    try:
-        if method in ("oracle", "both"):
-            if horizon is None:
-                oracle = dm.oracle_diameters_certified(family, p, q, count)
-            else:
-                oracle = dm.oracle_diameters(family, p, q, horizon)
-                if not oracle.entries:
-                    _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
-        if method in ("closed", "both"):
-            closed = dm.closedform_diameters(family, p, q, count)
-    except sq.PrefixExhaustedError as exc:
-        _fail(EXIT_UNCERTIFIABLE, str(exc))
-    except dm.CoverageError as exc:
-        _fail(EXIT_INTERNAL, f"segment coverage failure: {exc}")
+    if method in ("oracle", "both"):
+        if horizon is None:
+            oracle = dm.oracle_diameters_certified(family, p, q, count)
+        else:
+            oracle = dm.oracle_diameters(family, p, q, horizon)
+            if not oracle.entries:
+                _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
+    if method in ("closed", "both"):
+        closed = dm.closedform_diameters(family, p, q, count)
     return oracle, closed
 
 
@@ -233,7 +239,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     if horizon is not None and horizon < count:
         _fail(EXIT_BAD_CONFIG, "--horizon must be at least --count")
-    family = km.KotheFamily(_alpha(alpha_spec))
+    family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     oracle, closed = _tables_for(family, p, q, count, method, horizon)
     primary = closed if closed is not None else oracle
@@ -311,26 +317,21 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
 @click.option("--out", type=str, default=None)
 def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound, search_cap, out):
     """Run one matrix criterion check and emit its JSON report."""
-    family = km.KotheFamily(_alpha(alpha_spec))
-    try:
-        if criterion == "nuclearity":
-            report = km.check_nuclearity(family, k or 1, horizon)
-        elif criterion == "dn":
-            lam = parse_rational(lambda_value) if lambda_value else km.dn_lambda_bound(p) / 2
-            report = km.check_dn(family, p, lam, horizon)
-        elif criterion == "omega":
-            kk = k if k is not None else p + 1
-            j = parse_rational(j_value) if j_value else Fraction(math.ceil(km.omega_j_bound(p, kk)))
-            report = km.check_omega(family, p, kk, j, horizon)
-        elif criterion == "d2":
-            jj = int(j_value) if j_value else 1
-            report = km.check_d2_failure(family, jj, parse_rational(bound), search_cap)
-        else:
-            report = km.check_regularity(family, horizon)
-    except km.SearchCapExceeded as exc:
-        _fail(EXIT_UNCERTIFIABLE, str(exc))
-    except (ValueError, sq.SequenceError) as exc:
-        _fail(EXIT_BAD_CONFIG, str(exc))
+    family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
+    if criterion == "nuclearity":
+        report = km.check_nuclearity(family, k or 1, horizon)
+    elif criterion == "dn":
+        lam = parse_rational(lambda_value) if lambda_value else km.dn_lambda_bound(p) / 2
+        report = km.check_dn(family, p, lam, horizon)
+    elif criterion == "omega":
+        kk = k if k is not None else p + 1
+        j = parse_rational(j_value) if j_value else Fraction(math.ceil(km.omega_j_bound(p, kk)))
+        report = km.check_omega(family, p, kk, j, horizon)
+    elif criterion == "d2":
+        jj = int(j_value) if j_value else 1
+        report = km.check_d2_failure(family, jj, parse_rational(bound), search_cap)
+    else:
+        report = km.check_regularity(family, horizon)
     _emit(_json_text(report.to_json()), out)
 
 
@@ -351,65 +352,54 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
 @click.option("--out", type=str, default=None)
 def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
     """Theorem-level verifications over closed-form diameter tables."""
-    family = km.KotheFamily(_alpha(alpha_spec))
+    family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     pair_list = _parse_pairs(pairs)
-    tables: dict[tuple[int, int], dm.DiameterTable] = {}
-    try:
-        for p, q in pair_list:
-            tables[(p, q)] = dm.closedform_diameters(family, p, q, count)
-    except sq.PrefixExhaustedError as exc:
-        _fail(EXIT_UNCERTIFIABLE, str(exc))
-    except dm.CoverageError as exc:
-        _fail(EXIT_INTERNAL, f"segment coverage failure: {exc}")
-
-    try:
-        if what == "sandwich":
-            payload = {
-                "what": "sandwich",
-                "alpha": family.seq.name,
-                "reports": [
-                    vf.verify_sandwich(family, p, q, tables[(p, q)]).to_json()
-                    for p, q in pair_list
-                ],
-            }
-        elif what == "eadd":
-            payload = {
-                "what": "eadd",
-                "alpha": family.seq.name,
-                "reports": [
-                    {
-                        "p": p,
-                        "q": q,
-                        "expected": 1 - km.c_pq(p, q),
-                        "ratios": vf.eadd_ratio(family, p, q, tables[(p, q)]),
-                    }
-                    for p, q in pair_list
-                ],
-            }
-        elif what == "aa":
-            payload = {
-                "what": "aa",
-                "alpha": family.seq.name,
-                "statistic": vf.aa_statistic(family, tables, tail_window).to_json(),
-            }
-        elif what == "edd-tail":
-            payload = {
-                "what": "edd-tail",
-                "alpha": family.seq.name,
-                "reports": [
-                    vf.edd_tail_check(family, p, q, tables[(p, q)]).to_json()
-                    for p, q in pair_list
-                ],
-            }
-        else:
-            probe = vf.delta_membership_probe(family, parse_rational(theta), tables)
-            payload = {
-                "what": "delta-probe",
-                "alpha": family.seq.name,
-                "report": probe.to_json(),
-            }
-    except ValueError as exc:
-        _fail(EXIT_BAD_CONFIG, str(exc))
+    tables = {(p, q): dm.closedform_diameters(family, p, q, count) for p, q in pair_list}
+    if what == "sandwich":
+        payload = {
+            "what": "sandwich",
+            "alpha": family.seq.name,
+            "reports": [
+                vf.verify_sandwich(family, p, q, tables[(p, q)]).to_json()
+                for p, q in pair_list
+            ],
+        }
+    elif what == "eadd":
+        payload = {
+            "what": "eadd",
+            "alpha": family.seq.name,
+            "reports": [
+                {
+                    "p": p,
+                    "q": q,
+                    "expected": 1 - km.c_pq(p, q),
+                    "ratios": vf.eadd_ratio(family, p, q, tables[(p, q)]),
+                }
+                for p, q in pair_list
+            ],
+        }
+    elif what == "aa":
+        payload = {
+            "what": "aa",
+            "alpha": family.seq.name,
+            "statistic": vf.aa_statistic(family, tables, tail_window).to_json(),
+        }
+    elif what == "edd-tail":
+        payload = {
+            "what": "edd-tail",
+            "alpha": family.seq.name,
+            "reports": [
+                vf.edd_tail_check(family, p, q, tables[(p, q)]).to_json()
+                for p, q in pair_list
+            ],
+        }
+    else:
+        probe = vf.delta_membership_probe(family, parse_rational(theta), tables)
+        payload = {
+            "what": "delta-probe",
+            "alpha": family.seq.name,
+            "report": probe.to_json(),
+        }
     _emit(_json_text(payload), out)
 
 
@@ -426,13 +416,13 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
     """CSV companion for plots: n, -log d_n, alpha_{n+1} and their ratio."""
     if not q > p >= 1:
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
-    family = km.KotheFamily(_alpha(alpha_spec))
+    family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     _, closed = _tables_for(family, p, q, count, "closed")
     rows = []
     for n in range(closed.certified_horizon + 1):
         eps = dm.epsilon_n(closed, n)
-        eps_value = eps.value(seq)
+        eps_value = eps.log_value(seq)
         alpha_next = seq.value(n + 1)
         ratio = eps_value / alpha_next
         f_eps, _ = fraction_to_float(eps_value)

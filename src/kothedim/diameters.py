@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import (
-    LogExponent,
     LogTerm,
     Rational,
     exp_to_float,
@@ -50,7 +49,6 @@ class DiameterEntry:
     coeff: Rational
     alpha_index: int
     segment: str
-    source_ratio_index: int
     certified: bool
 
     def term(self) -> LogTerm:
@@ -98,15 +96,16 @@ class DiameterTable:
         return self.entries[n]
 
 
-def epsilon_n(table: DiameterTable, n: int) -> LogExponent:
-    """The exact exponent -log d_n, defined only on the certified range."""
+def epsilon_n(table: DiameterTable, n: int) -> LogTerm:
+    """The term 1/d_n, whose ``log_value`` is the exact exponent -log d_n;
+    defined only on the certified range."""
     if n < 0 or n > table.certified_horizon:
         raise ValueError(
             f"diameter index {n} is not certified "
             f"(horizon {table.certified_horizon})"
         )
     e = table.entries[n]
-    return LogExponent(-e.coeff, e.alpha_index)
+    return LogTerm(-e.coeff, e.alpha_index)
 
 
 # -- route one: the sorting oracle -------------------------------------------
@@ -160,7 +159,6 @@ def oracle_diameters(
             coeff=coeff,
             alpha_index=m,
             segment=ORACLE,
-            source_ratio_index=m,
             certified=idx <= horizon,
         )
         for idx, (_, m, coeff) in enumerate(terms)
@@ -176,12 +174,19 @@ def oracle_diameters(
     )
 
 
+ORACLE_MAX_DOUBLINGS = 24
+
+
 def oracle_diameters_certified(
-    family: KotheFamily, p: int, q: int, count: int, max_doublings: int = 24
+    family: KotheFamily, p: int, q: int, count: int
 ) -> DiameterTable:
-    """Grow the sorted prefix until the first ``count`` entries are certified."""
+    """Grow the sorted prefix until the first ``count`` entries are certified.
+
+    The prefix starts at count + 16 and doubles at most
+    ``ORACLE_MAX_DOUBLINGS`` times before PrefixExhaustedError.
+    """
     prefix = count + 16
-    for _ in range(max_doublings):
+    for _ in range(ORACLE_MAX_DOUBLINGS):
         table = oracle_diameters(family, p, q, prefix)
         if table.certified_horizon >= count - 1:
             return table
@@ -459,7 +464,6 @@ def closedform_diameters(
             coeff=blue if slot_num[n] == blue_num else red,
             alpha_index=slot_index[n],
             segment=labels[n],
-            source_ratio_index=slot_index[n],
             certified=True,
         )
         for n in range(count)
@@ -490,7 +494,8 @@ def entry_to_json(entry: DiameterEntry, seq) -> dict:
         "coeff": entry.coeff,
         "alpha_index": entry.alpha_index,
         "segment": entry.segment,
-        "source_ratio_index": entry.source_ratio_index,
+        # the ratio term behind d_n is alpha's own index in both engines
+        "source_ratio_index": entry.alpha_index,
         "certified": entry.certified,
         "approx_value": value,
     }

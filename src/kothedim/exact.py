@@ -95,17 +95,6 @@ class LogTerm:
         return payload
 
 
-@dataclass(frozen=True)
-class LogExponent:
-    """An exact exponent ``coeff * alpha_index`` (not exponentiated)."""
-
-    coeff: Rational
-    alpha_index: int
-
-    def value(self, seq: "ExponentSequence") -> Rational:
-        return self.coeff * seq.value(self.alpha_index)
-
-
 def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:
     """Exact order of the denoted reals.
 

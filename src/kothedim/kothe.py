@@ -5,7 +5,9 @@ Matrix entries live entirely in the exponent: entry (k, n) is
 coeff = -1/k + 1 below (n in column s).  Because every exponent is a
 rational multiple of the same alpha_n, each per-n inequality in the
 nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
-pure rational inequality, decided exactly.  The checks that do depend on
+pure rational inequality, decided exactly.  It depends on n only through
+n's column region, so DN and Omega decide each region once and count its
+failures up to the horizon in closed form.  The checks that do depend on
 alpha are decided on integers: the nuclearity witnesses and display
 terms and the (d2) witness search cross-multiply both sides by their
 positive denominators and by ``seq.scale``; the regularity criterion and
@@ -25,7 +27,7 @@ from .exact import (
     exp_to_float,
     scaled_numerator,
 )
-from .grid import column_of, pair_index
+from .grid import band_count_below, column_of, column_start, pair_index
 from .report import FAIL, PASS, CheckReport
 from .sequences import ExponentSequence
 
@@ -142,19 +144,54 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     )
 
 
-# -- DN --------------------------------------------------------------------
+# -- DN and Omega ------------------------------------------------------------
 
 
-def _dn_region_coeffs(p: int, region: str) -> tuple[Rational, Rational, Rational]:
-    """(coeff_p, coeff_1, coeff_{p+1}) in the given column region."""
-    mp, m1, mq = Fraction(-1, p), Fraction(-1), Fraction(-1, p + 1)
-    if region == "s>=p+1":
-        return mp, m1, mq
-    if region == "s=p":
-        return mp, m1, mq + 1
-    if region == "s<p":
-        return mp + 1, m1, mq + 1
-    raise ValueError(region)
+def _check_regions(
+    criterion: str,
+    params: dict,
+    details: dict,
+    cases: list[tuple[str, bool]],
+    regions: list[tuple[str, int, int | None, Rational, Rational]],
+    horizon: int,
+) -> CheckReport:
+    """Decide ``lhs <= rhs`` once per column region and count its failures.
+
+    A region row ``(name, lo, hi, lhs, rhs)`` covers the columns
+    ``lo <= s < hi`` (``hi`` None: unbounded) and carries both sides of the
+    inequality divided by alpha_n, which depend on n only through its
+    region.  A failing region fails at each of its n <= horizon, so the
+    count comes from ``band_count_below`` and its first witness is
+    ``column_start(lo)``; an empty region counts nothing but still reports
+    its verdict.
+    """
+    horizon = max(horizon, 0)  # a horizon below 1 leaves no n to count
+    witnesses = [{"type": "case", "case": case} for case, ok in cases if not ok]
+    region_verdicts = {}
+    per_n_failures = 0
+    n_witnesses = []
+    for name, lo, hi, lhs, rhs in regions:
+        region_verdicts[name] = ok = lhs <= rhs
+        if ok or (hi is not None and hi <= lo):
+            continue
+        if hi is None:
+            below = band_count_below(1, lo, horizon + 1) if lo > 1 else 0
+            per_n_failures += horizon - below
+        else:
+            per_n_failures += band_count_below(lo, hi, horizon + 1)
+        n = column_start(lo)
+        if n <= horizon:
+            n_witnesses.append({"type": "n", "n": n, "region": name})
+    witnesses += sorted(n_witnesses, key=lambda w: w["n"])
+    passed = all(ok for _, ok in cases) and per_n_failures == 0
+    details.update(region_verdicts=region_verdicts, per_n_failures=per_n_failures)
+    return CheckReport(
+        criterion=criterion,
+        params=params,
+        verdict=PASS if passed else FAIL,
+        witnesses=witnesses,
+        details=details,
+    )
 
 
 def check_dn(
@@ -163,81 +200,39 @@ def check_dn(
     """a_{p,n} <= (a_{1,n})^lam (a_{p+1,n})^(1-lam) with C = 1, p0 = 1, q = p+1.
 
     Two layers: the symbolic case verdicts with the proof's worst-case
-    entries (cases p <= s and s < p), and a per-n confirmation with the
-    actual region coefficients.  The per-n inequality is n-independent
-    within a region, so a region either passes everywhere or fails at its
-    every point.
+    entries (cases p <= s and s < p), and the inequality with the actual
+    coefficients of each column region (s >= p+1, s = p, s < p).  The
+    inequality depends on n only through its region, so each region is
+    decided once and its failures among n <= horizon are counted in closed
+    form: the cost does not grow with the horizon.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
 
-    # symbolic cases, worst-case matrix entries as in the DN proof
+    # rows p, 1 and p+1 on a column s >= the row; a row r > s adds 1
     mp, m1, mq = Fraction(-1, p), Fraction(-1), Fraction(-1, p + 1)
-    case_p_le_s = mp <= lam * m1 + (1 - lam) * mq
-    case_s_lt_p = (mp + 1) <= lam * m1 + (1 - lam) * (mq + 1)
 
-    region_ok = {}
-    for region in ("s>=p+1", "s=p", "s<p"):
-        cp, c1, cq = _dn_region_coeffs(p, region)
-        region_ok[region] = cp <= lam * c1 + (1 - lam) * cq
+    def rhs(c1: Rational, cq: Rational) -> Rational:
+        return lam * c1 + (1 - lam) * cq
 
-    witnesses = []
-    for case, ok in (("p<=s", case_p_le_s), ("s<p", case_s_lt_p)):
-        if not ok:
-            witnesses.append({"type": "case", "case": case})
-    per_n_failures = 0
-    first_witness_n: dict[str, int] = {}
-    for n in range(1, horizon + 1):
-        s = column_of(n)
-        region = "s>=p+1" if s >= p + 1 else ("s=p" if s == p else "s<p")
-        if not region_ok[region]:
-            per_n_failures += 1
-            if region not in first_witness_n:
-                first_witness_n[region] = n
-                witnesses.append({"type": "n", "n": n, "region": region})
-
-    passed = case_p_le_s and case_s_lt_p and per_n_failures == 0
-    return CheckReport(
-        criterion="dn",
-        params={
-            "p": p,
-            "p0": 1,
-            "q": p + 1,
-            "C": 1,
-            "lambda": lam,
-            "N": horizon,
-            "alpha": family.seq.name,
-        },
-        verdict=PASS if passed else FAIL,
-        witnesses=witnesses,
-        details={
-            "lambda_bound": dn_lambda_bound(p),
-            "case_p_le_s": case_p_le_s,
-            "case_s_lt_p": case_s_lt_p,
-            "region_verdicts": {k: v for k, v in region_ok.items()},
-            "per_n_failures": per_n_failures,
-        },
+    # symbolic cases, worst-case matrix entries as in the DN proof
+    case_p_le_s = mp <= rhs(m1, mq)
+    case_s_lt_p = mp + 1 <= rhs(m1, mq + 1)
+    return _check_regions(
+        "dn",
+        {"p": p, "p0": 1, "q": p + 1, "C": 1, "lambda": lam, "N": horizon,
+         "alpha": family.seq.name},
+        {"lambda_bound": dn_lambda_bound(p), "case_p_le_s": case_p_le_s,
+         "case_s_lt_p": case_s_lt_p},
+        [("p<=s", case_p_le_s), ("s<p", case_s_lt_p)],
+        [
+            ("s>=p+1", p + 1, None, mp, rhs(m1, mq)),
+            ("s=p", p, p + 1, mp, rhs(m1, mq + 1)),
+            ("s<p", 1, p, mp + 1, rhs(m1, mq + 1)),
+        ],
+        horizon,
     )
-
-
-# -- Omega -------------------------------------------------------------------
-
-
-def _omega_region_coeffs(
-    p: int, k: int, region: str
-) -> tuple[Rational, Rational, Rational]:
-    """(coeff_p, coeff_k, coeff_{p+1}) in the given column region (k > p)."""
-    mp, mk, mq = Fraction(-1, p), Fraction(-1, k), Fraction(-1, p + 1)
-    if region == "s>=k":
-        return mp, mk, mq
-    if region == "p+1<=s<k":
-        return mp, mk + 1, mq
-    if region == "s=p":
-        return mp, mk + 1, mq + 1
-    if region == "s<p":
-        return mp + 1, mk + 1, mq + 1
-    raise ValueError(region)
 
 
 def check_omega(
@@ -245,66 +240,34 @@ def check_omega(
 ) -> CheckReport:
     """(a_{p,n})^j a_{k,n} <= (a_{p+1,n})^(j+1) with C = 1, q = p+1.
 
-    Same two layers as the DN check; the binding symbolic case (p <= s with
-    worst-case entries) is only realized by an actual column when k >= p+2,
-    so a sub-threshold j can fail symbolically without an n witness.
+    Same two layers as the DN check, over the regions s >= k, p+1 <= s < k,
+    s = p and s < p, each decided once with its failures counted in closed
+    form.  The binding symbolic case (p <= s with worst-case entries) is
+    only realized by an actual column when k >= p+2, so a sub-threshold j
+    can fail symbolically without an n witness.
     """
     if k <= p:
         raise ValueError("omega check needs k > p")
     j = Fraction(j)
 
+    # rows p, k and p+1 on a column s >= the row; a row r > s adds 1
     mp, mk, mq = Fraction(-1, p), Fraction(-1, k), Fraction(-1, p + 1)
     case_p_le_s = j * mp + (mk + 1) <= (j + 1) * mq
     case_s_lt_p = j * (mp + 1) + (mk + 1) <= (j + 1) * (mq + 1)
-
-    region_ok = {}
-    for region in ("s>=k", "p+1<=s<k", "s=p", "s<p"):
-        cp, ck, cq = _omega_region_coeffs(p, k, region)
-        region_ok[region] = j * cp + ck <= (j + 1) * cq
-
-    witnesses = []
-    for case, ok in (("p<=s", case_p_le_s), ("s<p", case_s_lt_p)):
-        if not ok:
-            witnesses.append({"type": "case", "case": case})
-    per_n_failures = 0
-    seen: dict[str, int] = {}
-    for n in range(1, horizon + 1):
-        s = column_of(n)
-        if s >= k:
-            region = "s>=k"
-        elif s >= p + 1:
-            region = "p+1<=s<k"
-        elif s == p:
-            region = "s=p"
-        else:
-            region = "s<p"
-        if not region_ok[region]:
-            per_n_failures += 1
-            if region not in seen:
-                seen[region] = n
-                witnesses.append({"type": "n", "n": n, "region": region})
-
-    passed = case_p_le_s and case_s_lt_p and per_n_failures == 0
-    return CheckReport(
-        criterion="omega",
-        params={
-            "p": p,
-            "q": p + 1,
-            "k": k,
-            "C": 1,
-            "j": j,
-            "N": horizon,
-            "alpha": family.seq.name,
-        },
-        verdict=PASS if passed else FAIL,
-        witnesses=witnesses,
-        details={
-            "j_bound": omega_j_bound(p, k),
-            "case_p_le_s": case_p_le_s,
-            "case_s_lt_p": case_s_lt_p,
-            "region_verdicts": {kk: v for kk, v in region_ok.items()},
-            "per_n_failures": per_n_failures,
-        },
+    return _check_regions(
+        "omega",
+        {"p": p, "q": p + 1, "k": k, "C": 1, "j": j, "N": horizon,
+         "alpha": family.seq.name},
+        {"j_bound": omega_j_bound(p, k), "case_p_le_s": case_p_le_s,
+         "case_s_lt_p": case_s_lt_p},
+        [("p<=s", case_p_le_s), ("s<p", case_s_lt_p)],
+        [
+            ("s>=k", k, None, j * mp + mk, (j + 1) * mq),
+            ("p+1<=s<k", p + 1, k, j * mp + mk + 1, (j + 1) * mq),
+            ("s=p", p, p + 1, j * mp + mk + 1, (j + 1) * (mq + 1)),
+            ("s<p", 1, p, j * (mp + 1) + mk + 1, (j + 1) * (mq + 1)),
+        ],
+        horizon,
     )
 
 
@@ -379,17 +342,18 @@ def definition_regular_at(family: KotheFamily, k: int, n: int) -> bool:
     return _definition_regular(family.seq, k, n, column_of(n), column_of(n + 1))
 
 
-def check_regularity(
-    family: KotheFamily,
-    horizon: int,
-    definition_k: int = 12,
-    definition_n: int | None = None,
-) -> CheckReport:
+# the matrix-definition window: rows 1..DEFINITION_K, n up to DEFINITION_N
+DEFINITION_K = 12
+DEFINITION_N = 300
+
+
+def check_regularity(family: KotheFamily, horizon: int) -> CheckReport:
     """Column criterion for all n <= horizon, cross-validated on the matrix.
 
     The criterion scan is exact and cheap; the matrix definition is
-    re-checked directly on a (definition_k x definition_n) window as an
-    independent route, and the two must agree pointwise at k = s.
+    re-checked directly on the rows k <= DEFINITION_K and the n <=
+    min(horizon, DEFINITION_N) as an independent route, and the two must
+    agree pointwise at k = s.
     """
     witnesses = []
     for n in range(1, horizon + 1):
@@ -406,15 +370,14 @@ def check_regularity(
             if len(witnesses) >= 5:
                 break
 
-    if definition_n is None:
-        definition_n = min(horizon, 300)
+    definition_n = min(horizon, DEFINITION_N)
     definition_agrees = True
     definition_witness = None
     s_next = column_of(1)
     for n in range(1, definition_n + 1):
         s, s_next = s_next, column_of(n + 1)
         crit = regularity_criterion(family, s, n)
-        for k in range(1, definition_k + 1):
+        for k in range(1, DEFINITION_K + 1):
             defn = _definition_regular(family.seq, k, n, s, s_next)
             # the matrix definition binds exactly at k = s, matching the
             # column criterion, except at n = 1: there n and n+1 share
@@ -434,7 +397,7 @@ def check_regularity(
         verdict=PASS if not witnesses else FAIL,
         witnesses=witnesses,
         details={
-            "definition_window": {"K": definition_k, "N": definition_n},
+            "definition_window": {"K": DEFINITION_K, "N": definition_n},
             "definition_agrees_with_criterion": definition_agrees,
             "definition_witness": definition_witness,
         },

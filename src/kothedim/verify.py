@@ -210,13 +210,10 @@ def edd_tail_check(
     p: int,
     q: int,
     table: DiameterTable,
-    upto: int | None = None,
 ) -> CheckReport:
     """Past the tail threshold the ratio sequence itself is descending and
-    d_n is literally its (n+1)-th term; both facts checked exactly.
-
-    ``upto`` restricts the scanned index range (defaults to the whole
-    certified table).
+    d_n is literally its (n+1)-th term; both facts checked exactly over the
+    whole certified table.
     """
     params = {"p": p, "q": q, "alpha": family.seq.name}
     if table.tail_start is None:
@@ -231,8 +228,6 @@ def edd_tail_check(
         )
     seq = family.seq
     horizon = table.certified_horizon
-    if upto is not None:
-        horizon = min(horizon, upto)
     threshold = table.tail_start
     pq = p * q
 

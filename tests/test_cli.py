@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kothedim import diameters as dm
 from kothedim.cli import main
 
 
@@ -185,14 +186,45 @@ def test_bad_pair_exits_2(runner):
     assert result.exit_code == 2
 
 
-def test_uncertifiable_file_prefix_exits_3(runner, tmp_path):
+@pytest.mark.parametrize(
+    "length,args",
+    [
+        (5, ["diameters", "--p", "1", "--q", "2", "--count", "50"]),
+        # an exhausted prefix is a ValueError too, yet exits 3 from every subcommand
+        (40, ["check", "--criterion", "nuclearity", "--N", "41"]),
+        (40, ["check", "--criterion", "regularity", "--N", "40"]),
+        (40, ["check", "--criterion", "d2", "--j", "1", "--B", "1000"]),
+        (40, ["verify", "--what", "sandwich", "--count", "12"]),
+    ],
+    ids=["diameters", "nuclearity", "regularity", "d2", "sandwich"],
+)
+def test_uncertifiable_file_prefix_exits_3(runner, tmp_path, length, args):
     path = tmp_path / "short.txt"
-    path.write_text("1\n2\n3\n4\n5\n")
-    result = runner.invoke(
-        main,
-        ["diameters", "--alpha", f"file:{path}", "--p", "1", "--q", "2", "--count", "50"],
-    )
+    path.write_text("".join(f"{n}\n" for n in range(1, length + 1)))
+    result = runner.invoke(main, args + ["--alpha", f"file:{path}"])
     assert result.exit_code == 3
+    if length == 40:
+        assert "prefix of length 40 exhausted at n=41" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--method", "closed"],
+        ["verify", "--what", "sandwich", "--alpha", "linear"],
+    ],
+    ids=["diameters", "verify"],
+)
+def test_coverage_failure_exits_5(runner, monkeypatch, args):
+    def broken(*_):
+        raise dm.CoverageError("gap at index 7")
+
+    monkeypatch.setattr(dm, "closedform_diameters", broken)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 5
+    assert "error: segment coverage failure: gap at index 7" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):

@@ -1,13 +1,16 @@
-"""The integer criterion loops against a naive Fraction reference.
+"""The criterion checks against naive references written here.
 
 ``check_regularity``, ``check_d2_failure`` and ``check_nuclearity`` decide
 every n on scaled integers.  The references below decide the same
 inequalities the direct way: each exponent is a Fraction ``coeff *
 alpha_n`` built from ``seq.value``, and the display terms go through
 ``math.exp`` of that Fraction.  Reports must agree exactly, floats included.
+``check_dn`` and ``check_omega`` decide each column region once and count
+its failures in closed form; their reference scans n = 1..N one by one.
 """
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,14 @@ from kothedim.kothe import (
     KotheFamily,
     SearchCapExceeded,
     check_d2_failure,
+    check_dn,
     check_nuclearity,
+    check_omega,
     check_regularity,
+    dn_lambda_bound,
+    omega_j_bound,
 )
+from kothedim.report import CheckReport
 from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
 
 
@@ -283,3 +291,120 @@ def test_file_memo_stays_rational_and_bounded():
     with pytest.raises(PrefixExhaustedError) as info:
         seq.value(801)
     assert str(info.value) == "rational: prefix of length 800 exhausted at n=801"
+
+
+# -- DN and Omega: every n scanned -------------------------------------------
+
+HORIZONS = [1, 2, 3, 4, 5, 9, 10, 37, 50, 100, 1000]
+COLUMNS = [None] + [column_of(n) for n in range(1, max(HORIZONS) + 1)]
+
+
+def ref_region_check(criterion, params, details, rows, holds, regions, horizon):
+    """Scan n = 1..horizon; ``rows`` names the matrix rows of the inequality,
+    ``holds(above)`` decides it divided by alpha_n, each row in ``above``
+    taking the +1 of a column left of it, and ``regions`` maps each region
+    name to the rows above its columns and to the test for a column s."""
+    cases = [("p<=s", details["case_p_le_s"]), ("s<p", details["case_s_lt_p"])]
+    witnesses = [{"type": "case", "case": case} for case, ok in cases if not ok]
+    verdicts = {name: holds(above) for name, above, _ in regions}
+    failures, seen, at_column = 0, set(), {}
+    for n in range(1, horizon + 1):
+        s = COLUMNS[n]
+        if s not in at_column:  # n's entries depend on n only through s
+            name = next(name for name, _, contains in regions if contains(s))
+            ok = holds({role for role, r in rows.items() if r > s})
+            assert ok == verdicts[name]
+            at_column[s] = name, ok
+        name, ok = at_column[s]
+        if not ok:
+            failures += 1
+            if name not in seen:
+                seen.add(name)
+                witnesses.append({"type": "n", "n": n, "region": name})
+    passed = all(ok for _, ok in cases) and failures == 0
+    details = {**details, "region_verdicts": verdicts, "per_n_failures": failures}
+    return CheckReport(criterion, params, "pass" if passed else "fail", witnesses, details)
+
+
+def coeffs(rows, above):
+    return {role: Fraction(-1, r) + (role in above) for role, r in rows.items()}
+
+
+def ref_dn(p, lam, horizon):
+    rows = {"p": p, "1": 1, "p+1": p + 1}
+
+    def holds(above):
+        c = coeffs(rows, above)
+        return c["p"] <= lam * c["1"] + (1 - lam) * c["p+1"]
+
+    params = {"p": p, "p0": 1, "q": p + 1, "C": 1, "lambda": lam, "N": horizon,
+              "alpha": "linear"}
+    details = {"lambda_bound": dn_lambda_bound(p), "case_p_le_s": holds(set()),
+               "case_s_lt_p": holds({"p", "p+1"})}
+    regions = [
+        ("s>=p+1", set(), lambda s: s >= p + 1),
+        ("s=p", {"p+1"}, lambda s: s == p),
+        ("s<p", {"p", "p+1"}, lambda s: s < p),
+    ]
+    return ref_region_check("dn", params, details, rows, holds, regions, horizon)
+
+
+def ref_omega(p, k, j, horizon):
+    rows = {"p": p, "k": k, "p+1": p + 1}
+
+    def holds(above):
+        c = coeffs(rows, above)
+        return j * c["p"] + c["k"] <= (j + 1) * c["p+1"]
+
+    params = {"p": p, "q": p + 1, "k": k, "C": 1, "j": j, "N": horizon, "alpha": "linear"}
+    details = {"j_bound": omega_j_bound(p, k), "case_p_le_s": holds({"k"}),
+               "case_s_lt_p": holds({"p", "k", "p+1"})}
+    regions = [
+        ("s>=k", set(), lambda s: s >= k),
+        ("p+1<=s<k", {"k"}, lambda s: p + 1 <= s < k),
+        ("s=p", {"k", "p+1"}, lambda s: s == p),
+        ("s<p", {"p", "k", "p+1"}, lambda s: s < p),
+    ]
+    return ref_region_check("omega", params, details, rows, holds, regions, horizon)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_dn_matches_per_n_reference(p):
+    family = KotheFamily(make_seq("linear"))
+    bound = dn_lambda_bound(p)
+    failing = 0
+    for lam in [Fraction(a, 12) for a in range(1, 12)] + [bound, bound / 2]:
+        for horizon in HORIZONS:
+            want = ref_dn(p, lam, horizon).to_json()
+            assert check_dn(family, p, lam, horizon).to_json() == want, (lam, horizon)
+            failing += want["details"]["per_n_failures"] > 0
+    # the grid reaches the per-n counts; p = 1 has no column s < p and
+    # fails only symbolically
+    assert failing or p == 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_omega_matches_per_n_reference(p):
+    family = KotheFamily(make_seq("linear"))
+    failing = 0
+    for k in range(p + 1, p + 6):  # k = p+1: the region p+1 <= s < k is empty
+        for j in [Fraction(a, 3) for a in range(40)]:
+            for horizon in HORIZONS:
+                want = ref_omega(p, k, j, horizon).to_json()
+                assert check_omega(family, p, k, j, horizon).to_json() == want, (k, j, horizon)
+                failing += want["details"]["per_n_failures"] > 0
+    assert failing
+
+
+def test_omega_failure_count_does_not_scan_the_horizon():
+    horizon = 10**12
+    start = time.perf_counter()
+    report = check_omega(KotheFamily(make_seq("linear")), 1, 3, 1, horizon)
+    assert time.perf_counter() - start < 1.0
+    # only column 2 (the region 2 <= s < 3) fails: count its elements <= 10^12
+    lo, hi = 0, horizon
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pair_index(1, mid) <= horizon else (lo, mid)
+    assert report.details["per_n_failures"] == lo + 1 == 1414213
+    assert report.witnesses[-1] == {"type": "n", "n": 3, "region": "p+1<=s<k"}

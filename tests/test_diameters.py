@@ -60,9 +60,9 @@ def test_oracle_tie_at_the_top_linear_1_2():
     # two distinct source terms share the top value e^(-3/2)
     first, second = table.entries[0], table.entries[1]
     assert first.log_value(fam.seq) == second.log_value(fam.seq) == Fraction(-3, 2)
-    assert {first.source_ratio_index, second.source_ratio_index} == {1, 3}
+    assert {first.alpha_index, second.alpha_index} == {1, 3}
     # ties are broken by the smaller ratio index
-    assert first.source_ratio_index == 1
+    assert first.alpha_index == 1
 
 
 def test_closedform_plan_linear_1_2():
@@ -162,7 +162,7 @@ def test_epsilon_on_factorial_tail():
     for row in table.plan:
         if row.a >= table.a0 and row.n_a - 1 < 40:
             eps = epsilon_n(table, row.n_a - 1)
-            assert eps.value(seq) == Fraction(3, 2) * seq.value(row.n_a)
+            assert eps.log_value(seq) == Fraction(3, 2) * seq.value(row.n_a)
 
 
 PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (3, 4), (4, 9)]
