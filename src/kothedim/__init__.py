@@ -9,7 +9,7 @@ from .diameters import (
     oracle_diameters,
     oracle_diameters_certified,
 )
-from .exact import LogTerm, Rational, logterm_cmp, rational_cmp
+from .exact import LogTerm, Rational, logterm_cmp
 from .grid import band, column_of, pair_index, unpair
 from .kothe import (
     KotheFamily,
@@ -64,7 +64,6 @@ __all__ = [
     "oracle_diameters",
     "oracle_diameters_certified",
     "pair_index",
-    "rational_cmp",
     "regularity_criterion",
     "unpair",
     "verify_sandwich",

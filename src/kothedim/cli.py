@@ -328,7 +328,10 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
         j = parse_rational(j_value) if j_value else Fraction(math.ceil(km.omega_j_bound(p, kk)))
         report = km.check_omega(family, p, kk, j, horizon)
     elif criterion == "d2":
-        jj = int(j_value) if j_value else 1
+        try:
+            jj = int(j_value) if j_value else 1
+        except ValueError:
+            _fail(EXIT_BAD_CONFIG, f"--j must be an integer column index for d2, got {j_value!r}")
         report = km.check_d2_failure(family, jj, parse_rational(bound), search_cap)
     else:
         report = km.check_regularity(family, horizon)

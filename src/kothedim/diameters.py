@@ -140,19 +140,7 @@ def oracle_diameters(
         else:
             break
     if horizon < 0:
-        return DiameterTable(
-            p=p,
-            q=q,
-            method="oracle",
-            seq_name=seq.name,
-            entries=[],
-            certified_horizon=-1,
-            oracle_prefix=prefix_len,
-            diagnostic=(
-                f"prefix of {prefix_len} ratio terms certifies no diameter; "
-                "increase the prefix length"
-            ),
-        )
+        terms = []  # a table that certifies nothing lists no entries
     entries = [
         DiameterEntry(
             n=idx,
@@ -171,6 +159,10 @@ def oracle_diameters(
         entries=entries,
         certified_horizon=horizon,
         oracle_prefix=prefix_len,
+        diagnostic=None if horizon >= 0 else (
+            f"prefix of {prefix_len} ratio terms certifies no diameter; "
+            "increase the prefix length"
+        ),
     )
 
 
@@ -347,9 +339,21 @@ def closedform_diameters(
                     f"diameter index {n}, fill has {slot_index[n]}"
                 )
 
+    def mark_l(row: PlanRow, end: int) -> None:
+        """The L interval after ``row``'s band term, up to its next marker."""
+        s_next = bnd.s_k(row.k_a + 1)
+        mark(
+            row.j_a + 1,
+            min(bnd.marker(row.k_a + 1) - s_next + row.a - 1, end),
+            SEG_L,
+            s_next - row.a,
+        )
+
     mark(0, min(n_1 - 2, count - 1), HEAD, 1)
     limit = count - 1 if tail_start is None else tail_start - 1
-    prev: PlanRow | None = None
+    # a virtual row 0 ends with the head: its L is empty and its K loop
+    # starts at k_min, so row 1 follows the general tiling
+    prev = PlanRow(a=0, n_a=0, i_a=0, k_a=bnd.k_min - 1, j_a=n_1 - 2)
     for row in rows:
         if a0 is not None and row.a >= a0:
             break
@@ -359,27 +363,10 @@ def closedform_diameters(
             # transient miss: the band term sits right after the off-band
             # terms below n_a; the stretch before it follows the generic
             # fill and is attributed to M
-            start = (prev.j_a + 1 if prev else n_1 - 1)
-            mark(start, min(row.j_a - 1, limit), SEG_M, None)
+            mark(prev.j_a + 1, min(row.j_a - 1, limit), SEG_M, None)
         else:
             s_next = bnd.s_k(row.k_a + 1)
-            if row.a == 1:
-                # strict paper tiling: head, then one K interval per
-                # diagonal marker crossed below i_1, then M of this row
-                for k in range(bnd.k_min, row.k_a):
-                    mark(
-                        bnd.marker(k) - bnd.s_k(k),
-                        min(bnd.marker(k + 1) - bnd.s_k(k + 1) - 1, limit),
-                        SEG_K,
-                        bnd.s_k(k + 1),
-                    )
-                mark(
-                    bnd.marker(row.k_a) - bnd.s_k(row.k_a),
-                    min(row.j_a - 1, limit),
-                    SEG_M,
-                    s_next,
-                )
-            elif prev.i_a is None:
+            if prev.i_a is None:
                 # the previous band term had no qualifying i: the paper
                 # intervals do not apply between the two; generic fill
                 mark(prev.j_a + 1, min(row.j_a - 1, limit), SEG_M, None)
@@ -396,16 +383,7 @@ def closedform_diameters(
             else:
                 # strict paper tiling: L of the previous row, K per marker
                 # crossed between the two i's, then M of this row
-                s_prev_next = bnd.s_k(prev.k_a + 1)
-                mark(
-                    prev.j_a + 1,
-                    min(
-                        bnd.marker(prev.k_a + 1) - s_prev_next + prev.a - 1,
-                        limit,
-                    ),
-                    SEG_L,
-                    s_prev_next - prev.a,
-                )
+                mark_l(prev, limit)
                 for k in range(prev.k_a + 1, row.k_a):
                     mark(
                         bnd.marker(k) - bnd.s_k(k) + prev.a,
@@ -432,12 +410,7 @@ def closedform_diameters(
                 raise CoverageError(
                     f"tail handover expects marker index {a0}, got {s_last}"
                 )
-            mark(
-                last.j_a + 1,
-                min(bnd.marker(last.k_a + 1) - s_last + last.a - 1, count - 1),
-                SEG_L,
-                s_last - last.a,
-            )
+            mark_l(last, count - 1)
         for n in range(tail_start, count):
             if labels[n] is not None:
                 continue

@@ -30,22 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # sites honest about which quantities are part of the exact domain.
 Rational = Fraction
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 # exp() saturation thresholds for display conversion (double precision)
 _EXP_OVERFLOW = 710
 _EXP_UNDERFLOW = -746
-
-
-def rational_cmp(a: Rational, b: Rational) -> int:
-    """Exact three-way comparison; returns LESS, EQUAL or GREATER."""
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
 
 
 def parse_rational(text: str) -> Rational:
@@ -83,27 +70,17 @@ class LogTerm:
         """Exact exponent ``coeff * alpha_{alpha_index}``."""
         return self.coeff * seq.value(self.alpha_index)
 
-    def to_json(self, seq: "ExponentSequence") -> dict:
-        value, clamped = logterm_to_float(self, seq)
-        payload = {
-            "coeff": format_rational(self.coeff),
-            "index": self.alpha_index,
-            "approx": value,
-        }
-        if clamped:
-            payload["approx_clamped"] = True
-        return payload
-
 
 def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:
-    """Exact order of the denoted reals.
+    """Exact order of the denoted reals: -1, 0 or 1.
 
     ``e^a < e^b`` iff ``a < b``, so comparing the exact exponents (cross
     multiplied inside Fraction) decides the order; ties, which genuinely
     occur (e.g. ``e^(-3/2*a_1) = e^(-1/2*a_3)`` for linear alpha), are
     detected exactly.
     """
-    return rational_cmp(x.log_value(seq), y.log_value(seq))
+    diff = x.log_value(seq) - y.log_value(seq)
+    return (diff > 0) - (diff < 0)
 
 
 def scaled_numerator(coeff: Rational, denom: int) -> int:
@@ -158,8 +135,3 @@ def fraction_to_float(x: Rational) -> tuple[float, bool]:
     except OverflowError:
         # the sign decides the clamp; float(x.numerator) would overflow too
         return (math.inf if x > 0 else -math.inf), True
-
-
-def logterm_to_float(x: LogTerm, seq: "ExponentSequence") -> tuple[float, bool]:
-    """Display-only double for a LogTerm; never used in comparisons."""
-    return exp_to_float(x.log_value(seq))

@@ -9,7 +9,7 @@ p..q-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def pair_index(x: int, y: int) -> int:
@@ -72,45 +72,38 @@ def band_count_below(p: int, q: int, m: int) -> int:
 class BandIndexing:
     """The band I = union of columns p..q-1 with its diagonal markers.
 
-    ``n_list[i-1]`` is n_i, the i-th smallest band element.  ``s_k`` is the
-    1-based position within n_list of the column-p element on the diagonal
-    x+y = q+k-2; markers exist from k_min = p-q+1 (truncated diagonals) and
-    satisfy s_{k+1} - s_k = q-p for k >= 0.
+    n_i is the i-th smallest band element.  ``s_k`` is the i with n_i the
+    column-p element on the diagonal x+y = q+k-2; markers exist from k_min
+    = p-q+1 (truncated diagonals) and satisfy s_{k+1} - s_k = q-p for
+    k >= 0.  Every index is a closed form in (p, q); nothing is stored.
     """
 
     p: int
     q: int
-    n_list: list[int] = field(default_factory=list)
-    _diagonal_next: int = 0  # next diagonal t to expand
 
     def __post_init__(self) -> None:
         if not (self.q > self.p >= 1):
             raise ValueError("band requires q > p >= 1")
-        if self.n_list:
-            raise ValueError("construct via band(); n_list is derived state")
-        self._diagonal_next = self.p - 1
 
     @property
     def k_min(self) -> int:
         return self.p - self.q + 1
 
-    def _expand_one_diagonal(self) -> None:
-        t = self._diagonal_next
-        first = pair_index(self.p - 1, t - (self.p - 1))
-        count = min(t - self.p + 2, self.q - self.p)
-        self.n_list.extend(range(first, first + count))
-        self._diagonal_next = t + 1
-
-    def extend_to_count(self, count: int) -> None:
-        while len(self.n_list) < count:
-            self._expand_one_diagonal()
-
     def element(self, i: int) -> int:
-        """n_i (1-based)."""
+        """n_i (1-based): diagonals carry 1, ..., w-1, then w consecutive band
+        elements (w = q-p); on that triangle i is unpaired (by isqrt) like a
+        grid position, past it a division finds the diagonal."""
         if i < 1:
             raise ValueError("band elements are 1-based")
-        self.extend_to_count(i)
-        return self.n_list[i - 1]
+        width = self.q - self.p
+        triangle = (width - 1) * width // 2
+        if i <= triangle:
+            offset, rest = unpair(i)
+            d = offset + rest
+        else:
+            full, offset = divmod(i - 1 - triangle, width)
+            d = width - 1 + full
+        return pair_index(self.p - 1, d) + offset
 
     def contains(self, n: int) -> bool:
         return in_band(self.p, self.q, n)
@@ -122,7 +115,7 @@ class BandIndexing:
         return pair_index(self.p - 1, self.q - self.p - 1 + k)
 
     def s_k(self, k: int) -> int:
-        """1-based index of marker(k) within n_list (closed form, no scan)."""
+        """The i with n_i = marker(k) (closed form, no scan)."""
         return band_count_below(self.p, self.q, self.marker(k)) + 1
 
     def count_below(self, m: int) -> int:
@@ -148,7 +141,6 @@ class BandIndexing:
 
 
 def band(p: int, q: int, count: int) -> BandIndexing:
-    """BandIndexing for (p, q) with at least ``count`` elements enumerated."""
-    b = BandIndexing(p=p, q=q)
-    b.extend_to_count(count)
-    return b
+    """BandIndexing for (p, q); its indices are closed forms, so reading
+    ``count`` elements needs nothing enumerated up front."""
+    return BandIndexing(p=p, q=q)

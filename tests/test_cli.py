@@ -323,6 +323,15 @@ def test_non_positive_check_horizon_exits_2(runner, horizon):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("j", ["3/2", "x"])
+def test_non_integer_d2_column_exits_2(runner, j):
+    args = ["check", "--criterion", "d2", "--alpha", "linear", "--j", j]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"--j must be an integer column index for d2, got '{j}'" in result.output
+    assert "invalid literal" not in result.output
+
+
 # -- every subcommand, generated arguments ---------------------------------
 
 # mostly valid values, so that most calls get past argument checking

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -384,3 +385,28 @@ def test_oracle_certification_is_monotone_in_the_prefix(spec, pq):
             assert (f.coeff, f.alpha_index, f.certified) == (e.coeff, e.alpha_index, True)
         certified += small.certified_horizon + 1
     assert certified > 0
+
+
+# (coeff, alpha_index, segment) of every closed-form entry over the grid
+# below; the grid reaches each labelling branch of closedform_diameters
+# (row-1 tiling, tiling, transient miss, a row after a miss, two rows
+# between the same markers, and the tail handover)
+SEGMENT_LABEL_DIGEST = (
+    "a197286438bc717ec1e19f1a0e9b21e72465a5c81b0bb4b602f1e4ec8e1150d2"
+)
+
+
+def test_segment_labels_match_frozen_digest():
+    digest = hashlib.sha256()
+    for spec in ("linear", "poly:2", "factorial", "superproduct"):
+        fam = family(spec)
+        for p in range(1, 5):
+            for q in range(p + 1, p + 6):
+                for count in (1, 2, 3, 5, 8, 40, 600):
+                    table = closedform_diameters(fam, p, q, count)
+                    digest.update(f"{spec} {p} {q} {count}\n".encode())
+                    for e in table.entries:
+                        digest.update(
+                            f"{e.coeff} {e.alpha_index} {e.segment}\n".encode()
+                        )
+    assert digest.hexdigest() == SEGMENT_LABEL_DIGEST

@@ -61,9 +61,33 @@ def test_column_start_triangular():
         assert column_of(column_start(s)) == s
 
 
+def band_reference(p, q, below):
+    """The band elements below ``below``, by scanning every grid position."""
+    return [n for n in range(1, below) if in_band(p, q, n)]
+
+
 def test_band_prefix_column_one():
     b = band(1, 2, 6)
-    assert b.n_list[:6] == [1, 2, 4, 7, 11, 16]
+    assert [b.element(i) for i in range(1, 7)] == [1, 2, 4, 7, 11, 16]
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 4), (2, 3), (2, 5), (3, 7), (1, 9)])
+def test_element_matches_enumeration(p, q):
+    b = BandIndexing(p=p, q=q)
+    reference = band_reference(p, q, 3000)
+    # indices up to and past the truncated triangle (q-p-1)(q-p)/2
+    triangle = (q - p - 1) * (q - p) // 2
+    assert len(reference) > triangle + 2 * (q - p)
+    assert [b.element(i) for i in range(1, len(reference) + 1)] == reference
+
+
+def test_element_is_one_based_and_closed_form():
+    b = BandIndexing(p=2, q=5)
+    with pytest.raises(ValueError):
+        b.element(0)
+    n = b.element(10**12)  # no enumeration: returns at once
+    assert b.contains(n)
+    assert b.count_below(n) + 1 == 10**12
 
 
 def test_band_markers_for_1_2():
@@ -82,7 +106,6 @@ def test_marker_gaps_equal_band_width(p, q):
 
 def test_negative_markers_cover_truncated_diagonals():
     b = BandIndexing(p=2, q=5)
-    b.extend_to_count(10)
     assert b.k_min == -2
     assert b.marker(-2) == pair_index(1, 0)
     assert b.s_k(-2) == 1
@@ -90,10 +113,9 @@ def test_negative_markers_cover_truncated_diagonals():
 
 
 def test_band_count_below_matches_enumeration():
-    b = band(2, 5, 200)
-    members = set(b.n_list)
+    members = set(band_reference(2, 5, 2000))
     count = 0
-    for m in range(1, b.n_list[-1] + 1):
+    for m in range(1, 2000):
         assert band_count_below(2, 5, m) == count
         if m in members:
             count += 1
