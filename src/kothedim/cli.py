@@ -332,6 +332,8 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
             jj = int(j_value) if j_value else 1
         except ValueError:
             _fail(EXIT_BAD_CONFIG, f"--j must be an integer column index for d2, got {j_value!r}")
+        if jj < 1:
+            _fail(EXIT_BAD_CONFIG, f"--j must be at least 1 for d2, got {jj}")
         report = km.check_d2_failure(family, jj, parse_rational(bound), search_cap)
     else:
         report = km.check_regularity(family, horizon)

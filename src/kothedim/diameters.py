@@ -89,9 +89,6 @@ class DiameterTable:
     oracle_prefix: int | None = None
     diagnostic: str | None = None
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def entry(self, n: int) -> DiameterEntry:
         return self.entries[n]
 
@@ -259,26 +256,16 @@ def _build_plan(
             return rows
 
 
-def _persistent_tail_start(rows: list[PlanRow]) -> int | None:
-    """First a of the maximal suffix of rows with no qualifying i_a."""
-    if not rows or rows[-1].i_a is not None:
-        return None
-    a0 = rows[-1].a
-    for row in reversed(rows[:-1]):
-        if row.i_a is not None:
-            break
-        a0 = row.a
-    return a0
-
-
 def closedform_diameters(
     family: KotheFamily, p: int, q: int, count: int
 ) -> DiameterTable:
     """Diameters d_0..d_{count-1} from the segment index formulas.
 
     Band terms are placed by the plan; off-band terms fill the remaining
-    positions in increasing order of their ratio index.  Segment labels
-    head/J/K/L/M are then derived from the interval formulas and every
+    positions in increasing order of their ratio index.  Labels follow one
+    rule per plan row (J at its band term; M before it, preceded by the L
+    and K intervals when its i_a lies past a marker the previous one did
+    not) and one tail rule after the last row with a qualifying i_a.  Every
     labelled interval is checked against the filled values; a gap, an
     overlap, or a value mismatch raises CoverageError.
     """
@@ -298,10 +285,8 @@ def closedform_diameters(
     # slot keeps its coefficient as the integer numerator over pq
     slot_num: list[int | None] = [None] * count
     slot_index: list[int] = [0] * count
-    red_at: dict[int, PlanRow] = {}
     for row in rows:
         if 0 <= row.j_a < count:
-            red_at[row.j_a] = row
             slot_num[row.j_a] = red_num
             slot_index[row.j_a] = row.n_a
     m = 0
@@ -314,19 +299,24 @@ def closedform_diameters(
         slot_num[n] = blue_num
         slot_index[n] = m
 
-    # segment labels from the interval formulas
+    # segment labels from the interval formulas; the tail takes over at a0,
+    # the first a of the maximal suffix of rows with no qualifying i_a
     labels: list[str | None] = [None] * count
-    a0 = _persistent_tail_start(rows)
+    a0 = None
+    for row in reversed(rows):
+        if row.i_a is not None:
+            break
+        a0 = row.a
     if a0 is None:
         tail_start: int | None = None
-    elif a0 == 1:
-        tail_start = 0
     else:
-        tail_start = rows[a0 - 2].j_a + 1
+        tail_start = 0 if a0 == 1 else rows[a0 - 2].j_a + 1
 
-    def mark(start: int, end: int, label: str, shift: int | None) -> None:
-        """Label [start, end] and check the formula against the fill."""
-        for n in range(max(start, 0), min(end, count - 1) + 1):
+    def mark(start: int, end: int, label: str, shift: int | None) -> int:
+        """Label [start, end] up to count - 1, check the formula against the
+        fill, and return that clipped end."""
+        end = min(end, count - 1)
+        for n in range(max(start, 0), end + 1):
             if labels[n] is not None:
                 raise CoverageError(
                     f"segment overlap at diameter index {n} "
@@ -338,51 +328,36 @@ def closedform_diameters(
                     f"segment {label} expects alpha index {n + shift} at "
                     f"diameter index {n}, fill has {slot_index[n]}"
                 )
+        return end
 
-    def mark_l(row: PlanRow, end: int) -> None:
+    def mark_l(row: PlanRow, end: int) -> int:
         """The L interval after ``row``'s band term, up to its next marker."""
         s_next = bnd.s_k(row.k_a + 1)
-        mark(
+        return mark(
             row.j_a + 1,
             min(bnd.marker(row.k_a + 1) - s_next + row.a - 1, end),
             SEG_L,
             s_next - row.a,
         )
 
-    mark(0, min(n_1 - 2, count - 1), HEAD, 1)
+    mark(0, n_1 - 2, HEAD, 1)
     limit = count - 1 if tail_start is None else tail_start - 1
     # a virtual row 0 ends with the head: its L is empty and its K loop
     # starts at k_min, so row 1 follows the general tiling
     prev = PlanRow(a=0, n_a=0, i_a=0, k_a=bnd.k_min - 1, j_a=n_1 - 2)
-    for row in rows:
-        if a0 is not None and row.a >= a0:
-            break
-        if row.j_a <= limit:
-            mark(row.j_a, row.j_a, SEG_J, None)
-        if row.i_a is None:
-            # transient miss: the band term sits right after the off-band
-            # terms below n_a; the stretch before it follows the generic
-            # fill and is attributed to M
-            mark(prev.j_a + 1, min(row.j_a - 1, limit), SEG_M, None)
-        else:
-            s_next = bnd.s_k(row.k_a + 1)
-            if prev.i_a is None:
-                # the previous band term had no qualifying i: the paper
-                # intervals do not apply between the two; generic fill
-                mark(prev.j_a + 1, min(row.j_a - 1, limit), SEG_M, None)
-            elif row.k_a == prev.k_a:
-                # both i's sit between the same pair of markers, so the
-                # whole stretch is this row's M interval (the published
-                # left endpoint goes stale when band terms stack)
-                mark(
-                    prev.j_a + 1,
-                    min(row.j_a - 1, limit),
-                    SEG_M,
-                    s_next - (row.a - 1),
-                )
-            else:
-                # strict paper tiling: L of the previous row, K per marker
-                # crossed between the two i's, then M of this row
+    for row in rows if a0 is None else rows[: a0 - 1]:
+        mark(row.j_a, row.j_a, SEG_J, None)
+        # a miss at this row or the previous one: the paper intervals do not
+        # apply between the two band terms, and the stretch follows the
+        # generic fill (attributed to M)
+        start, shift = prev.j_a + 1, None
+        if row.i_a is not None and prev.i_a is not None:
+            shift = bnd.s_k(row.k_a + 1) - (row.a - 1)
+            # with both i's between the same pair of markers the whole
+            # stretch is this row's M (the published left endpoint goes
+            # stale when band terms stack); otherwise L of the previous
+            # row and K per marker crossed come first
+            if row.k_a != prev.k_a:
                 mark_l(prev, limit)
                 for k in range(prev.k_a + 1, row.k_a):
                     mark(
@@ -394,38 +369,20 @@ def closedform_diameters(
                         SEG_K,
                         bnd.s_k(k + 1) - prev.a,
                     )
-                mark(
-                    bnd.marker(row.k_a) - bnd.s_k(row.k_a) + row.a - 1,
-                    min(row.j_a - 1, limit),
-                    SEG_M,
-                    s_next - (row.a - 1),
-                )
+                start = bnd.marker(row.k_a) - bnd.s_k(row.k_a) + row.a - 1
+        mark(start, min(row.j_a - 1, limit), SEG_M, shift)
         prev = row
 
-    if tail_start is not None:
-        if a0 > 1:
-            last = rows[a0 - 2]
-            s_last = bnd.s_k(last.k_a + 1)
-            if s_last != a0:
-                raise CoverageError(
-                    f"tail handover expects marker index {a0}, got {s_last}"
-                )
-            mark_l(last, count - 1)
-        for n in range(tail_start, count):
-            if labels[n] is not None:
-                continue
-            labels[n] = TAIL
-            if n in red_at:
-                if red_at[n].n_a != n + 1:
-                    raise CoverageError(
-                        f"tail band term at {n} should come from alpha "
-                        f"index {n + 1}"
-                    )
-            elif slot_index[n] != n + 1:
-                raise CoverageError(
-                    f"tail expects alpha index {n + 1} at diameter index {n}, "
-                    f"fill has {slot_index[n]}"
-                )
+    if a0 is not None:
+        # the last row before the tail (row 0 when a0 = 1) ends in an L of
+        # shift s - (a0 - 1) = 1, the tail's own; a tail band term n_a lands
+        # at n_a - 1, so one shift checks reds and blues alike
+        s_last = bnd.s_k(prev.k_a + 1)
+        if s_last != a0:
+            raise CoverageError(
+                f"tail handover expects marker index {a0}, got {s_last}"
+            )
+        mark(mark_l(prev, count - 1) + 1, count - 1, TAIL, 1)
 
     gaps = [n for n in range(count) if labels[n] is None]
     if gaps:

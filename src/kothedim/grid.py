@@ -23,12 +23,9 @@ def unpair(n: int) -> tuple[int, int]:
     """Inverse of pair_index: the (x, y) with pair_index(x, y) = n."""
     if n < 1:
         raise ValueError("grid positions are 1-based")
-    # diagonal t is the block (T_t, T_{t+1}] of triangular numbers
+    # diagonal t is the block (T_t, T_{t+1}] of triangular numbers, on which
+    # (2t+1)^2 <= 8n-7 < (2t+3)^2, so the isqrt form needs no correction
     t = (math.isqrt(8 * n - 7) - 1) // 2
-    while t * (t + 1) // 2 >= n:
-        t -= 1
-    while (t + 1) * (t + 2) // 2 < n:
-        t += 1
     x = n - 1 - t * (t + 1) // 2
     return x, t - x
 

@@ -18,15 +18,6 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 UNSPECIFIED = "unspecified"
 
-_BUILTIN_CLASSES = {
-    "linear": STABLE,
-    "factorial": UNSTABLE,
-    "superproduct": UNSTABLE,
-    "polynomial": STABLE,
-    "file": UNSPECIFIED,
-}
-
-
 # the unstable kinds, whose successive ratios alpha_i / alpha_{i-1} are ints
 _RATIO_KINDS = ("factorial", "superproduct")
 

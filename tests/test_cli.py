@@ -332,6 +332,60 @@ def test_non_integer_d2_column_exits_2(runner, j):
     assert "invalid literal" not in result.output
 
 
+
+@pytest.mark.parametrize("j", ["0", "-1"])
+def test_d2_column_below_one_exits_2(runner, j):
+    args = ["check", "--criterion", "d2", "--alpha", "linear", "--j", j]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"error: --j must be at least 1 for d2, got {j}" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_diameters_table_output(runner):
+    result = invoke(
+        runner,
+        ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "5",
+         "--output", "table"],
+    )
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    assert lines[0].split() == [
+        "n", "coeff", "alpha_index", "segment", "approx_value", "certified",
+        "oracle_coeff", "oracle_alpha_index", "values_equal",
+    ]
+    assert len(lines) == 1 + 5
+    assert lines[1].split()[:4] == ["0", "-1/2", "3", "M"]
+    assert all(line.split()[-1] == "True" for line in lines[1:])
+
+
+def test_check_omega_passes_with_default_j(runner):
+    result = invoke(runner, ["check", "--criterion", "omega", "--alpha", "linear", "--p", "1", "--N", "200"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["verdict"] == "pass"
+    # j defaults to the ceiling of the admissible bound for k = p + 1
+    assert payload["details"]["j_bound"] == "2"
+    assert payload["params"]["j"] == "2"
+
+
+def test_diameters_horizon_below_count_exits_2(runner):
+    args = ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "10",
+            "--horizon", "5"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "error: --horizon must be at least --count" in result.output
+
+
+def test_oracle_prefix_certifying_nothing_exits_3(runner):
+    args = ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "2",
+            "--horizon", "2", "--method", "oracle"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "error: prefix of 2 ratio terms certifies no diameter" in result.output
+    assert "Traceback" not in result.output
+
+
 # -- every subcommand, generated arguments ---------------------------------
 
 # mostly valid values, so that most calls get past argument checking

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kothedim import diameters as dm
 from kothedim.diameters import (
+    CoverageError,
     _find_i,
     closedform_diameters,
     epsilon_n,
@@ -410,3 +412,48 @@ def test_segment_labels_match_frozen_digest():
                             f"{e.coeff} {e.alpha_index} {e.segment}\n".encode()
                         )
     assert digest.hexdigest() == SEGMENT_LABEL_DIGEST
+
+
+# -- the coverage checks of the closed form, each reached by one fault ------
+# (the exception type is asserted, not its message)
+
+
+def test_skipped_band_index_raises_coverage_error(monkeypatch):
+    """With n_5 = 11 of the pair 1:2 read as off-band, the fill lists it as
+    a blue term: linear meets it in an M interval, factorial in the tail."""
+    contains = BandIndexing.contains
+
+    def skips_n_5(self, n):
+        if (self.p, self.q) == (1, 2) and n == self.element(5):
+            return False
+        return contains(self, n)
+
+    monkeypatch.setattr(BandIndexing, "contains", skips_n_5)
+    for spec in ("linear", "factorial"):
+        with pytest.raises(CoverageError):
+            closedform_diameters(family(spec), 1, 2, 40)
+
+
+def test_marker_index_off_by_one_raises_coverage_error(monkeypatch):
+    s_k = BandIndexing.s_k
+    monkeypatch.setattr(BandIndexing, "s_k", lambda self, k: s_k(self, k) + (k == 3))
+    with pytest.raises(CoverageError):
+        closedform_diameters(family("linear"), 1, 2, 40)
+
+
+def test_placement_one_off_band_index_too_far_raises_coverage_error(monkeypatch):
+    """i_3 moved to the next off-band index puts the third band term one
+    slot late; only the monotonicity pass can tell."""
+    find_i = dm._find_i
+
+    def one_too_far(seq, bnd, mult, n_a):
+        m = find_i(seq, bnd, mult, n_a)
+        if m is not None and n_a == bnd.element(3):
+            m += 1
+            while bnd.contains(m):
+                m += 1
+        return m
+
+    monkeypatch.setattr(dm, "_find_i", one_too_far)
+    with pytest.raises(CoverageError):
+        closedform_diameters(family("linear"), 1, 2, 40)

@@ -34,6 +34,18 @@ def test_pairing_matches_diagram(xy, n):
     assert unpair(n) == xy
 
 
+@pytest.mark.parametrize(
+    "ts", [range(1, 2001), range(10**9 - 3, 10**9 + 4)], ids=["small", "near-1e9"]
+)
+def test_unpair_at_diagonal_ends(ts):
+    """T_t closes diagonal t-1 at (t-1, 0) and T_t + 1 opens diagonal t at
+    (0, t), where the isqrt form sits closest to a wrong diagonal."""
+    for t in ts:
+        tri = t * (t + 1) // 2
+        assert unpair(tri) == (t - 1, 0)
+        assert unpair(tri + 1) == (0, t)
+
+
 def test_unpair_large_round_trip():
     assert pair_index(*unpair(10**6)) == 10**6
 
