@@ -97,6 +97,15 @@ def _float_str(x: float) -> str:
     return repr(x)
 
 
+def _rational_option(name: str, text: str) -> Fraction:
+    """Parse a rational option value; an invalid one, empty included, exits 2
+    with a message that names the option."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        _fail(EXIT_BAD_CONFIG, f"{exc} (option {name})")
+
+
 # exception -> (exit code, message prefix), first match wins:
 # PrefixExhaustedError is a SequenceError, which is a ValueError
 _EXIT_CODES = (
@@ -291,9 +300,9 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         _emit(_csv(rows, header), out)
     else:
         widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0)) for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
         for r in rows:
-            lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+            lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip())
         _emit("\n".join(lines) + "\n", out)
 
 
@@ -321,20 +330,26 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
     if criterion == "nuclearity":
         report = km.check_nuclearity(family, k or 1, horizon)
     elif criterion == "dn":
-        lam = parse_rational(lambda_value) if lambda_value else km.dn_lambda_bound(p) / 2
+        if lambda_value is None:
+            lam = km.dn_lambda_bound(p) / 2
+        else:
+            lam = _rational_option("--lambda", lambda_value)
         report = km.check_dn(family, p, lam, horizon)
     elif criterion == "omega":
         kk = k if k is not None else p + 1
-        j = parse_rational(j_value) if j_value else Fraction(math.ceil(km.omega_j_bound(p, kk)))
+        if j_value is None:
+            j = Fraction(math.ceil(km.omega_j_bound(p, kk)))
+        else:
+            j = _rational_option("--j", j_value)
         report = km.check_omega(family, p, kk, j, horizon)
     elif criterion == "d2":
         try:
-            jj = int(j_value) if j_value else 1
+            jj = int(j_value) if j_value is not None else 1
         except ValueError:
             _fail(EXIT_BAD_CONFIG, f"--j must be an integer column index for d2, got {j_value!r}")
         if jj < 1:
             _fail(EXIT_BAD_CONFIG, f"--j must be at least 1 for d2, got {jj}")
-        report = km.check_d2_failure(family, jj, parse_rational(bound), search_cap)
+        report = km.check_d2_failure(family, jj, _rational_option("--B", bound), search_cap)
     else:
         report = km.check_regularity(family, horizon)
     _emit(_json_text(report.to_json()), out)

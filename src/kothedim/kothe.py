@@ -6,9 +6,9 @@ coeff = -1/k + 1 below (n in column s).  Because every exponent is a
 rational multiple of the same alpha_n, each per-n inequality in the
 nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
 pure rational inequality, decided exactly.  It depends on n only through
-n's column region, so DN and Omega decide each region once and count its
-failures up to the horizon in closed form.  The checks that do depend on
-alpha are decided on integers: the nuclearity witnesses and display
+n's column region, so these checks decide each region once, and DN and
+Omega count its failures up to the horizon in closed form.  The checks
+that do depend on alpha are decided on integers: the nuclearity display
 terms and the (d2) witness search cross-multiply both sides by their
 positive denominators and by ``seq.scale``; the regularity criterion and
 the matrix definition compare ``a * alpha_n`` with ``b * alpha_{n+1}``
@@ -29,7 +29,7 @@ from .exact import (
 )
 from .grid import band_count_below, column_of, column_start, pair_index
 from .report import FAIL, PASS, CheckReport
-from .sequences import ExponentSequence
+from .sequences import _RATIO_KINDS, ExponentSequence
 
 
 class SearchCapExceeded(RuntimeError):
@@ -103,6 +103,11 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     float partial sum and, when alpha_n >= n holds over the prefix, the
     geometric tail bound r^(horizon+1)/(1-r) with r = e^(-1/(k(k+1))) are
     reported for display.
+
+    The inequality depends on n only through its column region, so each
+    region is decided once.  The display terms read alpha only up to the
+    first n whose term clamps to 0.0 in every region, so neither part reads
+    alpha up to the horizon: the cost does not grow with it.
     """
     seq = family.seq
     bound = Fraction(-1, k) + Fraction(1, k + 1)
@@ -113,20 +118,48 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     for s in (k - 1, k, k + 1):
         diff = _column_coeff(k, s) - _column_coeff(k + 1, s)
         regions.append((diff, diff > bound, diff.numerator, diff.denominator * seq.scale))
-    seq.prefill(horizon)  # every n <= horizon is read: fill the memo in bulk
-    witnesses = []
-    partial_sum = 0.0
-    alpha_dominates = True
-    for n in range(1, horizon + 1):
+
+    def region(n: int) -> tuple:
         s = column_of(n)
-        diff, exceeds, num, den = regions[(s >= k) + (s > k)]
-        if exceeds:
-            witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
-        alpha = seq.scaled(n)
-        term, _ = exp_quotient_to_float(num * alpha, den)
+        return regions[(s >= k) + (s > k)]
+
+    alpha_dominates = True  # strictly increasing integers from alpha_1 >= 1
+    if seq.kind == "file":
+        seq.prefill(horizon)  # a horizon past the stored prefix raises
+        alpha_dominates = all(seq.scaled(n) >= n * seq.scale for n in range(1, horizon + 1))
+    # for k >= 1 the differences are bound, bound - 1 and bound, so no
+    # region breaks the bound; one that did would make each of its n a witness
+    witnesses = []
+    if any(exceeds for _, exceeds, _, _ in regions):
+        for n in range(1, horizon + 1):
+            diff, exceeds, _, _ = region(n)
+            if exceeds:
+                witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
+
+    # every difference is at most bound < 0 and alpha increases, so from the
+    # first n where bound * alpha_n clamps to 0.0, every term in every
+    # region is 0.0: adding them is exact, so the sum stops before that n.
+    # Find it by galloping (the step doubles), then bisecting, as _find_i does.
+    _, _, num, den = regions[2]  # the difference is bound
+
+    def clamped(n: int) -> bool:
+        return exp_quotient_to_float(num * seq.scaled(n), den)[1]
+
+    lo, hi = 0, 1
+    while hi <= horizon and not clamped(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, horizon + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clamped(mid):
+            hi = mid
+        else:
+            lo = mid
+    partial_sum = 0.0
+    for n in range(1, hi):
+        _, _, num, den = region(n)
+        term, _ = exp_quotient_to_float(num * seq.scaled(n), den)
         partial_sum += term
-        if alpha < n * seq.scale:
-            alpha_dominates = False
     details: dict = {
         "partial_sum_float": partial_sum,
         "alpha_dominates_index": alpha_dominates,
@@ -354,21 +387,38 @@ def check_regularity(family: KotheFamily, horizon: int) -> CheckReport:
     re-checked directly on the rows k <= DEFINITION_K and the n <=
     min(horizon, DEFINITION_N) as an independent route, and the two must
     agree pointwise at k = s.
+
+    The scan walks the diagonals: on diagonal t, n runs from T_t + 1 to
+    T_{t+1} and its column s = n - T_t from 1 to t + 1.  For ``factorial``
+    and ``superproduct`` the ratio alpha_{n+1}/alpha_n never decreases, so
+    when the diagonal's first n meets the diagonal's largest requirement,
+    1 + (t+1)(t+2), every n on it passes: one comparison per diagonal.
+    Any other diagonal, and every diagonal of the other kinds, is scanned
+    n by n.
     """
+    seq = family.seq
+    monotone_ratios = seq.kind in _RATIO_KINDS
     witnesses = []
-    for n in range(1, horizon + 1):
-        s = column_of(n)
-        if not regularity_criterion(family, s, n):
-            witnesses.append(
-                {
-                    "n": n,
-                    "column": s,
-                    "required_ratio": Fraction(1 + s * (s + 1)),
-                    "actual_ratio": family.seq.value(n + 1) / family.seq.value(n),
-                }
-            )
-            if len(witnesses) >= 5:
-                break
+    t = first = 0  # diagonal t starts after first = T_t
+    while first < horizon and len(witnesses) < 5:
+        if not (
+            monotone_ratios
+            and seq.compare(1 + (t + 1) * (t + 2), first + 1, 1, first + 2) <= 0
+        ):
+            for n in range(first + 1, min(first + t + 1, horizon) + 1):
+                s = n - first
+                if not regularity_criterion(family, s, n):
+                    witnesses.append(
+                        {
+                            "n": n,
+                            "column": s,
+                            "required_ratio": Fraction(1 + s * (s + 1)),
+                            "actual_ratio": seq.value(n + 1) / seq.value(n),
+                        }
+                    )
+                    if len(witnesses) >= 5:
+                        break
+        t, first = t + 1, first + t + 1
 
     definition_n = min(horizon, DEFINITION_N)
     definition_agrees = True

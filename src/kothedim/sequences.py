@@ -34,11 +34,13 @@ class PrefixExhaustedError(SequenceError):
 class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
-    ``memo`` holds alpha_1..alpha_len.  For the generated kinds it holds
-    plain ints and grows on demand (``factorial`` and ``superproduct``
-    start with alpha_1 = 1 stored); for ``file`` alphas it holds the stored
-    rationals and never grows.  Mutation is append-only; the intended
-    pattern is "prefill, then share read-only".
+    ``memo`` holds alpha_1..alpha_len.  Every generated kind starts with
+    alpha_1 = 1 stored.  ``linear`` and ``poly:d`` are the closed forms n
+    and n**d (``degree`` is 1 for ``linear``), read without the memo, which
+    never grows past alpha_1.  ``factorial`` and ``superproduct`` grow it on
+    demand, as plain ints; a ``file`` alpha holds its stored rationals,
+    which never grow.  Mutation is append-only; the intended pattern is
+    "prefill, then share read-only".
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
@@ -72,14 +74,14 @@ class ExponentSequence:
                 )
         if self.kind == "file":
             self.scale = math.lcm(*(v.denominator for v in self.memo))
-        elif self.kind in _RATIO_KINDS and not self.memo:
-            self.memo.append(1)  # alpha_1; every later value is a ratio product
+        elif not self.memo:
+            self.memo.append(1)  # alpha_1; a ratio kind's later values are ratio products
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def linear(cls) -> "ExponentSequence":
-        return cls(name="linear", kind="linear", declared_class=STABLE)
+        return cls(name="linear", kind="linear", declared_class=STABLE, degree=1)
 
     @classmethod
     def factorial(cls) -> "ExponentSequence":
@@ -156,43 +158,38 @@ class ExponentSequence:
         return i if self.kind == "factorial" else 1 + (i - 1) * i
 
     def _extend(self, n: int) -> None:
-        """Grow the memo of a generated kind to alpha_1..alpha_n, as ints.
-
-        Strict increase holds by construction: ``linear`` and ``poly:d``
-        are n and n**d with d >= 1, and every :meth:`_ratio` is at least 2.
-        """
+        """Grow the memo of a ratio kind to alpha_1..alpha_n, as ints; a
+        ``file`` prefix cannot grow.  Strict increase holds by construction:
+        every :meth:`_ratio` is at least 2."""
         memo = self.memo
         m = len(memo)
-        if self.kind == "linear":
-            memo.extend(range(m + 1, n + 1))
-        elif self.kind == "polynomial":
-            d = self.degree
-            memo.extend(i**d for i in range(m + 1, n + 1))
-        elif self.kind in _RATIO_KINDS:
-            v = memo[-1]
-            for i in range(m + 1, n + 1):
-                v *= self._ratio(i)
-                memo.append(v)
-        else:
+        if self.kind not in _RATIO_KINDS:
             raise PrefixExhaustedError(
                 f"{self.name}: prefix of length {m} exhausted at n={m + 1}"
             )
+        v = memo[-1]
+        for i in range(m + 1, n + 1):
+            v *= self._ratio(i)
+            memo.append(v)
 
     def _stored(self, n: int) -> int | Rational:
-        """The memo entry for alpha_n (1-based); extends the memo as needed."""
+        """alpha_n (1-based): n**d for the closed forms, else the memo entry,
+        extending the memo as needed."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
+        if self.degree is not None:
+            return n**self.degree
         if len(self.memo) < n:
             self._extend(n)
         return self.memo[n - 1]
 
     def value(self, n: int) -> Rational:
-        """Exact alpha_n (1-based) as a Fraction; extends the memo as needed."""
+        """Exact alpha_n (1-based) as a Fraction."""
         v = self._stored(n)
         return v if self.kind == "file" else Fraction(v)
 
     def scaled(self, n: int) -> int:
-        """The exact integer ``alpha_n * scale``; extends the memo as needed."""
+        """The exact integer ``alpha_n * scale``."""
         v = self._stored(n)
         if self.kind != "file":
             return v
@@ -229,8 +226,10 @@ class ExponentSequence:
         return -s if m <= n else s
 
     def prefill(self, n: int) -> None:
-        """Store alpha_1..alpha_n; a no-op when they are already stored."""
-        if len(self.memo) < n:
+        """Store alpha_1..alpha_n; a no-op when they are already stored and
+        for the closed forms, which store only alpha_1.  A ``file`` prefix
+        shorter than n raises :class:`PrefixExhaustedError`."""
+        if self.degree is None and len(self.memo) < n:
             self._extend(n)
 
     def __len__(self) -> int:

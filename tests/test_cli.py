@@ -342,6 +342,28 @@ def test_d2_column_below_one_exits_2(runner, j):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "criterion,option",
+    [("d2", "--j"), ("omega", "--j"), ("dn", "--lambda")],
+)
+def test_empty_option_value_exits_2(runner, criterion, option):
+    args = ["check", "--criterion", criterion, "--alpha", "linear", option, ""]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert option in result.output
+    assert "Traceback" not in result.output
+
+
+def test_nuclearity_at_a_huge_horizon_exits_0(runner):
+    args = ["check", "--criterion", "nuclearity", "--alpha", "linear", "--N", str(10**12)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Traceback" not in result.output
+    payload = json.loads(result.output)
+    assert payload["verdict"] == "pass"
+    assert payload["params"]["N"] == 10**12
+
+
 def test_diameters_table_output(runner):
     result = invoke(
         runner,
@@ -357,6 +379,7 @@ def test_diameters_table_output(runner):
     assert len(lines) == 1 + 5
     assert lines[1].split()[:4] == ["0", "-1/2", "3", "M"]
     assert all(line.split()[-1] == "True" for line in lines[1:])
+    assert not any(line.endswith(" ") for line in lines)
 
 
 def test_check_omega_passes_with_default_j(runner):

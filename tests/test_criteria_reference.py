@@ -202,6 +202,64 @@ def test_nuclearity_matches_reference(spec, k):
     assert ("geometric_tail_bound_float" in report.details) == dominates
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nuclearity_matches_reference_around_the_clamp(k):
+    # linear: the bound's term e^(-n / (k(k+1))) clamps to 0.0 from
+    # n0 = 746 k(k+1) on (8952 for k = 3); the sum stops before n0
+    n0 = 746 * k * (k + 1)
+    for horizon in (n0 - 1, n0, n0 + 1, n0 + 40):
+        report = check_nuclearity(KotheFamily(make_seq("linear")), k, horizon)
+        witnesses, partial_sum, dominates = ref_nuclearity(make_seq("linear"), k, horizon)
+        assert report.witnesses == witnesses == []
+        assert report.details["partial_sum_float"] == partial_sum
+        assert report.details["alpha_dominates_index"] == dominates
+    # n0 is the first n whose exponent reaches the clamp
+    assert not exp_quotient_to_float(-(n0 - 1), k * (k + 1))[1]
+    assert exp_quotient_to_float(-n0, k * (k + 1))[1]
+
+
+def test_nuclearity_sum_keeps_every_term_before_the_bound_clamps():
+    # alpha_n = n + 999/2, k = 1: column 1 carries bound - 1 = -3/2, whose
+    # terms clamp from n = 1 on; column 2 on carries bound = -1/2, whose
+    # terms do not clamp before alpha_n reaches 1492, so they make the sum
+    seq = rational_file([Fraction(2 * n + 999, 2) for n in range(1, 1201)])
+    report = check_nuclearity(KotheFamily(seq), 1, 1200)
+    _, partial_sum, _ = ref_nuclearity(seq, 1, 1200)
+    assert report.details["partial_sum_float"] == partial_sum > 0
+    assert exp_quotient_to_float(-3 * 1001, 4)[1]
+
+
+def triangular(t):
+    return t * (t + 1) // 2
+
+
+@pytest.mark.parametrize("spec", ["superproduct", "factorial"])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 20, 40])
+def test_regularity_matches_reference_across_diagonals(spec, t):
+    # horizons at T_t, at T_t + 1 and mid-diagonal t: the ratio kinds settle
+    # a passing diagonal with one comparison and scan any other n by n
+    for horizon in (triangular(t), triangular(t) + 1, triangular(t) + (t + 1) // 2 + 1):
+        report = check_regularity(KotheFamily(make_seq(spec)), horizon)
+        witnesses, details = ref_regularity(make_seq(spec), horizon)
+        assert report.witnesses == witnesses
+        assert report.details == details
+        assert report.passed == (spec == "superproduct")
+
+
+def test_checks_read_alpha_only_as_far_as_the_answer_needs():
+    factorial = ExponentSequence.factorial()
+    assert check_nuclearity(KotheFamily(factorial), 1, 10**12).passed
+    assert len(factorial) < 100
+    superproduct = ExponentSequence.superproduct()
+    assert check_regularity(KotheFamily(superproduct), 10**8).passed
+    assert len(superproduct) == 1
+    linear = ExponentSequence.linear()
+    report = check_d2_failure(KotheFamily(linear), 1, Fraction(10**8))
+    assert report.witnesses[0]["n"] == pair_index(0, 11547)
+    assert check_nuclearity(KotheFamily(linear), 3, 10**12).passed
+    assert linear.memo == [1]  # alpha_1 only: linear is a closed form
+
+
 def test_nuclearity_covers_both_exp_branches():
     # linear k = 1: exponents -n/2 (or -3n/2 on column 1) cross -746 at n ~ 1492
     seq = make_seq("linear")
@@ -277,8 +335,11 @@ def test_generated_memo_equals_the_recurrence(spec):
             v = 1 if n == 1 else prev * (1 + (n - 1) * n)
         want.append(v)
         prev = v
-    assert seq.memo == want
-    assert all(type(v) is int for v in seq.memo)
+    values = [seq.scaled(n) for n in range(1, 601)]
+    assert values == want
+    assert all(type(v) is int for v in values)
+    # linear and poly:d are closed forms: their memo stays at alpha_1
+    assert seq.memo == (want if spec in ("factorial", "superproduct") else [1])
     value = seq.value(600)
     assert type(value) is Fraction and value == want[-1]
     assert seq.scaled(600) == want[-1]

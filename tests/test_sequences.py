@@ -27,8 +27,11 @@ def test_factorial_and_linear_values():
 def test_strictly_increasing_positive_prefix(spec):
     seq = ExponentSequence.from_spec(spec)
     seq.prefill(10_000 + 1)
-    assert seq.memo[0] > 0
-    assert all(a < b for a, b in zip(seq.memo, seq.memo[1:]))
+    values = [seq.scaled(n) for n in range(1, 10_000 + 2)]
+    assert values[0] > 0
+    assert all(a < b for a, b in zip(values, values[1:]))
+    # linear and poly:d are closed forms: their memo stays at alpha_1
+    assert seq.memo == (values if spec in ("factorial", "superproduct") else [1])
 
 
 def test_from_spec_rejects_unknown():
