@@ -24,7 +24,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import exp_to_float, format_rational, fraction_to_float, parse_rational
+from .exact import format_rational, fraction_to_float, parse_rational
 from .grid import band, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -186,7 +186,7 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     for k in range(1, k_max + 1):
         for n in range(1, n_max + 1):
             term = family.log_entry(k, n)
-            approx, _ = exp_to_float(term.log_value(family.seq))
+            approx, _ = family.seq.exp_float(term.coeff, term.alpha_index)
             rows.append(
                 [k, n, column_of(n), format_rational(term.coeff), _float_str(approx)]
             )
@@ -256,7 +256,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     rows = []
     for n in range(min(count, len(primary.entries))):
         e = primary.entry(n)
-        approx, _ = exp_to_float(e.log_value(seq))
+        approx, _ = seq.exp_float(e.coeff, e.alpha_index)
         certified = e.certified
         if method == "both" and n < len(oracle.entries):
             certified = certified and oracle.entry(n).certified
@@ -414,7 +414,7 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
             ],
         }
     else:
-        probe = vf.delta_membership_probe(family, parse_rational(theta), tables)
+        probe = vf.delta_membership_probe(family, _rational_option("--theta", theta), tables)
         payload = {
             "what": "delta-probe",
             "alpha": family.seq.name,

@@ -17,14 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (
-    LogTerm,
-    Rational,
-    exp_to_float,
-    scaled_exponent,
-    scaled_numerator,
-)
-from .grid import BandIndexing
+from .exact import LogTerm, Rational, scaled_exponent, scaled_numerator
+from .grid import BandIndexing, gallop
 from .kothe import KotheFamily, a_pq, c_pq
 from .sequences import PrefixExhaustedError
 
@@ -192,32 +186,17 @@ def oracle_diameters_certified(
 def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int | None:
     """Greatest off-band m with alpha_m <= A_pq alpha_{n_a}, None if none > n_a.
 
-    alpha is strictly increasing, so the qualifying set is a prefix.  Its
-    last element is found by galloping from n_a, doubling the step while the
-    probe still qualifies, then bisecting the last step (unbounded search,
-    Bentley and Yao 1976); each probe is one ``seq.compare``.  A probe
-    never passes the stored values while a stored one can still decide, so
-    a file prefix is read past, raising PrefixExhaustedError, exactly when
-    every stored index from n_a on qualifies.  Then step down over the (at
-    most q-p wide) band block to the nearest off-band index.
+    alpha is strictly increasing, so the qualifying set is a prefix, and
+    n_a is in it (A_pq > 1).  :func:`~kothedim.grid.gallop` finds its last
+    element from n_a, one ``seq.compare`` per probe.  With ``stop`` at the
+    stored length, a probe never passes the stored values while a stored
+    one can still decide, so a file prefix is read past, raising
+    PrefixExhaustedError, exactly when every stored index from n_a on
+    qualifies.  Then step down over the (at most q-p wide) band block to
+    the nearest off-band index.
     """
     num, den = threshold_mult.numerator, threshold_mult.denominator
-    lo, step = n_a, 1  # lo qualifies: A_pq > 1
-    while True:
-        probe = lo + step
-        if lo < len(seq) < probe:
-            probe = len(seq)
-        if seq.compare(den, probe, num, n_a) > 0:
-            break
-        lo, step = probe, 2 * step
-    hi = probe
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if seq.compare(den, mid, num, n_a) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    m = lo
+    m = gallop(lambda x: seq.compare(den, x, num, n_a) <= 0, n_a, len(seq))
     while m > n_a and bnd.contains(m):
         m -= 1
     return m if m > n_a else None
@@ -418,7 +397,7 @@ def closedform_diameters(
 
 
 def entry_to_json(entry: DiameterEntry, seq) -> dict:
-    value, clamped = exp_to_float(entry.log_value(seq))
+    value, clamped = seq.exp_float(entry.coeff, entry.alpha_index)
     payload = {
         "n": entry.n,
         "coeff": entry.coeff,

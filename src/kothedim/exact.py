@@ -10,10 +10,12 @@ Two routes then decide the order.  The closed form, the verification
 harness and the regularity checks call ``ExponentSequence.compare(a, m, b,
 n)``, the sign of ``a * alpha_m - b * alpha_n``: it walks the small integer
 ratios ``alpha_i / alpha_{i-1}`` for ``factorial`` and ``superproduct`` and
-cross-multiplies scaled values for the other kinds.  The oracle, kept as
-the independent reference, orders by the big-integer keys of
-:func:`scaled_exponent`.  Floats appear only in display/export paths and
-are flagged as non-authoritative there.
+cross-multiplies scaled values for the other kinds; the (d2) and
+nuclearity checks compare one exponent with a constant through
+``ExponentSequence.compare_to``.  The oracle, kept as the independent
+reference, orders by the big-integer keys of :func:`scaled_exponent`.
+Floats appear only in display/export paths, through
+``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
 """
 from __future__ import annotations
 
@@ -29,11 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # terms with a positive denominator, exact ordering.  The alias keeps call
 # sites honest about which quantities are part of the exact domain.
 Rational = Fraction
-
-# exp() saturation thresholds for display conversion (double precision)
-_EXP_OVERFLOW = 710
-_EXP_UNDERFLOW = -746
-
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"p/q"`` or a plain integer/decimal string into a Fraction.
@@ -107,25 +104,6 @@ def scaled_exponent(
     :func:`logterm_cmp` does, ties included, without Fraction arithmetic.
     """
     return scaled_numerator(coeff, denom) * seq.scaled(index)
-
-
-def exp_to_float(exponent: Rational) -> tuple[float, bool]:
-    """Best-effort ``e^exponent`` as a double; flag set when clamped."""
-    return exp_quotient_to_float(exponent.numerator, exponent.denominator)
-
-
-def exp_quotient_to_float(num: int, den: int) -> tuple[float, bool]:
-    """``e^(num/den)`` for ints with ``den > 0``, as :func:`exp_to_float`.
-
-    The clamps compare integers, and ``num / den`` is the correctly rounded
-    quotient that ``float(Fraction(num, den))`` gives, so the result does
-    not depend on whether ``num/den`` is in lowest terms.
-    """
-    if num >= _EXP_OVERFLOW * den:
-        return math.inf, True
-    if num <= _EXP_UNDERFLOW * den:
-        return 0.0, True
-    return math.exp(num / den), False
 
 
 def fraction_to_float(x: Rational) -> tuple[float, bool]:

@@ -4,11 +4,12 @@
 anti-diagonal (each diagonal x+y = t is the contiguous block of t+1
 integers ending at the triangular number T_{t+1}).  Column s holds the
 points with x = s-1; the band of a pair (p, q) is the union of columns
-p..q-1.
+p..q-1.  :func:`gallop` is the one monotone index search of the package.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -124,17 +125,35 @@ class BandIndexing:
             raise ValueError(f"{m} is a band element")
         if m <= self.marker(self.k_min):
             raise ValueError(f"{m} precedes the first column-{self.p} marker")
-        # gallop (the step doubles), then bisect: O(log k) marker calls
-        lo, hi = self.k_min, self.k_min + 1
-        while self.marker(hi) < m:
-            lo, hi = hi, hi + 2 * (hi - lo)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.marker(mid) < m:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return gallop(lambda k: self.marker(k) < m, self.k_min)
+
+
+def gallop(holds: Callable[[int], bool], lo: int, stop: int | None = None) -> int:
+    """The greatest x >= lo with ``holds(x)``, for a ``holds`` that is true
+    up to some x and false after it; ``holds(lo)`` is taken as true and
+    never called.
+
+    The step from lo doubles while the probe still holds, then the last
+    step is bisected (unbounded search, Bentley and Yao 1976): O(log(x - lo))
+    calls.  A probe never jumps over ``stop``: from below it, the probe is
+    clamped to ``stop`` first.
+    """
+    step = 1
+    while True:
+        probe = lo + step
+        if stop is not None and lo < stop < probe:
+            probe = stop
+        if not holds(probe):
+            break
+        lo, step = probe, 2 * step
+    hi = probe
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def band(p: int, q: int, count: int) -> BandIndexing:

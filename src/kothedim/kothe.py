@@ -8,26 +8,22 @@ nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
 pure rational inequality, decided exactly.  It depends on n only through
 n's column region, so these checks decide each region once, and DN and
 Omega count its failures up to the horizon in closed form.  The checks
-that do depend on alpha are decided on integers: the nuclearity display
-terms and the (d2) witness search cross-multiply both sides by their
-positive denominators and by ``seq.scale``; the regularity criterion and
-the matrix definition compare ``a * alpha_n`` with ``b * alpha_{n+1}``
-through ``ExponentSequence.compare``.
+that do depend on alpha read it only through the sequence's integer
+kernel: the (d2) witness search and nuclearity's index domination compare
+``a * alpha_n`` with a constant through ``ExponentSequence.compare_to``,
+the nuclearity display terms come from ``ExponentSequence.exp_float``, and
+the regularity criterion and the matrix definition compare ``a * alpha_n``
+with ``b * alpha_{n+1}`` through ``ExponentSequence.compare``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    LogTerm,
-    Rational,
-    exp_quotient_to_float,
-    exp_to_float,
-    scaled_numerator,
-)
-from .grid import band_count_below, column_of, column_start, pair_index
+from .exact import LogTerm, Rational, scaled_numerator
+from .grid import band_count_below, column_of, column_start, gallop, pair_index, unpair
 from .report import FAIL, PASS, CheckReport
 from .sequences import _RATIO_KINDS, ExponentSequence
 
@@ -105,68 +101,52 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     reported for display.
 
     The inequality depends on n only through its column region, so each
-    region is decided once.  The display terms read alpha only up to the
-    first n whose term clamps to 0.0 in every region, so neither part reads
-    alpha up to the horizon: the cost does not grow with it.
+    region is decided once.  The display sum stops at the first n from
+    which no term can change the float, so neither part reads alpha up to
+    the horizon: the cost does not grow with it.
     """
     seq = family.seq
     bound = Fraction(-1, k) + Fraction(1, k + 1)
     # the difference depends on n only through its column region: s < k,
-    # s = k or s > k.  Per region: the difference, whether it breaks the
-    # bound, and the difference as an int over (denominator * scale).
-    regions = []
-    for s in (k - 1, k, k + 1):
-        diff = _column_coeff(k, s) - _column_coeff(k + 1, s)
-        regions.append((diff, diff > bound, diff.numerator, diff.denominator * seq.scale))
+    # s = k or s > k
+    diffs = [_column_coeff(k, s) - _column_coeff(k + 1, s) for s in (k - 1, k, k + 1)]
+    at_bound = [diff == bound for diff in diffs]
 
-    def region(n: int) -> tuple:
+    def region(n: int) -> int:
         s = column_of(n)
-        return regions[(s >= k) + (s > k)]
+        return (s >= k) + (s > k)
 
     alpha_dominates = True  # strictly increasing integers from alpha_1 >= 1
     if seq.kind == "file":
         seq.prefill(horizon)  # a horizon past the stored prefix raises
-        alpha_dominates = all(seq.scaled(n) >= n * seq.scale for n in range(1, horizon + 1))
+        alpha_dominates = all(seq.compare_to(1, n, n) >= 0 for n in range(1, horizon + 1))
     # for k >= 1 the differences are bound, bound - 1 and bound, so no
     # region breaks the bound; one that did would make each of its n a witness
     witnesses = []
-    if any(exceeds for _, exceeds, _, _ in regions):
+    if any(diff > bound for diff in diffs):
         for n in range(1, horizon + 1):
-            diff, exceeds, _, _ = region(n)
-            if exceeds:
+            diff = diffs[region(n)]
+            if diff > bound:
                 witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
 
-    # every difference is at most bound < 0 and alpha increases, so from the
-    # first n where bound * alpha_n clamps to 0.0, every term in every
-    # region is 0.0: adding them is exact, so the sum stops before that n.
-    # Find it by galloping (the step doubles), then bisecting, as _find_i does.
-    _, _, num, den = regions[2]  # the difference is bound
-
-    def clamped(n: int) -> bool:
-        return exp_quotient_to_float(num * seq.scaled(n), den)[1]
-
-    lo, hi = 0, 1
-    while hi <= horizon and not clamped(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, horizon + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clamped(mid):
-            hi = mid
-        else:
-            lo = mid
+    # every difference is at most bound < 0 and alpha increases, so the
+    # float e^(bound * alpha_n) bounds term n and every later term.  Once
+    # twice it is below the ulp of the sum, each of those terms rounds away
+    # and the sum can no longer change: it stops there with the same bits.
     partial_sum = 0.0
-    for n in range(1, hi):
-        _, _, num, den = region(n)
-        term, _ = exp_quotient_to_float(num * seq.scaled(n), den)
-        partial_sum += term
+    for n in range(1, horizon + 1):
+        top, _ = seq.exp_float(bound, n)
+        if 2 * top < math.ulp(partial_sum):
+            break
+        r = region(n)
+        partial_sum += top if at_bound[r] else seq.exp_float(diffs[r], n)[0]
     details: dict = {
         "partial_sum_float": partial_sum,
         "alpha_dominates_index": alpha_dominates,
         "floats_display_only": True,
     }
     if alpha_dominates:
-        r, _ = exp_to_float(bound)
+        r = math.exp(bound)
         details["geometric_tail_bound_float"] = r ** (horizon + 1) / (1 - r)
     return CheckReport(
         criterion="nuclearity",
@@ -314,8 +294,13 @@ def check_d2_failure(
 
     On column j the quotient a_{1,n} a_{j+1,n} / (a_{j,n})^2 equals
     e^(((j+2)/(j(j+1))) alpha_n), so a single witness pushes the sup past
-    any prescribed bound; alpha is increasing along the column, so the scan
-    stops at the first hit.
+    any prescribed bound.  Column element y is n = pair_index(j-1, y), and
+    alpha increases along the column, so the elements without a witness
+    form a prefix: :func:`~kothedim.grid.gallop` finds the least witness y
+    in O(log y) kernel calls and never reads alpha at y >= search_cap.  Its
+    probes never jump over the last stored column element, so a file prefix
+    is read past exactly where a one-step scan would read past it.  The
+    report counts y + 1 scanned column elements, as that scan would.
     """
     if j < 1:
         raise ValueError("need j >= 1")
@@ -323,28 +308,35 @@ def check_d2_failure(
     bound = Fraction(bound)
     coefficient = Fraction(j + 2, j * (j + 1))
     # coefficient * alpha_n > bound, cross-multiplied by the positive
-    # denominators of both sides and by seq.scale
-    lhs_factor = coefficient.numerator * bound.denominator
-    rhs = bound.numerator * coefficient.denominator * seq.scale
-    for y in range(search_cap):
-        n = pair_index(j - 1, y)
-        if lhs_factor * seq.scaled(n) > rhs:
-            return CheckReport(
-                criterion="d2-failure",
-                params={"j": j, "B": bound, "alpha": family.seq.name},
-                verdict=PASS,
-                witnesses=[
-                    {
-                        "n": n,
-                        "column": j,
-                        "exponent_coeff": coefficient,
-                        "exponent_value": coefficient * seq.value(n),
-                    }
-                ],
-                details={"scanned_column_elements": y + 1},
-            )
-    raise SearchCapExceeded(
-        f"no witness in the first {search_cap} elements of column {j}"
+    # denominators of both sides
+    lhs = coefficient.numerator * bound.denominator
+    rhs = bound.numerator * coefficient.denominator
+
+    def misses(y: int) -> bool:
+        return y < search_cap and seq.compare_to(lhs, pair_index(j - 1, y), rhs) <= 0
+
+    # the last stored column element lies on the diagonal of the last
+    # stored index, or on the one before when that index is left of column j
+    x, y = unpair(len(seq))
+    y = gallop(misses, -1, x + y - (j - 1) - (x < j - 1)) + 1
+    if y >= search_cap:
+        raise SearchCapExceeded(
+            f"no witness in the first {search_cap} elements of column {j}"
+        )
+    n = pair_index(j - 1, y)
+    return CheckReport(
+        criterion="d2-failure",
+        params={"j": j, "B": bound, "alpha": family.seq.name},
+        verdict=PASS,
+        witnesses=[
+            {
+                "n": n,
+                "column": j,
+                "exponent_coeff": coefficient,
+                "exponent_value": coefficient * seq.value(n),
+            }
+        ],
+        details={"scanned_column_elements": y + 1},
     )
 
 

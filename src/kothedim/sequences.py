@@ -52,6 +52,8 @@ class ExponentSequence:
     small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
     the same ones the memo is built from) and never reads or grows the
     memo; for the other kinds it cross-multiplies :meth:`scaled` integers.
+    :meth:`compare_to` decides ``a * alpha_m`` against a constant, and
+    :meth:`exp_float` gives the display double of ``e^(coeff * alpha_m)``.
     """
 
     name: str
@@ -224,6 +226,34 @@ class ExponentSequence:
                 break
         s = (x > y) - (x < y)
         return -s if m <= n else s
+
+    def compare_to(self, a: int, m: int, c: int) -> int:
+        """The sign (-1, 0 or 1) of ``a * alpha_m - c``, exactly, for integers
+        a and c.  A generated kind has alpha_1 = 1, so this is
+        :meth:`compare` against ``c * alpha_1`` and a ratio kind reads no
+        memo; a ``file`` alpha cross-multiplies by ``scale``."""
+        if self.kind != "file":
+            return self.compare(a, m, c, 1)
+        d = a * self.scaled(m) - c * self.scale
+        return (d > 0) - (d < 0)
+
+    def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:
+        """Best-effort ``e^(coeff * alpha_m)`` as a double, display-only;
+        the flag is set when the value clamps to inf (an exponent >= 710, or
+        one past the double range) or to 0.0 (<= -746).  Both clamps are
+        settled by :meth:`compare_to`, so alpha_m is materialised only for
+        an unclamped exponent, and then as the correctly rounded quotient
+        ``float(coeff * alpha_m)``."""
+        num, den = coeff.numerator, coeff.denominator
+        # alpha_m > 0: the sign of coeff leaves at most one clamp to decide
+        if num > 0 and self.compare_to(num, m, 710 * den) >= 0:
+            return math.inf, True
+        if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
+            return 0.0, True
+        try:
+            return math.exp(num * self._stored(m) / den), False
+        except OverflowError:  # e^x passes the double range from x ~ 709.78 on
+            return math.inf, True
 
     def prefill(self, n: int) -> None:
         """Store alpha_1..alpha_n; a no-op when they are already stored and

@@ -37,6 +37,14 @@ def test_grid_band_enumeration(runner):
     assert [r[4] for r in rows] == ["0", "1", "2", "3", "4", "5"]
 
 
+def test_gen_matrix_past_the_double_range_prints_inf(runner):
+    # row 71 on column 3 (n = 6): e^((70/71) * 6!), an exponent of about
+    # 709.86, past the largest double but below the 710 clamp
+    result = invoke(runner, ["gen-matrix", "--alpha", "factorial", "--k-max", "71", "--n-max", "6"])
+    assert result.exit_code == 0
+    assert result.output.strip().splitlines()[-1] == "71,6,3,70/71,inf"
+
+
 def test_gen_matrix(runner):
     result = invoke(runner, ["gen-matrix", "--alpha", "linear", "--k-max", "2", "--n-max", "3"])
     lines = result.output.strip().splitlines()
@@ -351,6 +359,15 @@ def test_empty_option_value_exits_2(runner, criterion, option):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert option in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("theta", ["", "abc", "1/0"])
+def test_bad_theta_exits_2_naming_the_option(runner, theta):
+    args = ["verify", "--what", "delta-probe", "--alpha", "linear", "--count", "5", "--theta", theta]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "(option --theta)" in result.output
     assert "Traceback" not in result.output
 
 

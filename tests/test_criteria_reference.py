@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kothedim.exact import exp_quotient_to_float, exp_to_float
 from kothedim.grid import column_of, pair_index
 from kothedim.kothe import (
     KotheFamily,
@@ -95,7 +94,10 @@ def ref_exp(exponent):
         return math.inf
     if exponent <= -746:
         return 0.0
-    return math.exp(exponent)
+    try:
+        return math.exp(exponent)
+    except OverflowError:  # e^x passes the double range from x ~ 709.78 on
+        return math.inf
 
 
 def ref_nuclearity(seq, k, horizon):
@@ -190,6 +192,82 @@ def test_d2_reference_sees_a_rational_tie():
     assert ref_d2(seq, 1, bound, 35)[0] == pair_index(0, 6)
 
 
+def d2_outcome(run):
+    """A d2 result, or the exhausted prefix's message, or "cap"."""
+    try:
+        got = run()
+    except PrefixExhaustedError as exc:
+        return "exhausted", str(exc)
+    except SearchCapExceeded:
+        return "cap"
+    if isinstance(got, CheckReport):
+        w = got.witnesses[0]
+        return w["n"], w["exponent_value"], got.details["scanned_column_elements"]
+    return "cap" if got is None else got
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 6, 10, 11, 50])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_d2_on_a_short_file_prefix_raises_where_the_scan_raises(length, j):
+    # bounds at each stored column element's own exponent (a tie, so the
+    # witness is the next element) and just below it: the witness is the
+    # last stored column element, or the first one past the prefix
+    seq = rational_file(RATIONAL_VALUES[:length])
+    coefficient = Fraction(j + 2, j * (j + 1))
+    stored = [pair_index(j - 1, y) for y in range(length) if pair_index(j - 1, y) <= length]
+    bounds = [Fraction(-1)] + [coefficient * seq.value(n) - e for n in stored for e in (0, Fraction(1, 10**6))]
+    last_stored_found = False
+    for bound in bounds:
+        for cap in sorted({1, len(stored), len(stored) + 1, 100} - {0}):
+            want = d2_outcome(lambda: ref_d2(seq, j, bound, cap))
+            assert d2_outcome(lambda: check_d2_failure(KotheFamily(seq), j, bound, cap)) == want
+            last_stored_found |= bool(stored) and want[0] == stored[-1]
+    assert last_stored_found or not stored
+
+
+def test_d2_makes_logarithmically_many_kernel_calls():
+    seq = ExponentSequence.linear()
+    calls = []
+    compare_to = seq.compare_to
+
+    def counting_compare_to(a, m, c):
+        calls.append(m)
+        return compare_to(a, m, c)
+
+    seq.compare_to = counting_compare_to
+    report = check_d2_failure(KotheFamily(seq), 1, Fraction(10**12), search_cap=10**7)
+    y = report.details["scanned_column_elements"] - 1
+    # (3/2) alpha_n > 10^12 first holds at column 1's element y
+    assert Fraction(3, 2) * pair_index(0, y - 1) <= 10**12 < Fraction(3, 2) * pair_index(0, y)
+    assert report.witnesses[0]["n"] == pair_index(0, y)
+    assert len(calls) <= 2 * (y + 1).bit_length() + 2
+    assert seq.memo == [1]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_exp_float_matches_the_fraction_reference(spec):
+    seq = make_seq(spec)
+    for m in (1, 2, 3, 7, 20, 60):
+        alpha = make_seq(spec).value(m)
+        coeffs = [Fraction(-1, 2), Fraction(3, 7), Fraction(-3, 2), Fraction(0), Fraction(-1, 10**9)]
+        # exactly at each clamp, and one step inside and outside it
+        for edge in (710, -746):
+            coeffs += [(edge + e) / alpha for e in (0, Fraction(-1, 10**9), Fraction(1, 10**9))]
+        for c in coeffs:
+            exponent = c * alpha
+            value = ref_exp(exponent)
+            clamped = value == math.inf or exponent <= -746
+            assert seq.exp_float(c, m) == (value, clamped), (c, m)
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_clamped_exp_float_reads_no_memo(spec):
+    seq = make_seq(spec)
+    assert seq.exp_float(Fraction(-1, 2), 10**4) == (0.0, True)
+    assert seq.exp_float(Fraction(1, 10**6), 10**4) == (math.inf, True)
+    assert len(seq) == 1
+
+
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_nuclearity_matches_reference(spec, k):
@@ -202,31 +280,36 @@ def test_nuclearity_matches_reference(spec, k):
     assert ("geometric_tail_bound_float" in report.details) == dominates
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
 def test_nuclearity_matches_reference_around_the_clamp(k):
     # linear: the bound's term e^(-n / (k(k+1))) clamps to 0.0 from
-    # n0 = 746 k(k+1) on (8952 for k = 3); the sum stops before n0
+    # n0 = 746 k(k+1) on (8952 for k = 3); the sum stops well before n0, at
+    # the first n whose bound term is below half an ulp of the sum
     n0 = 746 * k * (k + 1)
-    for horizon in (n0 - 1, n0, n0 + 1, n0 + 40):
+    stop = {1: 75, 2: 213, 3: 416, 8: 2346}[k]
+    for horizon in (stop - 1, stop, stop + 1, n0 - 1, n0, n0 + 1, n0 + 40):
         report = check_nuclearity(KotheFamily(make_seq("linear")), k, horizon)
         witnesses, partial_sum, dominates = ref_nuclearity(make_seq("linear"), k, horizon)
         assert report.witnesses == witnesses == []
         assert report.details["partial_sum_float"] == partial_sum
         assert report.details["alpha_dominates_index"] == dominates
     # n0 is the first n whose exponent reaches the clamp
-    assert not exp_quotient_to_float(-(n0 - 1), k * (k + 1))[1]
-    assert exp_quotient_to_float(-n0, k * (k + 1))[1]
+    bound = Fraction(-1, k * (k + 1))
+    assert not make_seq("linear").exp_float(bound, n0 - 1)[1]
+    assert make_seq("linear").exp_float(bound, n0) == (0.0, True)
 
 
 def test_nuclearity_sum_keeps_every_term_before_the_bound_clamps():
     # alpha_n = n + 999/2, k = 1: column 1 carries bound - 1 = -3/2, whose
     # terms clamp from n = 1 on; column 2 on carries bound = -1/2, whose
-    # terms do not clamp before alpha_n reaches 1492, so they make the sum
+    # terms do not clamp before alpha_n reaches 1492, so they make the sum;
+    # a sum that stopped on the bound - 1 terms would stop at n = 1
     seq = rational_file([Fraction(2 * n + 999, 2) for n in range(1, 1201)])
     report = check_nuclearity(KotheFamily(seq), 1, 1200)
     _, partial_sum, _ = ref_nuclearity(seq, 1, 1200)
     assert report.details["partial_sum_float"] == partial_sum > 0
-    assert exp_quotient_to_float(-3 * 1001, 4)[1]
+    assert ref_exp(Fraction(-3 * 1001, 4)) == 0.0
+    assert seq.exp_float(Fraction(-3, 2), 1) == (0.0, True)
 
 
 def triangular(t):
@@ -281,10 +364,13 @@ def test_nuclearity_covers_both_exp_branches():
     ],
 )
 def test_exp_quotient_matches_exp_of_the_fraction(num, den):
-    assert exp_quotient_to_float(num, den) == exp_to_float(Fraction(num, den))
-    value, clamped = exp_quotient_to_float(num, den)
-    assert value == ref_exp(Fraction(num, den))
-    assert clamped == (Fraction(num, den) >= 710 or Fraction(num, den) <= -746)
+    # e^(num/den) as e^(coeff * alpha_1): coeff = num/den where alpha_1 = 1,
+    # and coeff = (num/den) * 3/2 on a file alpha whose alpha_1 is 2/3
+    exponent = Fraction(num, den)
+    want = (ref_exp(exponent), exponent >= 710 or exponent <= -746)
+    for spec in ("linear", "poly:3", "factorial", "superproduct"):
+        assert make_seq(spec).exp_float(exponent, 1) == want
+    assert rational_file([Fraction(2, 3)]).exp_float(exponent * Fraction(3, 2), 1) == want
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kothedim.exact import (
     LogTerm,
-    exp_to_float,
     format_rational,
     fraction_to_float,
     logterm_cmp,
@@ -102,18 +101,15 @@ def test_logterm_cmp_total_order(t1, t2, t3):
 
 def test_logterm_to_float_examples():
     seq = ExponentSequence.linear()
-    value, clamped = exp_to_float(Fraction(-3, 2) * seq.value(1))
+    value, clamped = seq.exp_float(Fraction(-3, 2), 1)
     assert not clamped
     assert value == pytest.approx(math.exp(-1.5), rel=1e-12)
-    value, clamped = exp_to_float(Fraction(0) * seq.value(7))
-    assert (value, clamped) == (1.0, False)
+    assert seq.exp_float(Fraction(0), 7) == (1.0, False)
 
 
 def test_logterm_to_float_underflow_flag():
     seq = ExponentSequence.factorial()
-    value, clamped = exp_to_float(Fraction(-1, 2) * seq.value(100))
-    assert value == 0.0
-    assert clamped
+    assert seq.exp_float(Fraction(-1, 2), 100) == (0.0, True)
 
 
 def test_fraction_to_float_clamps_by_sign():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kothedim.grid import (
@@ -8,6 +8,7 @@ from kothedim.grid import (
     band_count_below,
     column_of,
     column_start,
+    gallop,
     in_band,
     pair_index,
     unpair,
@@ -176,3 +177,35 @@ def test_locate_k_makes_logarithmically_many_marker_calls(p, q):
         k = b.locate_k(m)
         assert BandIndexing.marker(b, k) < m < BandIndexing.marker(b, k + 1)
         assert len(calls) <= 2 * (k - b.k_min + 2).bit_length() + 2
+
+
+def linear_scan(holds, lo):
+    """Reference: step one index at a time from lo while holds stays true."""
+    while holds(lo + 1):
+        lo += 1
+    return lo
+
+
+@settings(max_examples=400)
+@given(
+    lo=st.integers(min_value=-3, max_value=40),
+    length=st.integers(min_value=0, max_value=300),
+    stop=st.none() | st.integers(min_value=-5, max_value=400),
+)
+def test_gallop_matches_a_linear_scan(lo, length, stop):
+    # holds is true on lo..lo+length and false after it
+    calls = []
+
+    def holds(x):
+        calls.append(x)
+        return x <= lo + length
+
+    want = linear_scan(holds, lo)
+    calls.clear()
+    assert gallop(holds, lo, stop) == want == lo + length
+    assert lo not in calls  # holds(lo) is taken as true, never called
+    assert len(calls) <= 2 * (length + 1).bit_length() + 3
+    if stop is not None and lo < stop:
+        # a probe past stop comes only after stop itself was probed
+        past = [i for i, x in enumerate(calls) if x > stop]
+        assert not past or stop in calls[: past[0]]
