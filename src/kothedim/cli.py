@@ -3,7 +3,10 @@
 Identical configurations produce byte-identical output (there are no
 timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
-display-only.
+display-only.  ``diameters --method both`` decides its ``values_equal``
+column with ``ExponentSequence.compare`` on the two coefficients'
+numerators over pq, and leaves it empty where the oracle entry is not
+certified; ``oracle_agrees`` reads the same cells.
 
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
@@ -24,7 +27,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import format_rational, fraction_to_float, parse_rational
+from .exact import format_rational, fraction_to_float, parse_rational, scaled_numerator
 from .grid import band, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -91,10 +94,6 @@ def _csv(rows: list[list], header: list[str]) -> str:
 def _json_text(payload: dict) -> str:
     payload = {"schema": SCHEMA_VERSION, **payload}
     return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _float_str(x: float) -> str:
-    return repr(x)
 
 
 def _rational_option(name: str, text: str) -> Fraction:
@@ -188,33 +187,12 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
             term = family.log_entry(k, n)
             approx, _ = family.seq.exp_float(term.coeff, term.alpha_index)
             rows.append(
-                [k, n, column_of(n), format_rational(term.coeff), _float_str(approx)]
+                [k, n, column_of(n), format_rational(term.coeff), repr(approx)]
             )
     _emit(_csv(rows, ["k", "n", "column", "coeff", "approx"]), out)
 
 
 # -- diameters -----------------------------------------------------------------
-
-
-def _tables_for(
-    family: km.KotheFamily,
-    p: int,
-    q: int,
-    count: int,
-    method: str,
-    horizon: int | None = None,
-) -> tuple[dm.DiameterTable | None, dm.DiameterTable | None]:
-    oracle = closed = None
-    if method in ("oracle", "both"):
-        if horizon is None:
-            oracle = dm.oracle_diameters_certified(family, p, q, count)
-        else:
-            oracle = dm.oracle_diameters(family, p, q, horizon)
-            if not oracle.entries:
-                _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
-    if method in ("closed", "both"):
-        closed = dm.closedform_diameters(family, p, q, count)
-    return oracle, closed
 
 
 @main.command("diameters")
@@ -250,36 +228,26 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         _fail(EXIT_BAD_CONFIG, "--horizon must be at least --count")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
-    oracle, closed = _tables_for(family, p, q, count, method, horizon)
-    primary = closed if closed is not None else oracle
-
-    rows = []
-    for n in range(min(count, len(primary.entries))):
-        e = primary.entry(n)
-        approx, _ = seq.exp_float(e.coeff, e.alpha_index)
-        certified = e.certified
-        if method == "both" and n < len(oracle.entries):
-            certified = certified and oracle.entry(n).certified
-        row = [
-            n,
-            format_rational(e.coeff),
-            e.alpha_index,
-            e.segment,
-            _float_str(approx),
-            certified,
-        ]
-        if method == "both":
-            o = oracle.entry(n)
-            # agreement is only meaningful where the oracle entry is final
-            row += [
-                format_rational(o.coeff),
-                o.alpha_index,
-                o.log_value(seq) == e.log_value(seq) if o.certified else "",
-            ]
-        rows.append(row)
-    header = ["n", "coeff", "alpha_index", "segment", "approx_value", "certified"]
+    oracle = None
+    if method != "closed":
+        if horizon is None:
+            oracle = dm.oracle_diameters_certified(family, p, q, count)
+        else:
+            oracle = dm.oracle_diameters(family, p, q, horizon)
+            if not oracle.entries:
+                _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
+    primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
+    entries = primary.entries[:count]
+    agrees = []
     if method == "both":
-        header += ["oracle_coeff", "oracle_alpha_index", "values_equal"]
+        # the oracle holds at least count entries; agreement is only
+        # meaningful where its entry is final
+        pq = p * q
+        for e, o in zip(entries, oracle.entries):
+            agrees.append("" if not o.certified else seq.compare(
+                scaled_numerator(o.coeff, pq), o.alpha_index,
+                scaled_numerator(e.coeff, pq), e.alpha_index,
+            ) == 0)
 
     if output == "json":
         payload = {
@@ -288,15 +256,25 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
             "alpha": seq.name,
             "method": method,
             "floats_display_only": True,
-            "entries": [
-                dm.entry_to_json(primary.entry(n), seq)
-                for n in range(min(count, len(primary.entries)))
-            ],
+            "entries": [dm.entry_to_json(e, seq) for e in entries],
         }
         if method == "both":
-            payload["oracle_agrees"] = all(r[-1] for r in rows if r[-1] != "")
+            payload["oracle_agrees"] = all(equal for equal in agrees if equal != "")
         _emit(_json_text(payload), out)
-    elif output == "csv":
+        return
+    header = ["n", "coeff", "alpha_index", "segment", "approx_value", "certified"]
+    if method == "both":
+        header += ["oracle_coeff", "oracle_alpha_index", "values_equal"]
+    rows = []
+    for n, e in enumerate(entries):
+        approx = repr(seq.exp_float(e.coeff, e.alpha_index)[0])
+        row = [n, format_rational(e.coeff), e.alpha_index, e.segment, approx, e.certified]
+        if method == "both":
+            o = oracle.entry(n)
+            row[-1] = e.certified and o.certified
+            row += [format_rational(o.coeff), o.alpha_index, agrees[n]]
+        rows.append(row)
+    if output == "csv":
         _emit(_csv(rows, header), out)
     else:
         widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0)) for i, h in enumerate(header)]
@@ -375,51 +353,28 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     pair_list = _parse_pairs(pairs)
     tables = {(p, q): dm.closedform_diameters(family, p, q, count) for p, q in pair_list}
-    if what == "sandwich":
-        payload = {
-            "what": "sandwich",
-            "alpha": family.seq.name,
-            "reports": [
-                vf.verify_sandwich(family, p, q, tables[(p, q)]).to_json()
-                for p, q in pair_list
-            ],
+
+    def pair_report(p: int, q: int) -> dict:
+        table = tables[(p, q)]
+        if what == "sandwich":
+            return vf.verify_sandwich(family, p, q, table).to_json()
+        if what == "edd-tail":
+            return vf.edd_tail_check(family, p, q, table).to_json()
+        return {
+            "p": p,
+            "q": q,
+            "expected": 1 - km.c_pq(p, q),
+            "ratios": vf.eadd_ratio(family, p, q, table),
         }
-    elif what == "eadd":
-        payload = {
-            "what": "eadd",
-            "alpha": family.seq.name,
-            "reports": [
-                {
-                    "p": p,
-                    "q": q,
-                    "expected": 1 - km.c_pq(p, q),
-                    "ratios": vf.eadd_ratio(family, p, q, tables[(p, q)]),
-                }
-                for p, q in pair_list
-            ],
-        }
-    elif what == "aa":
-        payload = {
-            "what": "aa",
-            "alpha": family.seq.name,
-            "statistic": vf.aa_statistic(family, tables, tail_window).to_json(),
-        }
-    elif what == "edd-tail":
-        payload = {
-            "what": "edd-tail",
-            "alpha": family.seq.name,
-            "reports": [
-                vf.edd_tail_check(family, p, q, tables[(p, q)]).to_json()
-                for p, q in pair_list
-            ],
-        }
+
+    payload = {"what": what, "alpha": family.seq.name}
+    if what == "aa":
+        payload["statistic"] = vf.aa_statistic(family, tables, tail_window).to_json()
+    elif what == "delta-probe":
+        theta_value = _rational_option("--theta", theta)
+        payload["report"] = vf.delta_membership_probe(family, theta_value, tables).to_json()
     else:
-        probe = vf.delta_membership_probe(family, _rational_option("--theta", theta), tables)
-        payload = {
-            "what": "delta-probe",
-            "alpha": family.seq.name,
-            "report": probe.to_json(),
-        }
+        payload["reports"] = [pair_report(p, q) for p, q in pair_list]
     _emit(_json_text(payload), out)
 
 
@@ -438,7 +393,7 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
-    _, closed = _tables_for(family, p, q, count, "closed")
+    closed = dm.closedform_diameters(family, p, q, count)
     rows = []
     for n in range(closed.certified_horizon + 1):
         eps = dm.epsilon_n(closed, n)
@@ -451,9 +406,9 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
         rows.append(
             [
                 n,
-                _float_str(f_eps),
-                _float_str(f_alpha),
-                _float_str(f_ratio),
+                repr(f_eps),
+                repr(f_alpha),
+                repr(f_ratio),
                 format_rational(eps_value),
                 format_rational(alpha_next),
                 format_rational(ratio),

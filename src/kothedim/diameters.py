@@ -74,7 +74,6 @@ class DiameterTable:
     p: int
     q: int
     method: str
-    seq_name: str
     entries: list[DiameterEntry]
     certified_horizon: int
     plan: list[PlanRow] | None = None
@@ -146,7 +145,6 @@ def oracle_diameters(
         p=p,
         q=q,
         method="oracle",
-        seq_name=seq.name,
         entries=entries,
         certified_horizon=horizon,
         oracle_prefix=prefix_len,
@@ -387,7 +385,6 @@ def closedform_diameters(
         p=p,
         q=q,
         method="closed",
-        seq_name=seq.name,
         entries=entries,
         certified_horizon=count - 1,
         plan=rows,

@@ -7,15 +7,16 @@ compared as integers: within one (p, q) table every coefficient is
 ``c_pq`` or ``c_pq - 1``, whose denominators divide ``pq``, so
 :func:`scaled_numerator` turns each into an integer numerator over ``pq``.
 Two routes then decide the order.  The closed form, the verification
-harness and the regularity checks call ``ExponentSequence.compare(a, m, b,
-n)``, the sign of ``a * alpha_m - b * alpha_n``: it walks the small integer
-ratios ``alpha_i / alpha_{i-1}`` for ``factorial`` and ``superproduct`` and
-cross-multiplies scaled values for the other kinds; the (d2) and
-nuclearity checks compare one exponent with a constant through
-``ExponentSequence.compare_to``.  The oracle, kept as the independent
-reference, orders by the big-integer keys of :func:`scaled_exponent`.
-Floats appear only in display/export paths, through
-``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
+harness, the regularity checks and the CLI's ``values_equal`` column call
+``ExponentSequence.compare(a, m, b, n)``, the sign of ``a * alpha_m - b *
+alpha_n``: it walks the small integer ratios ``alpha_i / alpha_{i-1}`` for
+``factorial`` and ``superproduct`` and cross-multiplies scaled values for
+the other kinds; the (d2) and nuclearity checks compare one exponent with
+a constant through ``ExponentSequence.compare_to``.  The oracle, kept as
+the independent reference, orders by the big-integer keys of
+:func:`scaled_exponent`.  Floats appear only in display/export paths,
+through ``ExponentSequence.exp_float``, and are flagged as
+non-authoritative there.
 """
 from __future__ import annotations
 

@@ -4,7 +4,10 @@
 anti-diagonal (each diagonal x+y = t is the contiguous block of t+1
 integers ending at the triangular number T_{t+1}).  Column s holds the
 points with x = s-1; the band of a pair (p, q) is the union of columns
-p..q-1.  :func:`gallop` is the one monotone index search of the package.
+p..q-1.  Every band index (``element``, ``s_k``, ``locate_k``) is a closed
+form; :func:`gallop` is the one monotone index search of the package, and
+serves the two searches over alpha (the placement search and the (d2)
+witness).
 """
 from __future__ import annotations
 
@@ -120,12 +123,18 @@ class BandIndexing:
         return band_count_below(self.p, self.q, m)
 
     def locate_k(self, m: int) -> int:
-        """The k with n_{s_k} < m < n_{s_(k+1)} for a non-band m > n_1."""
+        """The k with n_{s_k} < m < n_{s_(k+1)} for a non-band m > n_1.
+
+        marker(k) lies on the diagonal q+k-2, in column p.  On m's diagonal
+        x+y that is marker k+1 when m is left of the band (x < p-1) and
+        marker k when m is right of it (x >= q-1 >= p).
+        """
         if self.contains(m):
             raise ValueError(f"{m} is a band element")
         if m <= self.marker(self.k_min):
             raise ValueError(f"{m} precedes the first column-{self.p} marker")
-        return gallop(lambda k: self.marker(k) < m, self.k_min)
+        x, y = unpair(m)
+        return x + y - self.q + 1 + (x >= self.p)
 
 
 def gallop(holds: Callable[[int], bool], lo: int, stop: int | None = None) -> int:

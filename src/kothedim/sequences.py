@@ -60,7 +60,6 @@ class ExponentSequence:
     kind: str
     declared_class: str
     degree: int | None = None
-    path: str | None = None
     memo: list[int | Rational] = field(default_factory=list)
     scale: int = field(init=False, default=1)
 
@@ -128,7 +127,6 @@ class ExponentSequence:
             name=f"file:{path}",
             kind="file",
             declared_class=UNSPECIFIED,
-            path=str(path),
             memo=values,
         )
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diameters import DiameterTable
+from .diameters import DiameterTable, PlanRow, epsilon_n
 from .exact import Rational, fraction_to_float, scaled_numerator
 from .kothe import KotheFamily, c_pq
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
@@ -87,6 +87,20 @@ def verify_sandwich(
     )
 
 
+def _tail_band(table: DiameterTable) -> list[PlanRow]:
+    """The plan rows from a0 on whose band term lands inside the certified
+    range; a tail band term n_a lands at n_a - 1."""
+    if table.plan is None or table.a0 is None:
+        return []
+    horizon = table.certified_horizon
+    return [row for row in table.plan[table.a0 - 1 :] if row.n_a - 1 <= horizon]
+
+
+def _decay_ratio(seq, table: DiameterTable, n: int) -> Rational:
+    """The exact ratio -log(d_n) / alpha_{n+1}."""
+    return epsilon_n(table, n).log_value(seq) / seq.value(n + 1)
+
+
 def eadd_ratio(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> list[dict]:
@@ -107,15 +121,10 @@ def eadd_ratio(
             "table never enters the tail regime within its range; "
             "increase the count"
         )
-    seq = family.seq
-    out = []
-    for row in table.plan:
-        if row.a < table.a0 or row.j_a > table.certified_horizon:
-            continue
-        entry = table.entry(row.n_a - 1)
-        ratio = (-entry.coeff * seq.value(entry.alpha_index)) / seq.value(row.n_a)
-        out.append({"a": row.a, "n_a": row.n_a, "ratio": ratio})
-    return out
+    return [
+        {"a": row.a, "n_a": row.n_a, "ratio": _decay_ratio(family.seq, table, row.n_a - 1)}
+        for row in _tail_band(table)
+    ]
 
 
 @dataclass
@@ -161,16 +170,9 @@ def aa_statistic(
         sup: Rational | None = None
         red_sup: Rational | None = None
         red_points = 0
-        red_positions = set()
-        if table.plan is not None and table.a0 is not None:
-            red_positions = {
-                row.n_a - 1
-                for row in table.plan
-                if row.a >= table.a0 and 0 <= row.n_a - 1 <= horizon
-            }
+        red_positions = {row.n_a - 1 for row in _tail_band(table)}
         for n in range(lo, horizon + 1):
-            entry = table.entry(n)
-            ratio = (-entry.coeff * seq.value(entry.alpha_index)) / seq.value(n + 1)
+            ratio = _decay_ratio(seq, table, n)
             if sup is None or ratio > sup:
                 sup = ratio
             if n in red_positions:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -7,6 +11,8 @@ from hypothesis import strategies as st
 
 from kothedim import diameters as dm
 from kothedim.cli import main
+from kothedim.kothe import KotheFamily
+from kothedim.sequences import ExponentSequence
 
 
 @pytest.fixture
@@ -424,6 +430,83 @@ def test_oracle_prefix_certifying_nothing_exits_3(runner):
     assert result.exit_code == 3
     assert "error: prefix of 2 ratio terms certifies no diameter" in result.output
     assert "Traceback" not in result.output
+
+
+# -- the benchmark's golden commands -------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_command_replays(runner, command):
+    want = GOLDEN[command]
+    result = runner.invoke(main, shlex.split(command))
+    assert result.exit_code == want["exit_code"], result.output
+    if want["stdout_sha256"] is None:
+        # schema line, column names, then the rows
+        assert len(result.stdout.splitlines()) == want["csv_rows"] + 2
+    else:
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == want["stdout_sha256"]
+
+
+# -- values_equal against the Fraction reference ------------------------------
+
+
+@pytest.fixture(scope="module")
+def long_file_alpha(tmp_path_factory):
+    path = tmp_path_factory.mktemp("alpha") / "long.txt"
+    # alpha_n = n(n+1)/2 + 1/(1 + n % 12): strictly increasing, rational
+    path.write_text("".join(
+        f"{Fraction(n * (n + 1), 2) + Fraction(1, 1 + n % 12)}\n" for n in range(1, 401)
+    ))
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize(
+    "alpha,p,q,count,horizon,ties",
+    [
+        # 28 rows where the engines pick different (coeff, alpha_index) of
+        # equal value, e.g. -3/2*alpha_1 = -1/2*alpha_3 at n = 0
+        ("linear", 1, 2, 300, None, 28),
+        ("poly:2", 2, 5, 120, None, None),
+        ("factorial", 1, 2, 120, None, None),
+        ("superproduct", 2, 3, 120, None, None),
+        ("file", 1, 4, 60, None, None),
+        # fixed prefixes that leave the last rows uncertified
+        ("linear", 1, 2, 12, 12, None),
+        ("file", 2, 5, 40, 40, None),
+    ],
+)
+def test_values_equal_matches_fraction_reference(
+    runner, long_file_alpha, alpha, p, q, count, horizon, ties
+):
+    spec = long_file_alpha if alpha == "file" else alpha
+    family = KotheFamily(ExponentSequence.from_spec(spec))
+    seq = family.seq
+    if horizon is None:
+        oracle = dm.oracle_diameters_certified(family, p, q, count)
+    else:
+        oracle = dm.oracle_diameters(family, p, q, horizon)
+    closed = dm.closedform_diameters(family, p, q, count)
+    pairs = list(zip(closed.entries, oracle.entries))
+    want = [
+        str(o.log_value(seq) == e.log_value(seq)) if o.certified else ""
+        for e, o in pairs
+    ]
+    args = ["diameters", "--alpha", spec, "--p", str(p), "--q", str(q), "--count", str(count)]
+    if horizon is not None:
+        args += ["--horizon", str(horizon)]
+        assert "" in want
+    lines = invoke(runner, args).output.splitlines()
+    column = lines[1].split(",").index("values_equal")
+    assert [line.split(",")[column] for line in lines[2:]] == want
+    if ties is not None:
+        assert ties == sum(
+            (e.coeff, e.alpha_index) != (o.coeff, o.alpha_index) and equal == "True"
+            for (e, o), equal in zip(pairs, want)
+        )
+    payload = json.loads(invoke(runner, args + ["--output", "json"]).output)
+    assert payload["oracle_agrees"] is ("False" not in want)
 
 
 # -- every subcommand, generated arguments ---------------------------------
