@@ -10,7 +10,7 @@ from .diameters import (
     oracle_diameters_certified,
 )
 from .exact import LogTerm, Rational, logterm_cmp
-from .grid import band, column_of, pair_index, unpair
+from .grid import column_of, pair_index, unpair
 from .kothe import (
     KotheFamily,
     a_pq,
@@ -43,7 +43,6 @@ __all__ = [
     "Rational",
     "a_pq",
     "aa_statistic",
-    "band",
     "c_pq",
     "check_d2_failure",
     "check_dn",

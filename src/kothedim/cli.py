@@ -10,7 +10,8 @@ certified; ``oracle_agrees`` reads the same cells.
 
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
-segment-coverage failure.
+segment-coverage failure.  Exact integers are printed and parsed without
+Python's int-to-str digit limit, so a large valid value never exits 2.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
 from .exact import format_rational, fraction_to_float, parse_rational, scaled_numerator
-from .grid import band, column_of, unpair
+from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
 EXIT_BAD_CONFIG = 2
@@ -129,6 +130,9 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 def main() -> None:
     """Exact Kolmogorov diameters of a two-regime Köthe space family."""
+    # print and parse exact values in full (older Pythons have no limit)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 # -- grid ---------------------------------------------------------------------
@@ -147,7 +151,7 @@ def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | No
     if p is not None:
         if not q > p >= 1:
             _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
-        b = band(p, q, count)
+        b = BandIndexing(p=p, q=q)
         markers = {}
         k = b.k_min
         while True:
@@ -204,8 +208,9 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     "--horizon",
     type=click.IntRange(min=2),
     default=None,
-    help="Fixed ratio-prefix length for the oracle (default: grown until "
-    "the first count entries certify); must be >= count and >= 2.",
+    help="Merge only the ratio terms up to this index in the oracle and "
+    "certify the entries above the next one (default: merge them all, "
+    "every entry final); must be >= count and >= 2.",
 )
 @click.option(
     "--method",

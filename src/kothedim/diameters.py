@@ -1,8 +1,10 @@
 """Kolmogorov diameter sequences by two independent routes.
 
-Route one (the oracle) literally sorts the exact ratio terms
-``a_{p,n}/a_{q,n}`` in descending order and reads the (n+1)-th term.  Route
-two never sorts: it places each on-band term by an index formula (how many
+Route one (the oracle) merges the exact ratio terms ``a_{p,n}/a_{q,n}``
+into descending order and reads the (n+1)-th term: the off-band terms
+e^(c alpha_m) and the band terms e^((c-1) alpha_n) are two strictly
+decreasing runs, so a two-way merge of them is final entry by entry.  Route
+two never merges: it places each on-band term by an index formula (how many
 off-band terms beat it) and fills the remaining positions with the off-band
 terms in increasing order, attributing every position to one of the segment
 families head/J/K/L/M or to the eventually-decreasing tail that takes over
@@ -15,12 +17,14 @@ element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .exact import LogTerm, Rational, scaled_exponent, scaled_numerator
+from .exact import LogTerm, Rational, scaled_numerator
 from .grid import BandIndexing, gallop
 from .kothe import KotheFamily, a_pq, c_pq
-from .sequences import PrefixExhaustedError
 
 HEAD = "head"
 SEG_J = "J"
@@ -79,7 +83,7 @@ class DiameterTable:
     plan: list[PlanRow] | None = None
     a0: int | None = None
     tail_start: int | None = None
-    oracle_prefix: int | None = None
+    oracle_prefix: int | None = None  # the largest ratio index the oracle read
     diagnostic: str | None = None
 
     def entry(self, n: int) -> DiameterEntry:
@@ -98,55 +102,58 @@ def epsilon_n(table: DiameterTable, n: int) -> LogTerm:
     return LogTerm(-e.coeff, e.alpha_index)
 
 
-# -- route one: the sorting oracle -------------------------------------------
+# -- route one: the merging oracle -------------------------------------------
+
+
+def _merged_entries(
+    family: KotheFamily, p: int, q: int, indices: Iterable[int], bound: int | None
+) -> Iterator[DiameterEntry]:
+    """The ratio terms at ``indices`` (ascending from 1), descending by
+    value, ties by the smaller ratio index m; certified when the key beats
+    ``bound``, always when ``bound`` is None.
+
+    A key is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off
+    the band (``ratio_coeff`` is c_pq) and on it (c_pq - 1) the coefficient
+    is one negative constant, so each run strictly decreases and
+    :func:`heapq.merge` of ``(-key, m)`` orders the two as sorting all the
+    terms would.  Both runs share one pass of ``seq.scaled_values()``.
+    """
+    pq = p * q
+    blue = c_pq(p, q)
+    red = blue - 1
+    blue_num = scaled_numerator(blue, pq)
+    blues, reds = itertools.tee(
+        (m, alpha, family.ratio_coeff(p, q, m) != blue)
+        for m, alpha in zip(indices, family.seq.scaled_values())
+    )
+    merged = heapq.merge(
+        ((-blue_num * alpha, m, blue) for m, alpha, on_band in blues if not on_band),
+        ((-(blue_num - pq) * alpha, m, red) for m, alpha, on_band in reds if on_band),
+    )
+    for n, (neg_key, m, coeff) in enumerate(merged):
+        yield DiameterEntry(n, coeff, m, ORACLE, bound is None or -neg_key > bound)
 
 
 def oracle_diameters(
     family: KotheFamily, p: int, q: int, prefix_len: int
 ) -> DiameterTable:
-    """Sort the first ``prefix_len`` exact ratio terms in descending order.
+    """Merge the first ``prefix_len`` exact ratio terms in descending order.
 
-    d_n is the (n+1)-th sorted term.  An entry is certified final when it is
+    d_n is the (n+1)-th merged term.  An entry is certified final when it is
     strictly greater than e^(c_pq alpha_{prefix_len+1}), which dominates
     every unseen term; ties with that bound stay uncertified because an
-    unseen term could equal them.
+    unseen term could equal them.  A table that certifies nothing lists no
+    entries.
     """
     if prefix_len < 2:
         raise ValueError("oracle prefix must have at least 2 terms")
-    seq = family.seq
-    pq = p * q
-    terms = []
-    for m in range(1, prefix_len + 1):
-        coeff = family.ratio_coeff(p, q, m)
-        terms.append((-scaled_exponent(coeff, m, seq, pq), m, coeff))
-    # descending by exact value; ties broken by smaller ratio index
-    terms.sort()
-
-    bound = scaled_exponent(c_pq(p, q), prefix_len + 1, seq, pq)
-    horizon = -1
-    for idx, (neg_key, _, _) in enumerate(terms):
-        if -neg_key > bound:
-            horizon = idx
-        else:
-            break
-    if horizon < 0:
-        terms = []  # a table that certifies nothing lists no entries
-    entries = [
-        DiameterEntry(
-            n=idx,
-            coeff=coeff,
-            alpha_index=m,
-            segment=ORACLE,
-            certified=idx <= horizon,
-        )
-        for idx, (_, m, coeff) in enumerate(terms)
-    ]
+    # alpha_{prefix_len+1} from a pass of its own, so that no key is kept
+    alpha_next = next(itertools.islice(family.seq.scaled_values(), prefix_len, None))
+    bound = scaled_numerator(c_pq(p, q), p * q) * alpha_next
+    entries = list(_merged_entries(family, p, q, range(1, prefix_len + 1), bound))
+    horizon = sum(e.certified for e in entries) - 1  # the keys decrease
     return DiameterTable(
-        p=p,
-        q=q,
-        method="oracle",
-        entries=entries,
-        certified_horizon=horizon,
+        p, q, "oracle", entries if horizon >= 0 else [], horizon,
         oracle_prefix=prefix_len,
         diagnostic=None if horizon >= 0 else (
             f"prefix of {prefix_len} ratio terms certifies no diameter; "
@@ -155,26 +162,19 @@ def oracle_diameters(
     )
 
 
-ORACLE_MAX_DOUBLINGS = 24
-
-
 def oracle_diameters_certified(
     family: KotheFamily, p: int, q: int, count: int
 ) -> DiameterTable:
-    """Grow the sorted prefix until the first ``count`` entries are certified.
+    """The first ``count`` entries of the merge over every ratio term.
 
-    The prefix starts at count + 16 and doubles at most
-    ``ORACLE_MAX_DOUBLINGS`` times before PrefixExhaustedError.
+    Each is final: every term not yet merged comes after the heads of the
+    two runs.  ``oracle_prefix`` is the largest ratio index the merge read.
     """
-    prefix = count + 16
-    for _ in range(ORACLE_MAX_DOUBLINGS):
-        table = oracle_diameters(family, p, q, prefix)
-        if table.certified_horizon >= count - 1:
-            return table
-        prefix *= 2
-    raise PrefixExhaustedError(
-        f"could not certify {count} oracle diameters within "
-        f"{prefix} ratio terms"
+    indices = itertools.count(1)
+    merged = _merged_entries(family, p, q, indices, None)
+    entries = list(itertools.islice(merged, count))
+    return DiameterTable(
+        p, q, "oracle", entries, count - 1, oracle_prefix=next(indices) - 1
     )
 
 

@@ -13,10 +13,11 @@ alpha_n``: it walks the small integer ratios ``alpha_i / alpha_{i-1}`` for
 ``factorial`` and ``superproduct`` and cross-multiplies scaled values for
 the other kinds; the (d2) and nuclearity checks compare one exponent with
 a constant through ``ExponentSequence.compare_to``.  The oracle, kept as
-the independent reference, orders by the big-integer keys of
-:func:`scaled_exponent`.  Floats appear only in display/export paths,
-through ``ExponentSequence.exp_float``, and are flagged as
-non-authoritative there.
+the independent reference, merges its two strictly decreasing runs of
+terms by big-integer keys: ``scaled_numerator(coeff, pq)`` times the
+values of ``ExponentSequence.scaled_values``.  Floats appear only in
+display/export paths, through ``ExponentSequence.exp_float``, and are
+flagged as non-authoritative there.
 """
 from __future__ import annotations
 
@@ -91,20 +92,6 @@ def scaled_numerator(coeff: Rational, denom: int) -> int:
             f"dividing {denom}"
         )
     return numerator
-
-
-def scaled_exponent(
-    coeff: Rational, index: int, seq: "ExponentSequence", denom: int
-) -> int:
-    """The exponent ``coeff * alpha_index`` times ``denom * seq.scale``, exactly.
-
-    ``denom`` must be a multiple of ``coeff``'s denominator; ``pq`` serves
-    both coefficients of a (p, q) table.  For one ``denom`` and one sequence
-    the factor is the same positive integer, so these keys order the
-    exponents, and the values ``e^(coeff * alpha_index)``, as
-    :func:`logterm_cmp` does, ties included, without Fraction arithmetic.
-    """
-    return scaled_numerator(coeff, denom) * seq.scaled(index)
 
 
 def fraction_to_float(x: Rational) -> tuple[float, bool]:

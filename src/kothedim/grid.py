@@ -164,8 +164,3 @@ def gallop(holds: Callable[[int], bool], lo: int, stop: int | None = None) -> in
             hi = mid
     return lo
 
-
-def band(p: int, q: int, count: int) -> BandIndexing:
-    """BandIndexing for (p, q); its indices are closed forms, so reading
-    ``count`` elements needs nothing enumerated up front."""
-    return BandIndexing(p=p, q=q)

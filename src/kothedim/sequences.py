@@ -8,8 +8,11 @@ classification routines only verify necessary conditions, reporting
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, count
 from pathlib import Path
 
 from .exact import Rational, format_rational, fraction_to_float, parse_rational
@@ -40,7 +43,8 @@ class ExponentSequence:
     never grows past alpha_1.  ``factorial`` and ``superproduct`` grow it on
     demand, as plain ints; a ``file`` alpha holds its stored rationals,
     which never grow.  Mutation is append-only; the intended pattern is
-    "prefill, then share read-only".
+    "prefill, then share read-only".  :meth:`scaled_values` reads alpha in
+    order without growing the memo.
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
@@ -194,6 +198,15 @@ class ExponentSequence:
         if self.kind != "file":
             return v
         return v.numerator * (self.scale // v.denominator)
+
+    def scaled_values(self) -> Iterator[int]:
+        """:meth:`scaled` at 1, 2, 3, ... in order, never growing the memo:
+        a ratio kind multiplies out its :meth:`_ratio` steps from alpha_1 =
+        1, and a ``file`` alpha raises :class:`PrefixExhaustedError` past
+        its stored prefix."""
+        if self.kind not in _RATIO_KINDS:
+            return map(self.scaled, count(1))
+        return accumulate(map(self._ratio, count(2)), operator.mul, initial=1)
 
     def compare(self, a: int, m: int, b: int, n: int) -> int:
         """The sign (-1, 0 or 1) of ``a * alpha_m - b * alpha_n``, exactly.

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kothedim.diameters import closedform_diameters, oracle_diameters_certified
-from kothedim.grid import band, column_start, pair_index, unpair
+from kothedim.grid import BandIndexing, column_start, pair_index, unpair
 from kothedim.kothe import (
     KotheFamily,
     check_d2_failure,
@@ -181,7 +181,7 @@ def test_criterion_7_grid_laws():
         if column_start(s) != s * (s + 1) // 2:
             ok = False
     for p, q in PAIRS:
-        b = band(p, q, 10)
+        b = BandIndexing(p=p, q=q)
         for k in range(1001):
             if b.s_k(k + 1) - b.s_k(k) != q - p:
                 ok = False

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,13 +12,22 @@ from hypothesis import strategies as st
 
 from kothedim import diameters as dm
 from kothedim.cli import main
-from kothedim.kothe import KotheFamily
+from kothedim.kothe import KotheFamily, c_pq
 from kothedim.sequences import ExponentSequence
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(autouse=True)
+def int_str_limit():
+    """The CLI lifts Python's int-to-str digit limit for its whole process;
+    put the limit back after each test."""
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def invoke(runner, args):
@@ -430,6 +440,71 @@ def test_oracle_prefix_certifying_nothing_exits_3(runner):
     assert result.exit_code == 3
     assert "error: prefix of 2 ratio terms certifies no diameter" in result.output
     assert "Traceback" not in result.output
+
+
+def sorted_terms(seq, p, q, horizon):
+    """The ratio terms with m <= horizon as (value, coeff, m), by a literal
+    sorted() in Fractions: descending, ties by the smaller m."""
+    fam = KotheFamily(seq)
+    coeffs = {m: fam.ratio_coeff(p, q, m) for m in range(1, horizon + 1)}
+    terms = sorted((-c * seq.value(m), m, c) for m, c in coeffs.items())
+    return [(-neg, coeff, m) for neg, m, coeff in terms]
+
+
+def test_file_prefix_a_few_values_past_count_certifies(runner, tmp_path):
+    """The merge reads alpha only as far as its two runs need: 69 values
+    certify 60 diameters (a prefix of count + 16 was read before)."""
+    path = tmp_path / "short.txt"
+    path.write_text("".join(f"{n}\n" for n in range(1, 70)))
+    args = ["diameters", "--alpha", f"file:{path}", "--p", "1", "--q", "2",
+            "--count", "60", "--method", "oracle"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in result.output.splitlines()[2:]]
+    want = sorted_terms(ExponentSequence.from_spec(f"file:{path}"), 1, 2, 69)[:60]
+    assert [(Fraction(r[1]), int(r[2]), r[5]) for r in rows] == [
+        (coeff, m, "True") for _, coeff, m in want
+    ]
+
+
+# 5,000 digits, past Python's default int-to-str limit of 4,300
+BIG = "1" + "0" * 4998 + "3"
+
+
+def test_plot_data_past_the_int_str_limit(runner):
+    result = runner.invoke(
+        main, ["plot-data", "--alpha", "factorial", "--p", "1", "--q", "2", "--count", "1800"]
+    )
+    assert result.exit_code == 0, result.output
+    last = result.output.splitlines()[-1].split(",")
+    seq = ExponentSequence.factorial()
+    terms = sorted_terms(seq, 1, 2, 1801)
+    d_n = terms[1799][0]
+    assert d_n > c_pq(1, 2) * seq.value(1802)  # no unseen term reaches it
+    alpha_next = seq.value(1800)
+    assert last[0] == "1799"
+    assert len(last[5]) > 4300
+    assert [Fraction(x) for x in last[4:]] == [-d_n, alpha_next, -d_n / alpha_next]
+
+
+def test_d2_bound_past_the_int_str_limit(runner):
+    result = runner.invoke(
+        main, ["check", "--criterion", "d2", "--alpha", "factorial", "--B", BIG]
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["params"]["B"] == BIG
+    assert report["verdict"] == "pass"
+
+
+def test_file_alpha_value_past_the_int_str_limit(runner, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{n}\n" for n in range(1, 30)) + BIG + "\n")
+    args = ["diameters", "--alpha", f"file:{path}", "--p", "1", "--q", "2",
+            "--count", "20", "--output", "json"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["oracle_agrees"] is True
 
 
 # -- the benchmark's golden commands -------------------------------------------

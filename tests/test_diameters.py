@@ -363,20 +363,22 @@ def test_terzioglu_bracket():
         assert d_n <= sup
 
 
+def sequence(spec: str) -> ExponentSequence:
+    if spec == "rational":
+        return ExponentSequence(
+            name="rational", kind="file", declared_class=UNSPECIFIED,
+            memo=random_rational_alpha(random.Random(7), 400),
+        )
+    return ExponentSequence.from_spec(spec)
+
+
 @pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct", "rational"])
 @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7)])
 def test_oracle_certification_is_monotone_in_the_prefix(spec, pq):
     """An entry certified at prefix P keeps its (coeff, alpha_index) and
     stays certified at prefix 2P: every unseen term lies strictly below it."""
     p, q = pq
-    if spec == "rational":
-        seq = ExponentSequence(
-            name="rational", kind="file", declared_class=UNSPECIFIED,
-            memo=random_rational_alpha(random.Random(7), 400),
-        )
-    else:
-        seq = ExponentSequence.from_spec(spec)
-    fam = KotheFamily(seq)
+    fam = KotheFamily(sequence(spec))
     certified = 0
     for prefix in (8, 30, 100, 190):
         small = oracle_diameters(fam, p, q, prefix)
@@ -387,6 +389,46 @@ def test_oracle_certification_is_monotone_in_the_prefix(spec, pq):
             assert (f.coeff, f.alpha_index, f.certified) == (e.coeff, e.alpha_index, True)
         certified += small.certified_horizon + 1
     assert certified > 0
+
+
+def sorted_reference(spec, p, q, horizon):
+    """Every ratio term with m <= horizon as (coeff, m, certified), and the
+    values, by a literal sorted() in Fractions: descending, ties by the
+    smaller m; a term is certified when it beats c_pq * alpha_(horizon + 1)."""
+    fam = KotheFamily(sequence(spec))
+    seq = fam.seq
+    coeffs = {m: fam.ratio_coeff(p, q, m) for m in range(1, horizon + 1)}
+    terms = sorted((-c * seq.value(m), m, c) for m, c in coeffs.items())
+    bound = c_pq(p, q) * seq.value(horizon + 1)
+    return [(coeff, m, -neg > bound) for neg, m, coeff in terms], [-neg for neg, _, _ in terms]
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct", "rational"])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7)])
+def test_oracle_matches_sorted_reference(spec, pq):
+    """The merge lists exactly what a sort of all the terms lists, tie rows
+    included, with and without a fixed prefix."""
+    p, q = pq
+    # linear 1:2 at 137: the band term -3/2 * 46 ties the bound -1/2 * 138
+    horizon, count = 137, 60
+    want, values = sorted_reference(spec, p, q, horizon)
+    assert all(certified for _, _, certified in want[:count])
+    fixed = oracle_diameters(KotheFamily(sequence(spec)), p, q, horizon)
+    assert [(e.coeff, e.alpha_index, e.certified) for e in fixed.entries] == want
+    merged = oracle_diameters_certified(KotheFamily(sequence(spec)), p, q, count)
+    assert [(e.coeff, e.alpha_index, e.certified) for e in merged.entries] == want[:count]
+    assert merged.certified_horizon == count - 1
+    if (spec, pq) == ("linear", (1, 2)):
+        # equal values from different terms, listed by the smaller m
+        assert sum(a == b for a, b in zip(values, values[1:count])) > 0
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_oracle_grows_no_memo(spec):
+    fam = family(spec)
+    oracle_diameters_certified(fam, 2, 5, 2000)
+    oracle_diameters(fam, 2, 5, 300)
+    assert len(fam.seq) == 1
 
 
 # (coeff, alpha_index, segment) of every closed-form entry over the grid

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kothedim.exact import (
@@ -11,7 +11,6 @@ from kothedim.exact import (
     fraction_to_float,
     logterm_cmp,
     parse_rational,
-    scaled_exponent,
 )
 from kothedim.sequences import UNSPECIFIED, ExponentSequence
 
@@ -128,11 +127,6 @@ RATIONAL_FILE = ExponentSequence(
     declared_class=UNSPECIFIED,
     memo=[Fraction(n * (n + 1), 2) + Fraction(1, 1 + n % 12) for n in range(1, 61)],
 )
-KERNEL_SEQUENCES = {
-    "linear": ExponentSequence.linear(),
-    "factorial": ExponentSequence.factorial(),
-    "rational": RATIONAL_FILE,
-}
 
 
 def test_scale_is_the_prefix_lcd():
@@ -141,41 +135,3 @@ def test_scale_is_the_prefix_lcd():
     for n in (1, 7, 60):
         assert RATIONAL_FILE.scaled(n) == RATIONAL_FILE.value(n) * RATIONAL_FILE.scale
     assert ExponentSequence.factorial().scaled(6) == 720
-
-
-def test_scaled_exponent_exact_tie():
-    # e^(-3/2 * a_1) = e^(-1/2 * a_3) for linear alpha, with pq = 2
-    seq = ExponentSequence.linear()
-    assert scaled_exponent(Fraction(-3, 2), 1, seq, 2) == -3
-    assert scaled_exponent(Fraction(-1, 2), 3, seq, 2) == -3
-
-
-def test_scaled_exponent_rejects_a_foreign_denominator():
-    with pytest.raises(ValueError):
-        scaled_exponent(Fraction(1, 3), 1, ExponentSequence.linear(), 4)
-
-
-@st.composite
-def table_terms(draw):
-    """Two terms of one (p, q) table: coefficients with denominator dividing pq."""
-    p = draw(st.integers(min_value=1, max_value=6))
-    q = p + draw(st.integers(min_value=1, max_value=5))
-    pq = p * q
-    terms = [
-        (Fraction(draw(st.integers(min_value=-3 * pq, max_value=3 * pq)), pq),
-         draw(st.integers(min_value=1, max_value=60)))
-        for _ in range(2)
-    ]
-    return pq, terms
-
-
-@settings(max_examples=300)
-@given(spec=st.sampled_from(sorted(KERNEL_SEQUENCES)), drawn=table_terms())
-@example(spec="linear", drawn=(2, [(Fraction(-3, 2), 1), (Fraction(-1, 2), 3)]))
-def test_scaled_exponent_order_matches_logterm_cmp(spec, drawn):
-    seq = KERNEL_SEQUENCES[spec]
-    pq, ((c1, m1), (c2, m2)) = drawn
-    k1 = scaled_exponent(c1, m1, seq, pq)
-    k2 = scaled_exponent(c2, m2, seq, pq)
-    want = logterm_cmp(LogTerm(c1, m1), LogTerm(c2, m2), seq)
-    assert (k1 > k2) - (k1 < k2) == want

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from kothedim.grid import (
     BandIndexing,
-    band,
     band_count_below,
     column_of,
     column_start,
@@ -80,7 +79,7 @@ def band_reference(p, q, below):
 
 
 def test_band_prefix_column_one():
-    b = band(1, 2, 6)
+    b = BandIndexing(p=1, q=2)
     assert [b.element(i) for i in range(1, 7)] == [1, 2, 4, 7, 11, 16]
 
 
@@ -104,7 +103,7 @@ def test_element_is_one_based_and_closed_form():
 
 
 def test_band_markers_for_1_2():
-    b = band(1, 2, 30)
+    b = BandIndexing(p=1, q=2)
     # element (0, k) is the (k+1)-th of the single-column band
     for k in range(0, 8):
         assert b.s_k(k) == k + 1
@@ -112,7 +111,7 @@ def test_band_markers_for_1_2():
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (2, 5), (3, 7), (1, 9)])
 def test_marker_gaps_equal_band_width(p, q):
-    b = band(p, q, 50)
+    b = BandIndexing(p=p, q=q)
     for k in range(0, 1000):
         assert b.s_k(k + 1) - b.s_k(k) == q - p
 
@@ -140,7 +139,7 @@ def test_in_band_matches_columns():
 
 
 def test_locate_k_brackets():
-    b = band(1, 2, 50)
+    b = BandIndexing(p=1, q=2)
     for m in [3, 5, 6, 12, 21, 33]:
         k = b.locate_k(m)
         assert b.marker(k) < m < b.marker(k + 1)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,25 @@ def test_strictly_increasing_positive_prefix(spec):
     assert all(a < b for a, b in zip(values, values[1:]))
     # linear and poly:d are closed forms: their memo stays at alpha_1
     assert seq.memo == (values if spec in ("factorial", "superproduct") else [1])
+
+
+@pytest.mark.parametrize("spec", ["linear", "factorial", "superproduct", "poly:3", "file"])
+def test_scaled_values_reads_alpha_in_order_without_the_memo(spec):
+    if spec == "file":
+        seq = ExponentSequence(
+            name="file", kind="file", declared_class="unspecified",
+            memo=[n * n + Fraction(1, 1 + n % 5) for n in range(1, 301)],
+        )
+    else:
+        seq = ExponentSequence.from_spec(spec)
+    got = list(itertools.islice(seq.scaled_values(), 300))
+    memo = list(seq.memo)
+    assert got == [seq.scaled(n) for n in range(1, 301)]
+    # scaled_values read the memo as it was: alpha_1 alone for a generated kind
+    assert len(memo) == (300 if spec == "file" else 1)
+    if spec == "file":
+        with pytest.raises(PrefixExhaustedError):
+            list(seq.scaled_values())
 
 
 def test_from_spec_rejects_unknown():
