@@ -4,9 +4,8 @@ Identical configurations produce byte-identical output (there are no
 timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
 display-only.  ``diameters --method both`` decides its ``values_equal``
-column with ``ExponentSequence.compare`` on the two coefficients'
-numerators over pq, and leaves it empty where the oracle entry is not
-certified; ``oracle_agrees`` reads the same cells.
+column with ``exact.logterm_cmp``, and leaves it empty where the oracle
+entry is not certified; ``oracle_agrees`` reads the same cells.
 
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
@@ -28,7 +27,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import format_rational, fraction_to_float, parse_rational, scaled_numerator
+from .exact import format_rational, fraction_to_float, logterm_cmp, parse_rational
 from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -247,12 +246,8 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     if method == "both":
         # the oracle holds at least count entries; agreement is only
         # meaningful where its entry is final
-        pq = p * q
         for e, o in zip(entries, oracle.entries):
-            agrees.append("" if not o.certified else seq.compare(
-                scaled_numerator(o.coeff, pq), o.alpha_index,
-                scaled_numerator(e.coeff, pq), e.alpha_index,
-            ) == 0)
+            agrees.append("" if not o.certified else logterm_cmp(o, e, seq) == 0)
 
     if output == "json":
         payload = {
@@ -400,11 +395,10 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
     seq = family.seq
     closed = dm.closedform_diameters(family, p, q, count)
     rows = []
-    for n in range(closed.certified_horizon + 1):
-        eps = dm.epsilon_n(closed, n)
-        eps_value = eps.log_value(seq)
+    for n, e in enumerate(closed.entries):
+        eps_value = -e.log_value(seq)
         alpha_next = seq.value(n + 1)
-        ratio = eps_value / alpha_next
+        ratio = -e.coeff * seq.quotient(e.alpha_index, n + 1)
         f_eps, _ = fraction_to_float(eps_value)
         f_alpha, _ = fraction_to_float(alpha_next)
         f_ratio, _ = fraction_to_float(ratio)

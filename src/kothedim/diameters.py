@@ -40,20 +40,15 @@ class CoverageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DiameterEntry:
+class DiameterEntry(LogTerm):
     """One diameter d_n = e^(coeff * alpha_{alpha_index})."""
 
     n: int
-    coeff: Rational
-    alpha_index: int
     segment: str
     certified: bool
 
     def term(self) -> LogTerm:
-        return LogTerm(self.coeff, self.alpha_index)
-
-    def log_value(self, seq) -> Rational:
-        return self.coeff * seq.value(self.alpha_index)
+        return self
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,8 @@ def _merged_entries(
         ((-(blue_num - pq) * alpha, m, red) for m, alpha, on_band in reds if on_band),
     )
     for n, (neg_key, m, coeff) in enumerate(merged):
-        yield DiameterEntry(n, coeff, m, ORACLE, bound is None or -neg_key > bound)
+        certified = bound is None or -neg_key > bound
+        yield DiameterEntry(n=n, coeff=coeff, alpha_index=m, segment=ORACLE, certified=certified)
 
 
 def oracle_diameters(

@@ -1,23 +1,22 @@
 """Exact rational scalars and symbolic log-domain values.
 
 Every comparison made anywhere in this package is exact.  A plain
-coefficient is a :class:`fractions.Fraction`.  A value of the form
-``e^(coeff * alpha_n)`` is ordered by its exponent, and exponents are
-compared as integers: within one (p, q) table every coefficient is
-``c_pq`` or ``c_pq - 1``, whose denominators divide ``pq``, so
-:func:`scaled_numerator` turns each into an integer numerator over ``pq``.
-Two routes then decide the order.  The closed form, the verification
-harness, the regularity checks and the CLI's ``values_equal`` column call
-``ExponentSequence.compare(a, m, b, n)``, the sign of ``a * alpha_m - b *
-alpha_n``: it walks the small integer ratios ``alpha_i / alpha_{i-1}`` for
-``factorial`` and ``superproduct`` and cross-multiplies scaled values for
-the other kinds; the (d2) and nuclearity checks compare one exponent with
-a constant through ``ExponentSequence.compare_to``.  The oracle, kept as
-the independent reference, merges its two strictly decreasing runs of
-terms by big-integer keys: ``scaled_numerator(coeff, pq)`` times the
-values of ``ExponentSequence.scaled_values``.  Floats appear only in
-display/export paths, through ``ExponentSequence.exp_float``, and are
-flagged as non-authoritative there.
+coefficient is a :class:`fractions.Fraction`; a value ``e^(coeff *
+alpha_n)`` is a :class:`LogTerm`, ordered by its exponent.  One integer
+kernel decides that order: ``ExponentSequence.compare(a, m, b, n)``, the
+sign of ``a * alpha_m - b * alpha_n``, walks the small integer ratios
+``alpha_i / alpha_{i-1}`` of ``factorial`` and ``superproduct`` and
+cross-multiplies scaled values for the other kinds.  :func:`logterm_cmp`
+calls it with the two coefficients over one denominator (the CLI's
+``values_equal``, edd-tail and the delta probe's sup); the closed form,
+the sandwich bounds and the regularity checks call it on numerators over
+``pq`` (:func:`scaled_numerator`); the (d2) and nuclearity checks use
+``ExponentSequence.compare_to``.  A ratio of two alpha values is
+``ExponentSequence.quotient``.  The oracle, kept as the independent
+reference, merges its two strictly decreasing runs by big-integer keys,
+``scaled_numerator(coeff, pq)`` times ``ExponentSequence.scaled_values``.
+Floats appear only in display/export paths, through
+``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
 """
 from __future__ import annotations
 
@@ -73,13 +72,14 @@ class LogTerm:
 def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:
     """Exact order of the denoted reals: -1, 0 or 1.
 
-    ``e^a < e^b`` iff ``a < b``, so comparing the exact exponents (cross
-    multiplied inside Fraction) decides the order; ties, which genuinely
-    occur (e.g. ``e^(-3/2*a_1) = e^(-1/2*a_3)`` for linear alpha), are
-    detected exactly.
+    ``e^a < e^b`` iff ``a < b``: ``seq.compare`` decides the exponents with
+    the coefficients cross-multiplied to one positive denominator.  Ties,
+    which genuinely occur (e.g. ``e^(-3/2*a_1) = e^(-1/2*a_3)`` for linear
+    alpha), are detected exactly.
     """
-    diff = x.log_value(seq) - y.log_value(seq)
-    return (diff > 0) - (diff < 0)
+    a, b = x.coeff, y.coeff
+    return seq.compare(a.numerator * b.denominator, x.alpha_index,
+                       b.numerator * a.denominator, y.alpha_index)
 
 
 def scaled_numerator(coeff: Rational, denom: int) -> int:

@@ -405,7 +405,7 @@ def check_regularity(family: KotheFamily, horizon: int) -> CheckReport:
                             "n": n,
                             "column": s,
                             "required_ratio": Fraction(1 + s * (s + 1)),
-                            "actual_ratio": seq.value(n + 1) / seq.value(n),
+                            "actual_ratio": seq.quotient(n + 1, n),
                         }
                     )
                     if len(witnesses) >= 5:

@@ -56,8 +56,9 @@ class ExponentSequence:
     small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
     the same ones the memo is built from) and never reads or grows the
     memo; for the other kinds it cross-multiplies :meth:`scaled` integers.
-    :meth:`compare_to` decides ``a * alpha_m`` against a constant, and
-    :meth:`exp_float` gives the display double of ``e^(coeff * alpha_m)``.
+    :meth:`quotient` gives the exact ``alpha_m / alpha_n`` the same two
+    ways.  :meth:`compare_to` decides ``a * alpha_m`` against a constant,
+    and :meth:`exp_float` gives the display double of ``e^(coeff * alpha_m)``.
     """
 
     name: str
@@ -238,6 +239,17 @@ class ExponentSequence:
         s = (x > y) - (x < y)
         return -s if m <= n else s
 
+    def quotient(self, m: int, n: int) -> Rational:
+        """The exact ``alpha_m / alpha_n``: a ratio kind multiplies the
+        :meth:`_ratio` steps between the two indices and never reads or
+        grows the memo; the other kinds divide :meth:`scaled` integers."""
+        if self.kind not in _RATIO_KINDS:
+            return Fraction(self.scaled(m), self.scaled(n))
+        if m < 1 or n < 1:
+            raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
+        r = math.prod(map(self._ratio, range(min(m, n) + 1, max(m, n) + 1)))
+        return Fraction(r) if m >= n else Fraction(1, r)
+
     def compare_to(self, a: int, m: int, c: int) -> int:
         """The sign (-1, 0 or 1) of ``a * alpha_m - c``, exactly, for integers
         a and c.  A generated kind has alpha_1 = 1, so this is
@@ -323,10 +335,8 @@ def classify_prefix(seq: ExponentSequence, horizon: int) -> ClassifyReport:
     """
     if horizon < 4:
         raise SequenceError("classification horizon must be >= 4")
-    seq.prefill(horizon)
-
-    doubling = [seq.value(2 * n) / seq.value(n) for n in range(1, horizon // 2 + 1)]
-    successive = [seq.value(n + 1) / seq.value(n) for n in range(1, horizon)]
+    doubling = [seq.quotient(2 * n, n) for n in range(1, horizon // 2 + 1)]
+    successive = [seq.quotient(n + 1, n) for n in range(1, horizon)]
     max_doubling = max(doubling)
     max_successive = max(successive)
     tail_lo = max(1, (9 * horizon) // 10)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diameters import DiameterTable, PlanRow, epsilon_n
-from .exact import Rational, fraction_to_float, scaled_numerator
+from .diameters import DiameterTable, PlanRow
+from .exact import LogTerm, Rational, fraction_to_float, logterm_cmp, scaled_numerator
 from .kothe import KotheFamily, c_pq
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
@@ -97,8 +97,9 @@ def _tail_band(table: DiameterTable) -> list[PlanRow]:
 
 
 def _decay_ratio(seq, table: DiameterTable, n: int) -> Rational:
-    """The exact ratio -log(d_n) / alpha_{n+1}."""
-    return epsilon_n(table, n).log_value(seq) / seq.value(n + 1)
+    """The exact ratio -log(d_n) / alpha_{n+1}, built from no alpha value."""
+    e = table.entries[n]
+    return -e.coeff * seq.quotient(e.alpha_index, n + 1)
 
 
 def eadd_ratio(
@@ -231,20 +232,17 @@ def edd_tail_check(
     seq = family.seq
     horizon = table.certified_horizon
     threshold = table.tail_start
-    pq = p * q
 
-    def ratio_num(m: int) -> int:
-        return scaled_numerator(family.ratio_coeff(p, q, m), pq)
+    def ratio_term(m: int) -> LogTerm:
+        return LogTerm(family.ratio_coeff(p, q, m), m)
 
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
-        if seq.compare(ratio_num(m), m, ratio_num(m + 1), m + 1) < 0:
+        if logterm_cmp(ratio_term(m), ratio_term(m + 1), seq) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
     for n in range(threshold, horizon + 1):
-        entry = table.entry(n)
-        num = scaled_numerator(entry.coeff, pq)
-        if seq.compare(num, entry.alpha_index, ratio_num(n + 1), n + 1) != 0:
+        if logterm_cmp(table.entry(n), ratio_term(n + 1), seq) != 0:
             witnesses.append({"type": "value", "n": n})
             break
     return CheckReport(
@@ -309,13 +307,15 @@ def delta_membership_probe(
             record["band_exponent_coeff"] = theta + c - 1
             record["mode"] = "tail-sign-analysis"
         else:
+            # theta*alpha_{n+1} + log d_n as one term over alpha_{n+1}
             seq = family.seq
-            sup: Rational | None = None
+            best: LogTerm | None = None
             for n in range(table.certified_horizon + 1):
                 e = table.entry(n)
-                v = theta * seq.value(n + 1) + e.log_value(seq)
-                if sup is None or v > sup:
-                    sup = v
+                v = LogTerm(theta + e.coeff * seq.quotient(e.alpha_index, n + 1), n + 1)
+                if best is None or logterm_cmp(v, best, seq) > 0:
+                    best = v
+            sup = best.log_value(seq) if best is not None else None
             record["bounded"] = None
             record["prefix_sup_exponent"] = sup
             record["prefix_sup_exponent_approx"] = (

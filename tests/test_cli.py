@@ -584,6 +584,22 @@ def test_values_equal_matches_fraction_reference(
     assert payload["oracle_agrees"] is ("False" not in want)
 
 
+def test_plot_data_exact_columns_match_the_fraction_reference(runner, long_file_alpha):
+    p, q, count = 2, 5, 80
+    for spec in ("factorial", "superproduct", long_file_alpha):
+        family = KotheFamily(ExponentSequence.from_spec(spec))
+        seq = family.seq
+        closed = dm.closedform_diameters(family, p, q, count)
+        want = []
+        for n, e in enumerate(closed.entries):
+            neg_log_dn, alpha_next = -e.log_value(seq), seq.value(n + 1)
+            want.append([neg_log_dn, alpha_next, neg_log_dn / alpha_next])
+        args = ["plot-data", "--alpha", spec, "--p", str(p), "--q", str(q), "--count", str(count)]
+        lines = invoke(runner, args).output.splitlines()
+        assert lines[1].split(",")[4:] == ["neg_log_dn_exact", "alpha_next_exact", "ratio_exact"]
+        assert [[Fraction(x) for x in line.split(",")[4:]] for line in lines[2:]] == want, spec
+
+
 # -- every subcommand, generated arguments ---------------------------------
 
 # mostly valid values, so that most calls get past argument checking

@@ -99,6 +99,32 @@ def test_compare_rejects_index_zero(spec):
         make_seq(spec).compare(1, 0, 1, 1)
     with pytest.raises(SequenceError):
         make_seq(spec).compare(1, 1, 1, 0)
+    with pytest.raises(SequenceError):
+        make_seq(spec).quotient(0, 1)
+    with pytest.raises(SequenceError):
+        make_seq(spec).quotient(1, 0)
+
+
+# m < n, m = n and m > n, near and far apart
+QUOTIENT_INDICES = [
+    (m, n) for m in (1, 2, 3, 7, 40, 80) for n in (1, 2, 5, 7, 41, 80)
+]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_quotient_matches_the_closed_forms(spec):
+    seq = make_seq(spec)
+    for m, n in QUOTIENT_INDICES:
+        assert seq.quotient(m, n) == alpha(spec, m) / alpha(spec, n), (m, n)
+    if spec in RATIO_SPECS:
+        assert len(seq) == 1  # the ratio steps read no memo
+    if spec == "rational":
+        with pytest.raises(PrefixExhaustedError) as by_value:
+            seq.value(81)
+        for m, n in ((81, 1), (1, 81)):
+            with pytest.raises(PrefixExhaustedError) as info:
+                seq.quotient(m, n)
+            assert str(info.value) == str(by_value.value)
 
 
 def test_compare_on_a_file_prefix_raises_where_scaled_does():

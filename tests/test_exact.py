@@ -2,9 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kothedim.diameters import (
+    closedform_diameters,
+    oracle_diameters,
+    oracle_diameters_certified,
+)
 from kothedim.exact import (
     LogTerm,
     format_rational,
@@ -12,6 +17,7 @@ from kothedim.exact import (
     logterm_cmp,
     parse_rational,
 )
+from kothedim.kothe import KotheFamily
 from kothedim.sequences import UNSPECIFIED, ExponentSequence
 
 rationals = st.fractions(
@@ -49,6 +55,13 @@ def test_parse_and_format():
     assert parse_rational("-7") == Fraction(-7)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-6, 3)) == "-2"
+
+
+def fraction_logterm_cmp(x, y, seq):
+    """Reference order of two LogTerms: the sign of the difference of their
+    exact exponents, each built as a Fraction from alpha."""
+    diff = x.log_value(seq) - y.log_value(seq)
+    return (diff > 0) - (diff < 0)
 
 
 def test_logterm_cmp_cross_multiplication_tie():
@@ -135,3 +148,45 @@ def test_scale_is_the_prefix_lcd():
     for n in (1, 7, 60):
         assert RATIONAL_FILE.scaled(n) == RATIONAL_FILE.value(n) * RATIONAL_FILE.scale
     assert ExponentSequence.factorial().scaled(6) == 720
+
+
+def make_seq(spec):
+    return RATIONAL_FILE if spec == "rational" else ExponentSequence.from_spec(spec)
+
+
+# coefficients drawn one by one, so their denominators share no pq
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(["linear", "poly:3", "factorial", "superproduct", "rational"]),
+    x=st.tuples(coeffs, indices),
+    y=st.tuples(coeffs, indices),
+)
+@example(spec="linear", x=(Fraction(-3, 2), 1), y=(Fraction(-1, 2), 3))
+@example(spec="rational", x=(Fraction(-3, 7), 5), y=(Fraction(2, 11), 60))
+def test_logterm_cmp_matches_the_fraction_reference(spec, x, y):
+    seq = make_seq(spec)
+    x, y = LogTerm(*x), LogTerm(*y)
+    want = fraction_logterm_cmp(x, y, seq)
+    assert logterm_cmp(x, y, make_seq(spec)) == want
+    assert logterm_cmp(y, x, make_seq(spec)) == -want
+
+
+def test_logterm_cmp_named_ties_on_the_ratio_kinds():
+    # alpha_3 = 6 alpha_1 on factorial, 21 alpha_1 on superproduct
+    assert logterm_cmp(LogTerm(Fraction(-6, 5), 1), LogTerm(Fraction(-1, 5), 3),
+                       ExponentSequence.factorial()) == EQUAL
+    assert logterm_cmp(LogTerm(Fraction(7, 3), 2), LogTerm(Fraction(1, 3), 3),
+                       ExponentSequence.superproduct()) == EQUAL
+
+
+def test_diameter_entries_of_both_engines_are_logterms():
+    family = KotheFamily(ExponentSequence.linear())
+    tables = [
+        closedform_diameters(family, 1, 2, 30),
+        oracle_diameters_certified(family, 1, 2, 30),
+        oracle_diameters(family, 1, 2, 40),
+    ]
+    for table in tables:
+        assert table.entries
+        assert all(isinstance(e, LogTerm) for e in table.entries)
+        assert all(e.term() is e for e in table.entries)

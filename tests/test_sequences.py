@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,23 @@ def test_classify_superproduct_unstable():
     assert report.max_successive_ratio == 1 + 29 * 30
     assert report.min_successive_ratio_tail > 1
     assert report.consistent_with_declared
+
+
+def test_classify_ratio_kinds_match_the_closed_forms_without_a_memo():
+    horizon = 300
+    for seq, alpha in [
+        (ExponentSequence.factorial(), math.factorial),
+        (ExponentSequence.superproduct(), lambda n: math.prod(1 + i * (i + 1) for i in range(n))),
+    ]:
+        report = classify_prefix(seq, horizon)
+        successive = [Fraction(alpha(n + 1), alpha(n)) for n in range(1, horizon)]
+        assert report.max_doubling_ratio == max(
+            Fraction(alpha(2 * n), alpha(n)) for n in range(1, horizon // 2 + 1)
+        )
+        assert report.max_successive_ratio == max(successive)
+        tail_lo = (9 * horizon) // 10  # the last decade of the prefix
+        assert report.min_successive_ratio_tail == min(successive[tail_lo - 1 :])
+        assert len(seq) == 1
 
 
 def test_nuclear_probe_linear_consistent():

@@ -4,7 +4,7 @@ import pytest
 
 from kothedim.diameters import closedform_diameters
 from kothedim.kothe import KotheFamily, c_pq
-from kothedim.sequences import ExponentSequence
+from kothedim.sequences import UNSPECIFIED, ExponentSequence
 from kothedim.verify import (
     aa_statistic,
     delta_membership_probe,
@@ -113,6 +113,60 @@ def test_aa_statistic_empty_window():
     assert stat.proxy_inf_sup is None
 
 
+def rational_file() -> ExponentSequence:
+    """A file alpha with scale != 1: n(n+1)/2 + 1/(1 + n % 12), n <= 400."""
+    values = [Fraction(n * (n + 1), 2) + Fraction(1, 1 + n % 12) for n in range(1, 401)]
+    return ExponentSequence(
+        name="rational", kind="file", declared_class=UNSPECIFIED, memo=values
+    )
+
+
+def family_of(spec: str) -> KotheFamily:
+    return KotheFamily(rational_file()) if spec == "rational" else family(spec)
+
+
+def fraction_decay_ratio(seq, table, n):
+    """Reference -log(d_n) / alpha_{n+1}, dividing two alpha Fractions."""
+    return -table.entry(n).log_value(seq) / seq.value(n + 1)
+
+
+# superproduct is left to the count-20000 test below: each of its d_n has
+# alpha index n + 1, so every ratio there is -coeff
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "rational"])
+def test_aa_statistic_matches_the_fraction_reference(spec):
+    fam = family_of(spec)
+    pairs = [(1, 2), (2, 5), (2, 3)]
+    tables = {pq: table_for(fam, *pq, 150) for pq in pairs}
+    records = [r for w in (40, 150) for r in aa_statistic(fam, tables, w).per_pair]
+    ref_seq = family_of(spec).seq
+    for record in records:
+        table = tables[(record["p"], record["q"])]
+        lo, horizon = record["window"]
+        ratios = {n: fraction_decay_ratio(ref_seq, table, n) for n in range(lo, horizon + 1)}
+        band = set()
+        if table.a0 is not None:
+            band = {row.n_a - 1 for row in table.plan[table.a0 - 1 :]}
+        band_ratios = [r for n, r in ratios.items() if n in band]
+        assert record["sup_ratio"] == max(ratios.values())
+        assert record["band_subsequence_sup"] == max(band_ratios, default=None)
+        assert record["band_points_in_window"] == len(band_ratios)
+
+
+def test_eadd_and_aa_read_no_memo_at_count_20000():
+    count, p, q = 20000, 2, 5
+    expected = 1 - c_pq(p, q)
+    for spec in ("factorial", "superproduct"):
+        fam = family(spec)
+        table = table_for(fam, p, q, count)
+        ratios = eadd_ratio(fam, p, q, table)
+        assert ratios and all(r["ratio"] == expected for r in ratios)
+        assert len(fam.seq) == 1
+        # the whole table: the sup is the band law's, also before the tail
+        record = aa_statistic(fam, {(p, q): table}, count).per_pair[0]
+        assert record["sup_ratio"] == record["band_subsequence_sup"] == expected
+        assert len(fam.seq) == 1
+
+
 def test_edd_tail_factorial():
     fam = family("factorial")
     for p, q in [(1, 2), (1, 3)]:
@@ -174,3 +228,21 @@ def test_delta_probe_stable_is_empirical():
     assert record["mode"] == "empirical-prefix"
     assert record["bounded"] is None
     assert record["prefix_sup_exponent"] is not None
+
+
+@pytest.mark.parametrize("spec", ["linear", "rational"])
+@pytest.mark.parametrize("theta", ["0", "-1/2", "1/3", "2/7"])
+def test_delta_probe_empirical_sup_matches_the_fraction_reference(spec, theta):
+    fam = family_of(spec)
+    theta = Fraction(theta)
+    tables = {pq: table_for(fam, *pq, 120) for pq in [(1, 2), (2, 5)]}
+    probe = delta_membership_probe(fam, theta, tables)
+    seq = family_of(spec).seq
+    for record in probe.per_pair:
+        table = tables[(record["p"], record["q"])]
+        want = max(
+            theta * seq.value(n + 1) + table.entry(n).log_value(seq)
+            for n in range(table.certified_horizon + 1)
+        )
+        assert record["mode"] == "empirical-prefix"
+        assert record["prefix_sup_exponent"] == want
