@@ -5,7 +5,6 @@ from .diameters import (
     DiameterTable,
     PlanRow,
     closedform_diameters,
-    epsilon_n,
     oracle_diameters,
     oracle_diameters_certified,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "dn_lambda_bound",
     "eadd_ratio",
     "edd_tail_check",
-    "epsilon_n",
     "finitely_nuclear_probe",
     "logterm_cmp",
     "omega_j_bound",

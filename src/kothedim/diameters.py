@@ -85,18 +85,6 @@ class DiameterTable:
         return self.entries[n]
 
 
-def epsilon_n(table: DiameterTable, n: int) -> LogTerm:
-    """The term 1/d_n, whose ``log_value`` is the exact exponent -log d_n;
-    defined only on the certified range."""
-    if n < 0 or n > table.certified_horizon:
-        raise ValueError(
-            f"diameter index {n} is not certified "
-            f"(horizon {table.certified_horizon})"
-        )
-    e = table.entries[n]
-    return LogTerm(-e.coeff, e.alpha_index)
-
-
 # -- route one: the merging oracle -------------------------------------------
 
 
@@ -236,11 +224,13 @@ def closedform_diameters(
 
     Band terms are placed by the plan; off-band terms fill the remaining
     positions in increasing order of their ratio index.  Labels follow one
-    rule per plan row (J at its band term; M before it, preceded by the L
-    and K intervals when its i_a lies past a marker the previous one did
-    not) and one tail rule after the last row with a qualifying i_a.  Every
-    labelled interval is checked against the filled values; a gap, an
-    overlap, or a value mismatch raises CoverageError.
+    rule per plan row (M before its band term J, preceded by the L and K
+    intervals when its i_a lies past a marker the previous one did not)
+    and one tail rule after the last row with a qualifying i_a.  The
+    labelled intervals are emitted in position order, each entry checked
+    against its interval's shift and against the entry before it; an
+    interval that does not start at the next index, a value mismatch, an
+    increase, or a table short of ``count`` entries raises CoverageError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -254,27 +244,8 @@ def closedform_diameters(
     rows = _build_plan(family, bnd, count)
     n_1 = bnd.element(1)
 
-    # values: reds by plan position, blues in increasing index order; each
-    # slot keeps its coefficient as the integer numerator over pq
-    slot_num: list[int | None] = [None] * count
-    slot_index: list[int] = [0] * count
-    for row in rows:
-        if 0 <= row.j_a < count:
-            slot_num[row.j_a] = red_num
-            slot_index[row.j_a] = row.n_a
-    m = 0
-    for n in range(count):
-        if slot_num[n] is not None:
-            continue
-        m += 1
-        while bnd.contains(m):
-            m += 1
-        slot_num[n] = blue_num
-        slot_index[n] = m
-
-    # segment labels from the interval formulas; the tail takes over at a0,
-    # the first a of the maximal suffix of rows with no qualifying i_a
-    labels: list[str | None] = [None] * count
+    # the tail takes over at a0, the first a of the maximal suffix of rows
+    # with no qualifying i_a
     a0 = None
     for row in reversed(rows):
         if row.i_a is not None:
@@ -285,41 +256,59 @@ def closedform_diameters(
     else:
         tail_start = 0 if a0 == 1 else rows[a0 - 2].j_a + 1
 
+    # values: reds by plan position, blues in increasing index order; a
+    # coefficient is kept as its integer numerator over pq
+    reds = {row.j_a: row.n_a for row in rows}
+    blues = itertools.filterfalse(bnd.contains, itertools.count(1))
+    entries: list[DiameterEntry] = []
+    last_num = last_index = 0
+
     def mark(start: int, end: int, label: str, shift: int | None) -> int:
-        """Label [start, end] up to count - 1, check the formula against the
-        fill, and return that clipped end."""
+        """Emit [start, end] up to count - 1, each value checked against the
+        formula and the entry before it, and return that clipped end."""
+        nonlocal last_num, last_index
         end = min(end, count - 1)
-        for n in range(max(start, 0), end + 1):
-            if labels[n] is not None:
-                raise CoverageError(
-                    f"segment overlap at diameter index {n} "
-                    f"({labels[n]} vs {label})"
-                )
-            labels[n] = label
-            if shift is not None and slot_index[n] != n + shift:
+        if start <= end and start != len(entries):
+            raise CoverageError(
+                f"segment {label} starts at diameter index {start}, "
+                f"expected {len(entries)}"
+            )
+        for n in range(start, end + 1):
+            num, m = (red_num, reds[n]) if n in reds else (blue_num, next(blues))
+            if shift is not None and m != n + shift:
                 raise CoverageError(
                     f"segment {label} expects alpha index {n + shift} at "
-                    f"diameter index {n}, fill has {slot_index[n]}"
+                    f"diameter index {n}, fill has {m}"
                 )
+            if n and seq.compare(last_num, last_index, num, m) < 0:
+                raise CoverageError(f"diameters not non-increasing at index {n}")
+            last_num, last_index = num, m
+            entries.append(
+                DiameterEntry(
+                    n=n,
+                    coeff=blue if num == blue_num else red,
+                    alpha_index=m,
+                    segment=label,
+                    certified=True,
+                )
+            )
         return end
 
-    def mark_l(row: PlanRow, end: int) -> int:
+    def mark_l(row: PlanRow) -> int:
         """The L interval after ``row``'s band term, up to its next marker."""
         s_next = bnd.s_k(row.k_a + 1)
         return mark(
             row.j_a + 1,
-            min(bnd.marker(row.k_a + 1) - s_next + row.a - 1, end),
+            bnd.marker(row.k_a + 1) - s_next + row.a - 1,
             SEG_L,
             s_next - row.a,
         )
 
     mark(0, n_1 - 2, HEAD, 1)
-    limit = count - 1 if tail_start is None else tail_start - 1
     # a virtual row 0 ends with the head: its L is empty and its K loop
     # starts at k_min, so row 1 follows the general tiling
     prev = PlanRow(a=0, n_a=0, i_a=0, k_a=bnd.k_min - 1, j_a=n_1 - 2)
     for row in rows if a0 is None else rows[: a0 - 1]:
-        mark(row.j_a, row.j_a, SEG_J, None)
         # a miss at this row or the previous one: the paper intervals do not
         # apply between the two band terms, and the stretch follows the
         # generic fill (attributed to M)
@@ -331,19 +320,17 @@ def closedform_diameters(
             # stale when band terms stack); otherwise L of the previous
             # row and K per marker crossed come first
             if row.k_a != prev.k_a:
-                mark_l(prev, limit)
+                mark_l(prev)
                 for k in range(prev.k_a + 1, row.k_a):
                     mark(
                         bnd.marker(k) - bnd.s_k(k) + prev.a,
-                        min(
-                            bnd.marker(k + 1) - bnd.s_k(k + 1) + prev.a - 1,
-                            limit,
-                        ),
+                        bnd.marker(k + 1) - bnd.s_k(k + 1) + prev.a - 1,
                         SEG_K,
                         bnd.s_k(k + 1) - prev.a,
                     )
                 start = bnd.marker(row.k_a) - bnd.s_k(row.k_a) + row.a - 1
-        mark(start, min(row.j_a - 1, limit), SEG_M, shift)
+        mark(start, row.j_a - 1, SEG_M, shift)
+        mark(row.j_a, row.j_a, SEG_J, None)
         prev = row
 
     if a0 is not None:
@@ -355,28 +342,12 @@ def closedform_diameters(
             raise CoverageError(
                 f"tail handover expects marker index {a0}, got {s_last}"
             )
-        mark(mark_l(prev, count - 1) + 1, count - 1, TAIL, 1)
+        mark(mark_l(prev) + 1, count - 1, TAIL, 1)
 
-    gaps = [n for n in range(count) if labels[n] is None]
-    if gaps:
-        raise CoverageError(f"segment families leave a gap at index {gaps[0]}")
-
-    entries = [
-        DiameterEntry(
-            n=n,
-            coeff=blue if slot_num[n] == blue_num else red,
-            alpha_index=slot_index[n],
-            segment=labels[n],
-            certified=True,
+    if len(entries) != count:
+        raise CoverageError(
+            f"segment families leave a gap at index {len(entries)}"
         )
-        for n in range(count)
-    ]
-    # monotonicity of the assembled table, one kernel call per adjacent pair
-    for n in range(1, count):
-        if seq.compare(
-            slot_num[n - 1], slot_index[n - 1], slot_num[n], slot_index[n]
-        ) < 0:
-            raise CoverageError(f"diameters not non-increasing at index {n}")
     return DiameterTable(
         p=p,
         q=q,

@@ -137,7 +137,7 @@ class BandIndexing:
         return x + y - self.q + 1 + (x >= self.p)
 
 
-def gallop(holds: Callable[[int], bool], lo: int, stop: int | None = None) -> int:
+def gallop(holds: Callable[[int], bool], lo: int, stop: int) -> int:
     """The greatest x >= lo with ``holds(x)``, for a ``holds`` that is true
     up to some x and false after it; ``holds(lo)`` is taken as true and
     never called.
@@ -150,7 +150,7 @@ def gallop(holds: Callable[[int], bool], lo: int, stop: int | None = None) -> in
     step = 1
     while True:
         probe = lo + step
-        if stop is not None and lo < stop < probe:
+        if lo < stop < probe:
             probe = stop
         if not holds(probe):
             break

@@ -335,7 +335,10 @@ def classify_prefix(seq: ExponentSequence, horizon: int) -> ClassifyReport:
     """
     if horizon < 4:
         raise SequenceError("classification horizon must be >= 4")
-    doubling = [seq.quotient(2 * n, n) for n in range(1, horizon // 2 + 1)]
+    # alpha_2n / alpha_n from its predecessor: two steps up, one divided out
+    half = range(2, horizon // 2 + 1)
+    steps = (seq.quotient(2 * n, 2 * n - 2) / seq.quotient(n, n - 1) for n in half)
+    doubling = list(accumulate(steps, operator.mul, initial=seq.quotient(2, 1)))
     successive = [seq.quotient(n + 1, n) for n in range(1, horizon)]
     max_doubling = max(doubling)
     max_successive = max(successive)

@@ -487,6 +487,25 @@ def test_plot_data_past_the_int_str_limit(runner):
     assert [Fraction(x) for x in last[4:]] == [-d_n, alpha_next, -d_n / alpha_next]
 
 
+def test_plot_data_factorial_at_count_3000(runner):
+    """About 24 MiB of CSV; every 250th row and the last are read back."""
+    count = 3000
+    result = runner.invoke(
+        main, ["plot-data", "--alpha", "factorial", "--p", "1", "--q", "2", "--count", str(count)]
+    )
+    assert result.exit_code == 0, result.output[-500:]
+    rows = result.output.splitlines()[2:]
+    assert len(rows) == count
+    seq = ExponentSequence.factorial()
+    terms = sorted_terms(seq, 1, 2, count + 1)
+    assert terms[count - 1][0] > c_pq(1, 2) * seq.value(count + 2)  # all final
+    for n in [*range(0, count, 250), count - 1]:
+        row = rows[n].split(",")
+        d_n, alpha_next = terms[n][0], seq.value(n + 1)
+        assert row[0] == str(n)
+        assert [Fraction(x) for x in row[4:]] == [-d_n, alpha_next, -d_n / alpha_next], n
+
+
 def test_d2_bound_past_the_int_str_limit(runner):
     result = runner.invoke(
         main, ["check", "--criterion", "d2", "--alpha", "factorial", "--B", BIG]

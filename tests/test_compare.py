@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from kothedim.diameters import closedform_diameters
 from kothedim.kothe import KotheFamily, check_regularity
 from kothedim.sequences import (
+    STABLE,
     UNSPECIFIED,
     ExponentSequence,
     PrefixExhaustedError,
     SequenceError,
+    _decade_blocks,
+    classify_prefix,
 )
 from kothedim.verify import edd_tail_check, verify_sandwich
 
@@ -125,6 +128,29 @@ def test_quotient_matches_the_closed_forms(spec):
             with pytest.raises(PrefixExhaustedError) as info:
                 seq.quotient(m, n)
             assert str(info.value) == str(by_value.value)
+
+
+@pytest.mark.parametrize("spec", SPECS + ("rational file",))
+def test_classify_prefix_doubling_matches_the_per_n_quotient(spec):
+    """classify_prefix steps alpha_2n / alpha_n from alpha_2(n-1) /
+    alpha_(n-1); its report matches one read from quotient(2n, n) per n.
+    The file alpha is declared stable, so its decade blocks are read too."""
+    if spec == "rational file":
+        values = [Fraction(n * n, 3) + Fraction(1, 1 + n % 7) for n in range(1, 1201)]
+        seq = ExponentSequence(
+            name="rational", kind="file", declared_class=STABLE, memo=values
+        )
+    else:
+        seq = make_seq(spec)
+    horizons = (4, 5, 21, 80) if spec == "rational" else (4, 5, 21, 80, 201, 1200)
+    for horizon in horizons:
+        report = classify_prefix(seq, horizon)
+        doubling = [seq.quotient(2 * n, n) for n in range(1, horizon // 2 + 1)]
+        assert report.max_doubling_ratio == max(doubling), horizon
+        if seq.declared_class == STABLE:
+            per_block = [max(doubling[lo - 1 : hi]) for lo, hi in _decade_blocks(len(doubling))]
+            consistent = len(per_block) < 2 or per_block[-1] <= max(per_block[:-1])
+            assert report.consistent_with_declared == consistent, horizon
 
 
 def test_compare_on_a_file_prefix_raises_where_scaled_does():

@@ -11,7 +11,6 @@ from kothedim.diameters import (
     CoverageError,
     _find_i,
     closedform_diameters,
-    epsilon_n,
     oracle_diameters,
     oracle_diameters_certified,
 )
@@ -150,12 +149,12 @@ def test_oracle_refuses_tiny_prefix():
 
 
 def test_epsilon_values():
+    # epsilon_n = 1/d_n has the exponent -coeff * alpha_{alpha_index}
     fam = family("linear")
     table = closedform_diameters(fam, 1, 2, 10)
-    eps = epsilon_n(table, 1)
-    assert (eps.coeff, eps.alpha_index) == (Fraction(3, 2), 1)
-    with pytest.raises(ValueError):
-        epsilon_n(table, 10)
+    d_1 = table.entries[1]
+    assert (-d_1.coeff, d_1.alpha_index) == (Fraction(3, 2), 1)
+    assert len(table.entries) == 10
 
 
 def test_epsilon_on_factorial_tail():
@@ -164,8 +163,9 @@ def test_epsilon_on_factorial_tail():
     table = closedform_diameters(fam, 1, 2, 40)
     for row in table.plan:
         if row.a >= table.a0 and row.n_a - 1 < 40:
-            eps = epsilon_n(table, row.n_a - 1)
-            assert eps.log_value(seq) == Fraction(3, 2) * seq.value(row.n_a)
+            # -log d_{n_a - 1} = 3/2 * alpha_{n_a}
+            d = table.entries[row.n_a - 1]
+            assert -d.log_value(seq) == Fraction(3, 2) * seq.value(row.n_a)
 
 
 PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (3, 4), (4, 9)]
@@ -329,9 +329,8 @@ def test_epsilon_respects_oracle_horizon():
     fam = family("linear")
     table = oracle_diameters(fam, 1, 2, 30)
     assert 0 <= table.certified_horizon < len(table.entries) - 1
-    epsilon_n(table, table.certified_horizon)  # fine
-    with pytest.raises(ValueError):
-        epsilon_n(table, table.certified_horizon + 1)
+    assert table.entries[table.certified_horizon].certified
+    assert not table.entries[table.certified_horizon + 1].certified
 
 
 def test_segment_coverage_partition():
@@ -497,5 +496,22 @@ def test_placement_one_off_band_index_too_far_raises_coverage_error(monkeypatch)
         return m
 
     monkeypatch.setattr(dm, "_find_i", one_too_far)
+    with pytest.raises(CoverageError):
+        closedform_diameters(family("linear"), 1, 2, 40)
+
+
+def test_marker_index_off_by_one_at_k_0_raises_coverage_error(monkeypatch):
+    """s_0 one too large moves the K interval of linear 1:2 to start at
+    diameter index -1, before the head's first entry."""
+    s_k = BandIndexing.s_k
+    monkeypatch.setattr(BandIndexing, "s_k", lambda self, k: s_k(self, k) + (k == 0))
+    with pytest.raises(CoverageError):
+        closedform_diameters(family("linear"), 1, 2, 40)
+
+
+def test_plan_one_row_short_raises_coverage_error(monkeypatch):
+    """Without its last row the plan stops before the table is full."""
+    build_plan = dm._build_plan
+    monkeypatch.setattr(dm, "_build_plan", lambda *args: build_plan(*args)[:-1])
     with pytest.raises(CoverageError):
         closedform_diameters(family("linear"), 1, 2, 40)
