@@ -223,14 +223,18 @@ def closedform_diameters(
     """Diameters d_0..d_{count-1} from the segment index formulas.
 
     Band terms are placed by the plan; off-band terms fill the remaining
-    positions in increasing order of their ratio index.  Labels follow one
-    rule per plan row (M before its band term J, preceded by the L and K
-    intervals when its i_a lies past a marker the previous one did not)
-    and one tail rule after the last row with a qualifying i_a.  The
-    labelled intervals are emitted in position order, each entry checked
-    against its interval's shift and against the entry before it; an
-    interval that does not start at the next index, a value mismatch, an
-    increase, or a table short of ``count`` entries raises CoverageError.
+    positions in increasing order of their ratio index.  One rule labels
+    the stretch after row a's band term (a virtual row 0 ends with the
+    head): it is cut before marker k + 1 for k = k_a..k_(a+1), each piece
+    ending at marker(k+1) - s_(k+1) + a - 1 (the last one just before band
+    term a+1) with shift s_(k+1) - a, and labelled L first, K between and
+    M last; next to a miss the stretch is one unshifted M.  The last row
+    with a qualifying i_a ends in its L piece alone, and the tail (shift 1)
+    follows.  Each entry is checked against its piece's shift and against
+    the entry before it; a piece that does not start at the next index, a
+    value mismatch, an increase, a table short of ``count`` entries, or a
+    next band or off-band term that beats d_(count-1) or an off-band index
+    skipped by the fill raises CoverageError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -263,9 +267,9 @@ def closedform_diameters(
     entries: list[DiameterEntry] = []
     last_num = last_index = 0
 
-    def mark(start: int, end: int, label: str, shift: int | None) -> int:
+    def mark(start: int, end: int, label: str, shift: int | None) -> None:
         """Emit [start, end] up to count - 1, each value checked against the
-        formula and the entry before it, and return that clipped end."""
+        formula and the entry before it."""
         nonlocal last_num, last_index
         end = min(end, count - 1)
         if start <= end and start != len(entries):
@@ -292,44 +296,27 @@ def closedform_diameters(
                     certified=True,
                 )
             )
-        return end
 
-    def mark_l(row: PlanRow) -> int:
-        """The L interval after ``row``'s band term, up to its next marker."""
-        s_next = bnd.s_k(row.k_a + 1)
-        return mark(
-            row.j_a + 1,
-            bnd.marker(row.k_a + 1) - s_next + row.a - 1,
-            SEG_L,
-            s_next - row.a,
-        )
+    def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
+        """The positions from one past ``row``'s band term to ``end``, cut
+        before marker k + 1 for k = row.k_a..k_last (L, then K, then
+        ``last``); next to a miss, one ``last`` piece with no shift."""
+        start = row.j_a + 1
+        if row.k_a is None or k_last is None:
+            return mark(start, end, last, None)
+        for k in range(row.k_a, k_last + 1):
+            s_next = bnd.s_k(k + 1)
+            stop = end if k == k_last else bnd.marker(k + 1) - s_next + row.a - 1
+            label = last if k == k_last else SEG_K if k > row.k_a else SEG_L
+            mark(start, stop, label, s_next - row.a)
+            start = stop + 1
 
     mark(0, n_1 - 2, HEAD, 1)
-    # a virtual row 0 ends with the head: its L is empty and its K loop
-    # starts at k_min, so row 1 follows the general tiling
+    # a virtual row 0 ends with the head: its L is empty and its K pieces
+    # start at k_min, so row 1 follows the general tiling
     prev = PlanRow(a=0, n_a=0, i_a=0, k_a=bnd.k_min - 1, j_a=n_1 - 2)
     for row in rows if a0 is None else rows[: a0 - 1]:
-        # a miss at this row or the previous one: the paper intervals do not
-        # apply between the two band terms, and the stretch follows the
-        # generic fill (attributed to M)
-        start, shift = prev.j_a + 1, None
-        if row.i_a is not None and prev.i_a is not None:
-            shift = bnd.s_k(row.k_a + 1) - (row.a - 1)
-            # with both i's between the same pair of markers the whole
-            # stretch is this row's M (the published left endpoint goes
-            # stale when band terms stack); otherwise L of the previous
-            # row and K per marker crossed come first
-            if row.k_a != prev.k_a:
-                mark_l(prev)
-                for k in range(prev.k_a + 1, row.k_a):
-                    mark(
-                        bnd.marker(k) - bnd.s_k(k) + prev.a,
-                        bnd.marker(k + 1) - bnd.s_k(k + 1) + prev.a - 1,
-                        SEG_K,
-                        bnd.s_k(k + 1) - prev.a,
-                    )
-                start = bnd.marker(row.k_a) - bnd.s_k(row.k_a) + row.a - 1
-        mark(start, row.j_a - 1, SEG_M, shift)
+        stretch(prev, row.k_a, row.j_a - 1, SEG_M)
         mark(row.j_a, row.j_a, SEG_J, None)
         prev = row
 
@@ -342,12 +329,24 @@ def closedform_diameters(
             raise CoverageError(
                 f"tail handover expects marker index {a0}, got {s_last}"
             )
-        mark(mark_l(prev) + 1, count - 1, TAIL, 1)
+        l_end = bnd.marker(prev.k_a + 1) - s_last + prev.a - 1
+        stretch(prev, prev.k_a, l_end, SEG_L)
+        mark(l_end + 1, count - 1, TAIL, 1)
 
     if len(entries) != count:
         raise CoverageError(
             f"segment families leave a gap at index {len(entries)}"
         )
+    # across the end: the first band term and the first off-band term past
+    # the table do not beat d_(count-1), and the fill listed exactly the
+    # off-band indices below the next one
+    m = next(blues)
+    if (
+        seq.compare(last_num, last_index, red_num, rows[-1].n_a) < 0
+        or seq.compare(last_num, last_index, blue_num, m) < 0
+        or m - 1 - bnd.count_below(m) != count - (len(rows) - 1)
+    ):
+        raise CoverageError(f"a term past diameter index {count - 1} is out of place")
     return DiameterTable(
         p=p,
         q=q,

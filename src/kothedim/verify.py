@@ -26,7 +26,7 @@ class SandwichReport:
 
     The upper bound must hold at every certified index; the lower bound
     from some threshold on.  ``n_found`` is the least such threshold seen,
-    None when violations persist to the end of the certified range.
+    None when it lies past the certified range, where no index shows it.
     """
 
     p: int
@@ -73,10 +73,9 @@ def verify_sandwich(
             upper_violations.append(n)
         if seq.compare(num, m, c_num, 4 * n) < 0:
             lower_violations.append(n)
-    if lower_violations and lower_violations[-1] >= horizon:
+    n_found = lower_violations[-1] + 1 if lower_violations else 1
+    if n_found > horizon:
         n_found = None
-    else:
-        n_found = lower_violations[-1] + 1 if lower_violations else 1
     return SandwichReport(
         p=p,
         q=q,

@@ -151,6 +151,22 @@ def test_verify_sandwich(runner):
         assert rep["conclusive"] is True
 
 
+@pytest.mark.parametrize(
+    "count, horizon, n_found, conclusive", [(1, 0, None, False), (2, 1, 1, True)]
+)
+def test_verify_sandwich_threshold_past_the_certified_range(
+    runner, count, horizon, n_found, conclusive
+):
+    """At count 1 no index n >= 1 is certified, so no threshold is seen."""
+    result = invoke(
+        runner,
+        ["verify", "--what", "sandwich", "--alpha", "linear", "--pairs", "1:2",
+         "--count", str(count)],
+    )
+    (rep,) = json.loads(result.output)["reports"]
+    assert (rep["horizon"], rep["N_found"], rep["conclusive"]) == (horizon, n_found, conclusive)
+
+
 def test_diameters_fixed_horizon(runner):
     result = invoke(
         runner,

@@ -515,3 +515,62 @@ def test_plan_one_row_short_raises_coverage_error(monkeypatch):
     monkeypatch.setattr(dm, "_build_plan", lambda *args: build_plan(*args)[:-1])
     with pytest.raises(CoverageError):
         closedform_diameters(family("linear"), 1, 2, 40)
+
+
+# -- the check across the end of the table -----------------------------------
+
+
+def fault(kind: str, t: int):
+    """(owner, name, replacement) for one fault at n_t or at s_t: n_t read
+    as off-band, s_t one too large, or i_a one off-band index too far."""
+    if kind == "contains":
+        contains = BandIndexing.contains
+        return BandIndexing, "contains", lambda self, n: n != self.element(t) and contains(self, n)
+    if kind == "s_k":
+        s_k = BandIndexing.s_k
+        return BandIndexing, "s_k", lambda self, k: s_k(self, k) + (k == t)
+    find_i = dm._find_i
+
+    def one_too_far(seq, bnd, mult, n_a):
+        m = find_i(seq, bnd, mult, n_a)
+        if m is not None and n_a == bnd.element(t):
+            m += 1
+            while bnd.contains(m):
+                m += 1
+        return m
+
+    return dm, "_find_i", one_too_far
+
+
+@pytest.mark.parametrize(
+    "kind, t, spec, count", [("find_i", 1, "linear", 2), ("contains", 2, "factorial", 1)]
+)
+def test_term_out_of_place_past_the_table_raises_coverage_error(monkeypatch, kind, t, spec, count):
+    """Each fault leaves a monotone table whose shifts all check: i_1 one
+    off-band index too far places n_1 of linear 1:2 at index 2, so d_1
+    would read e^(-5/2) where the oracle has e^(-3/2); n_2 of 1:2 read as
+    off-band lists d_0 = e^(-alpha_2 / 2) on factorial, before the band
+    term that beats it."""
+    monkeypatch.setattr(*fault(kind, t))
+    with pytest.raises(CoverageError):
+        closedform_diameters(family(spec), 1, 2, count)
+
+
+@pytest.mark.parametrize("kind", ["contains", "s_k", "find_i"])
+def test_faulted_tables_raise_or_match_the_oracle(monkeypatch, kind):
+    """Under each fault at t = 1..4, every closed-form table either raises
+    CoverageError or lists the oracle's values (compared as values: tied
+    entries may come in another order)."""
+    for spec in ("linear", "factorial"):
+        fam = family(spec)
+        for p, q in [(1, 2), (1, 3), (2, 5)]:
+            oracle = log_values(oracle_diameters_certified(fam, p, q, 40), fam.seq)
+            for t in range(1, 5):
+                with monkeypatch.context() as patched:
+                    patched.setattr(*fault(kind, t))
+                    for count in range(1, 41):
+                        try:
+                            table = closedform_diameters(fam, p, q, count)
+                        except CoverageError:
+                            continue
+                        assert log_values(table, fam.seq) == oracle[:count], (spec, p, q, t, count)
