@@ -39,7 +39,7 @@ class CoverageError(RuntimeError):
     """The closed-form segment families failed to tile the index range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiameterEntry(LogTerm):
     """One diameter d_n = e^(coeff * alpha_{alpha_index})."""
 
@@ -114,8 +114,7 @@ def _merged_entries(
         ((-(blue_num - pq) * alpha, m, red) for m, alpha, on_band in reds if on_band),
     )
     for n, (neg_key, m, coeff) in enumerate(merged):
-        certified = bound is None or -neg_key > bound
-        yield DiameterEntry(n=n, coeff=coeff, alpha_index=m, segment=ORACLE, certified=certified)
+        yield DiameterEntry(coeff, m, n, ORACLE, bound is None or -neg_key > bound)
 
 
 def oracle_diameters(
@@ -223,7 +222,9 @@ def closedform_diameters(
     """Diameters d_0..d_{count-1} from the segment index formulas.
 
     Band terms are placed by the plan; off-band terms fill the remaining
-    positions in increasing order of their ratio index.  One rule labels
+    positions in increasing order of their ratio index, read as the runs
+    between consecutive band elements n_i, each n_i checked to lie on the
+    band (CoverageError if not).  One rule labels
     the stretch after row a's band term (a virtual row 0 ends with the
     head): it is cut before marker k + 1 for k = k_a..k_(a+1), each piece
     ending at marker(k+1) - s_(k+1) + a - 1 (the last one just before band
@@ -260,10 +261,18 @@ def closedform_diameters(
     else:
         tail_start = 0 if a0 == 1 else rows[a0 - 2].j_a + 1
 
-    # values: reds by plan position, blues in increasing index order; a
-    # coefficient is kept as its integer numerator over pq
+    # values: reds by plan position, blues run by run; a coefficient is kept
+    # as its integer numerator over pq
+    def off_band_runs() -> Iterator[range]:
+        n_prev = 0
+        for i in itertools.count(1):
+            if not bnd.contains(n_i := bnd.element(i)):
+                raise CoverageError(f"band element n_{i} = {n_i} is off the band")
+            yield range(n_prev + 1, n_i)
+            n_prev = n_i
+
     reds = {row.j_a: row.n_a for row in rows}
-    blues = itertools.filterfalse(bnd.contains, itertools.count(1))
+    blues = itertools.chain.from_iterable(off_band_runs())
     entries: list[DiameterEntry] = []
     last_num = last_index = 0
 
@@ -278,24 +287,18 @@ def closedform_diameters(
                 f"expected {len(entries)}"
             )
         for n in range(start, end + 1):
-            num, m = (red_num, reds[n]) if n in reds else (blue_num, next(blues))
+            num, coeff, m = (red_num, red, reds[n]) if n in reds else (blue_num, blue, next(blues))
             if shift is not None and m != n + shift:
                 raise CoverageError(
                     f"segment {label} expects alpha index {n + shift} at "
                     f"diameter index {n}, fill has {m}"
                 )
-            if n and seq.compare(last_num, last_index, num, m) < 0:
+            # one negative coefficient: the value decreases iff the index increases
+            if (m <= last_index if num == last_num
+                    else n and seq.compare(last_num, last_index, num, m) < 0):
                 raise CoverageError(f"diameters not non-increasing at index {n}")
             last_num, last_index = num, m
-            entries.append(
-                DiameterEntry(
-                    n=n,
-                    coeff=blue if num == blue_num else red,
-                    alpha_index=m,
-                    segment=label,
-                    certified=True,
-                )
-            )
+            entries.append(DiameterEntry(coeff, m, n, label, True))
 
     def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
         """The positions from one past ``row``'s band term to ``end``, cut

@@ -52,7 +52,7 @@ def format_rational(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogTerm:
     """The real number ``e^(coeff * alpha_index)``, kept symbolic.
 

@@ -12,7 +12,7 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, count, repeat
 from pathlib import Path
 
 from .exact import Rational, format_rational, fraction_to_float, parse_rational
@@ -52,13 +52,13 @@ class ExponentSequence:
     whose prefix never grows.
 
     :meth:`compare` decides ``a * alpha_m`` against ``b * alpha_n`` for
-    integers a and b.  For ``factorial`` and ``superproduct`` it walks the
+    integers a and b: for ``factorial`` and ``superproduct`` it walks the
     small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
-    the same ones the memo is built from) and never reads or grows the
-    memo; for the other kinds it cross-multiplies :meth:`scaled` integers.
-    :meth:`quotient` gives the exact ``alpha_m / alpha_n`` the same two
-    ways.  :meth:`compare_to` decides ``a * alpha_m`` against a constant,
-    and :meth:`exp_float` gives the display double of ``e^(coeff * alpha_m)``.
+    the same ones the memo is built from), never reading the memo; for the
+    closed forms it cross-multiplies ``m**d``, for a ``file`` :meth:`scaled`.
+    :meth:`quotient` gives the exact ``alpha_m / alpha_n`` (ratio steps or
+    :meth:`scaled`).  :meth:`compare_to` decides ``a * alpha_m`` against a
+    constant, and :meth:`exp_float` the display double of ``e^(coeff * alpha_m)``.
     """
 
     name: str
@@ -202,28 +202,30 @@ class ExponentSequence:
 
     def scaled_values(self) -> Iterator[int]:
         """:meth:`scaled` at 1, 2, 3, ... in order, never growing the memo:
-        a ratio kind multiplies out its :meth:`_ratio` steps from alpha_1 =
-        1, and a ``file`` alpha raises :class:`PrefixExhaustedError` past
-        its stored prefix."""
-        if self.kind not in _RATIO_KINDS:
-            return map(self.scaled, count(1))
-        return accumulate(map(self._ratio, count(2)), operator.mul, initial=1)
+        ``n**d`` for a closed form, the running product of the :meth:`_ratio`
+        steps from alpha_1 = 1 for a ratio kind; a ``file`` alpha raises
+        :class:`PrefixExhaustedError` past its stored prefix."""
+        if self.kind in _RATIO_KINDS:
+            return accumulate(map(self._ratio, count(2)), operator.mul, initial=1)
+        return map(pow, count(1), repeat(e)) if (e := self.degree) else map(self.scaled, count(1))
 
     def compare(self, a: int, m: int, b: int, n: int) -> int:
         """The sign (-1, 0 or 1) of ``a * alpha_m - b * alpha_n``, exactly.
 
         ``a`` and ``b`` are integers, typically coefficient numerators over
-        one shared positive denominator.  For the ratio kinds, once both
-        products are positive, the smaller index's alpha divides out and
-        the running product of the ratios between the two indices is
+        one shared positive denominator.  After the index check, the closed
+        forms cross-multiply ``m**d`` directly.  For the ratio kinds, once
+        both products are positive, the smaller index's alpha divides out
+        and the running product of the ratios between the two indices is
         compared with the other integer; it is at least 2**steps, so the
         walk stops after about log2 of the integers' quotient.
         """
-        if self.kind not in _RATIO_KINDS:
-            d = a * self.scaled(m) - b * self.scaled(n)
-            return (d > 0) - (d < 0)
         if m < 1 or n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
+        if self.kind not in _RATIO_KINDS:
+            x, y = (m**e, n**e) if (e := self.degree) else (self.scaled(m), self.scaled(n))
+            d = a * x - b * y
+            return (d > 0) - (d < 0)
         sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sa != sb or sa == 0:
             return (sa > sb) - (sa < sb)  # alpha > 0: the signs decide

@@ -57,8 +57,8 @@ def verify_sandwich(
 ) -> SandwichReport:
     """Exact scan of both bounds over the certified range (n >= 1).
 
-    Coefficients are taken as integer numerators over pq and each bound is
-    one ``seq.compare``.
+    Each coefficient object is scaled once to its integer numerator over
+    pq (an engine's table holds two), and each bound is one ``seq.compare``.
     """
     seq = family.seq
     pq = p * q
@@ -66,9 +66,14 @@ def verify_sandwich(
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
+    # keyed by identity: both engines share one Fraction per coefficient,
+    # and hashing a Fraction costs more than scaling it
+    nums: dict[int, int] = {}
     for n in range(1, horizon + 1):
         entry = table.entry(n)
-        num, m = scaled_numerator(entry.coeff, pq), entry.alpha_index
+        num, m = nums.get(id(entry.coeff)), entry.alpha_index
+        if num is None:
+            num = nums[id(entry.coeff)] = scaled_numerator(entry.coeff, pq)
         if seq.compare(num, m, c_num, n) > 0:
             upper_violations.append(n)
         if seq.compare(num, m, c_num, 4 * n) < 0:

@@ -4,6 +4,7 @@ The reference values are computed here from the closed forms (``n``,
 ``n**3``, ``n!``, the superproduct), not from the sequence's memo, so a
 wrong ratio in the kernel cannot hide behind the same ratio in the memo.
 """
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,6 +43,8 @@ def make_seq(spec):
 def alpha(spec, n):
     if spec == "linear":
         return Fraction(n)
+    if spec == "poly:2":
+        return Fraction(n**2)
     if spec == "poly:3":
         return Fraction(n**3)
     if spec == "factorial":
@@ -106,6 +109,48 @@ def test_compare_rejects_index_zero(spec):
         make_seq(spec).quotient(0, 1)
     with pytest.raises(SequenceError):
         make_seq(spec).quotient(1, 0)
+
+
+# -- the closed-form kernel path: m**d with no call per alpha value ----------
+
+CLOSED_SPECS = ("linear", "poly:2", "poly:3")
+# zero, both signs, and a pair of large integers
+KERNEL_INTEGERS = (-10**30, -7, -1, 0, 1, 3, 10**30 + 1)
+KERNEL_INDICES = (1, 2, 3, 8, 1000, 10**9)
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS)
+def test_closed_form_compare_matches_the_fraction_reference(spec):
+    seq = make_seq(spec)
+    for a in KERNEL_INTEGERS:
+        for m in KERNEL_INDICES:
+            assert seq.compare_to(a, m, 0) == sign(a)
+            for b in KERNEL_INTEGERS:
+                want_to = sign(a * alpha(spec, m) - b)
+                assert seq.compare_to(a, m, b) == want_to, (a, m, b)
+                for n in KERNEL_INDICES:
+                    want = sign(a * alpha(spec, m) - b * alpha(spec, n))
+                    assert seq.compare(a, m, b, n) == want, (a, m, b, n)
+    assert seq.memo == [1]
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS)
+def test_closed_form_compare_rejects_index_zero_on_either_side(spec):
+    seq = make_seq(spec)
+    for a, b in ((1, 1), (0, 0), (-1, 2)):
+        for m, n in ((0, 1), (1, 0), (0, 0), (-1, 3)):
+            with pytest.raises(SequenceError):
+                seq.compare(a, m, b, n)
+        with pytest.raises(SequenceError):
+            seq.compare_to(a, 0, b)
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS)
+def test_closed_form_scaled_values_match_scaled(spec):
+    seq = make_seq(spec)
+    got = list(itertools.islice(seq.scaled_values(), 1000))
+    assert got == [seq.scaled(n) for n in range(1, 1001)]
+    assert got == [alpha(spec, n) for n in range(1, 1001)]
 
 
 # m < n, m = n and m > n, near and far apart

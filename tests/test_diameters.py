@@ -522,10 +522,14 @@ def test_plan_one_row_short_raises_coverage_error(monkeypatch):
 
 def fault(kind: str, t: int):
     """(owner, name, replacement) for one fault at n_t or at s_t: n_t read
-    as off-band, s_t one too large, or i_a one off-band index too far."""
+    as off-band, n_t one too large, s_t one too large, or i_a one off-band
+    index too far."""
     if kind == "contains":
         contains = BandIndexing.contains
         return BandIndexing, "contains", lambda self, n: n != self.element(t) and contains(self, n)
+    if kind == "element":
+        element = BandIndexing.element
+        return BandIndexing, "element", lambda self, i: element(self, i) + (i == t)
     if kind == "s_k":
         s_k = BandIndexing.s_k
         return BandIndexing, "s_k", lambda self, k: s_k(self, k) + (k == t)
@@ -574,3 +578,18 @@ def test_faulted_tables_raise_or_match_the_oracle(monkeypatch, kind):
                         except CoverageError:
                             continue
                         assert log_values(table, fam.seq) == oracle[:count], (spec, p, q, t, count)
+
+
+def test_faulted_band_elements_raise_or_match_the_oracle(monkeypatch):
+    """n_t one too large, t = 1..4, feeds both the plan's band terms and the
+    fill's off-band runs: the same sweep as for the other faults."""
+    test_faulted_tables_raise_or_match_the_oracle(monkeypatch, "element")
+
+
+@pytest.mark.parametrize("p, q, t", [(1, 2, 2), (2, 5, 1), (2, 5, 3)])
+def test_band_element_off_the_band_raises_at_its_run(monkeypatch, p, q, t):
+    """n_t + 1 is off the band here: the fill checks each band element it
+    reads, so the table raises however the plan places the faulted term."""
+    monkeypatch.setattr(*fault("element", t))
+    with pytest.raises(CoverageError, match=f"band element n_{t} "):
+        closedform_diameters(family("linear"), p, q, 40)

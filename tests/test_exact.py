@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -190,3 +192,25 @@ def test_diameter_entries_of_both_engines_are_logterms():
         assert table.entries
         assert all(isinstance(e, LogTerm) for e in table.entries)
         assert all(e.term() is e for e in table.entries)
+
+
+def test_log_terms_and_diameter_entries_are_slotted_and_frozen():
+    """No per-instance __dict__; fields cannot be assigned, and replace and
+    pickle round trips give equal entries with equal hashes."""
+    family = KotheFamily(ExponentSequence.linear())
+    closed = closedform_diameters(family, 2, 5, 12).entries
+    oracle = oracle_diameters_certified(family, 2, 5, 12).entries
+    terms = [LogTerm(Fraction(-3, 10), 4), closed[0], closed[-1], oracle[5]]
+    for term in terms:
+        assert not hasattr(term, "__dict__")
+        for field in dataclasses.fields(term):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(term, field.name, 1)
+        with pytest.raises((AttributeError, TypeError)):
+            term.extra = 1  # no slot to hold it
+        for copy in (dataclasses.replace(term), pickle.loads(pickle.dumps(term))):
+            assert type(copy) is type(term)
+            assert copy == term and hash(copy) == hash(term)
+    moved = dataclasses.replace(closed[3], alpha_index=closed[3].alpha_index + 1)
+    assert moved != closed[3]
+    assert (moved.n, moved.segment, moved.coeff) == (3, closed[3].segment, closed[3].coeff)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,42 @@ def test_sandwich_threshold_reported_when_early_violations():
         c = c_pq(1, 9)
         for n in range(n0, table.certified_horizon + 1):
             assert table.entry(n).log_value(seq) >= c * seq.value(4 * n)
+
+
+def sandwich_reference(fam, p, q, table):
+    """Both bound scans in Fraction arithmetic, from log_value."""
+    seq, c = fam.seq, c_pq(p, q)
+    upper, lower = [], []
+    for n in range(1, table.certified_horizon + 1):
+        log_d = table.entry(n).log_value(seq)
+        if log_d > c * seq.value(n):
+            upper.append(n)
+        if log_d < c * seq.value(4 * n):
+            lower.append(n)
+    return upper, lower
+
+
+def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
+    """Entries given a third coefficient over pq, or an equal coefficient in
+    another Fraction object, are scanned as the Fraction reference scans them."""
+    fam = family("linear")
+    table = table_for(fam, 2, 5, 200)
+    for n in range(3, 200, 7):
+        e = table.entries[n]
+        coeff = Fraction(-1, 10) if n % 2 else Fraction(e.coeff.numerator, e.coeff.denominator)
+        table.entries[n] = dataclasses.replace(e, coeff=coeff)
+    report = verify_sandwich(fam, 2, 5, table)
+    assert report.upper_violations
+    assert (report.upper_violations, report.lower_violations) == sandwich_reference(fam, 2, 5, table)
+
+
+def test_sandwich_rejects_a_coefficient_off_pq():
+    fam = family("linear")
+    table = table_for(fam, 1, 2, 50)
+    e = table.entries[30]
+    table.entries[30] = dataclasses.replace(e, coeff=Fraction(-1, 7))
+    with pytest.raises(ValueError, match="no denominator dividing 2"):
+        verify_sandwich(fam, 1, 2, table)
 
 
 def test_eadd_factorial_1_2():
