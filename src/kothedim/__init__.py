@@ -6,7 +6,6 @@ from .diameters import (
     PlanRow,
     closedform_diameters,
     oracle_diameters,
-    oracle_diameters_certified,
 )
 from .exact import LogTerm, Rational, logterm_cmp
 from .grid import column_of, pair_index, unpair
@@ -59,7 +58,6 @@ __all__ = [
     "logterm_cmp",
     "omega_j_bound",
     "oracle_diameters",
-    "oracle_diameters_certified",
     "pair_index",
     "regularity_criterion",
     "unpair",

@@ -234,18 +234,14 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     seq = family.seq
     oracle = None
     if method != "closed":
-        if horizon is None:
-            oracle = dm.oracle_diameters_certified(family, p, q, count)
-        else:
-            oracle = dm.oracle_diameters(family, p, q, horizon)
-            if not oracle.entries:
-                _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
+        oracle = dm.oracle_diameters(family, p, q, count, horizon)
+        if not oracle.entries:
+            _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
     primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
-    entries = primary.entries[:count]
+    entries = primary.entries  # both engines list count entries
     agrees = []
     if method == "both":
-        # the oracle holds at least count entries; agreement is only
-        # meaningful where its entry is final
+        # agreement is only meaningful where the oracle's entry is final
         for e, o in zip(entries, oracle.entries):
             agrees.append("" if not o.certified else logterm_cmp(o, e, seq) == 0)
 

@@ -1,16 +1,17 @@
 """Kolmogorov diameter sequences by two independent routes.
 
 Route one (the oracle) merges the exact ratio terms ``a_{p,n}/a_{q,n}``
-into descending order and reads the (n+1)-th term: the off-band terms
-e^(c alpha_m) and the band terms e^((c-1) alpha_n) are two strictly
-decreasing runs, so a two-way merge of them is final entry by entry.  Route
-two never merges: it places each on-band term by an index formula (how many
-off-band terms beat it) and fills the remaining positions with the off-band
-terms in increasing order, attributing every position to one of the segment
-families head/J/K/L/M or to the eventually-decreasing tail that takes over
-when the placement search stops finding qualifying off-band terms.  The two
-routes agreeing exactly, value by value, is the central invariant of the
-package.
+into descending order and reads the (n+1)-th term: it walks the diagonals
+of the grid for each index's column, so the off-band terms e^(c alpha_m)
+and the band terms e^((c-1) alpha_n) form two strictly decreasing runs,
+and a two-way merge of them is final entry by entry.  It shares no band
+index code with route two.  Route two never merges: it places each on-band
+term by an index formula (how many off-band terms beat it) and fills the
+remaining positions with the off-band terms in increasing order,
+attributing every position to one of the segment families head/J/K/L/M or
+to the eventually-decreasing tail that takes over when the placement
+search stops finding qualifying off-band terms.  The two routes agreeing
+exactly, value by value, is the central invariant of the package.
 
 Throughout, "red" refers to a term e^((c-1) alpha_{n_a}) coming from a band
 element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .exact import LogTerm, Rational, scaled_numerator
@@ -78,7 +79,7 @@ class DiameterTable:
     plan: list[PlanRow] | None = None
     a0: int | None = None
     tail_start: int | None = None
-    oracle_prefix: int | None = None  # the largest ratio index the oracle read
+    oracle_prefix: int | None = None  # the largest ratio index the oracle's merge read
     diagnostic: str | None = None
 
     def entry(self, n: int) -> DiameterEntry:
@@ -89,76 +90,76 @@ class DiameterTable:
 
 
 def _merged_entries(
-    family: KotheFamily, p: int, q: int, indices: Iterable[int], bound: int | None
+    family: KotheFamily, p: int, q: int, indices: Iterator[int], bound: int | None
 ) -> Iterator[DiameterEntry]:
-    """The ratio terms at ``indices`` (ascending from 1), descending by
-    value, ties by the smaller ratio index m; certified when the key beats
+    """The ratio terms at ``indices`` (1, 2, 3, ...), descending by value,
+    ties by the smaller ratio index m; certified when the key beats
     ``bound``, always when ``bound`` is None.
 
-    A key is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off
-    the band (``ratio_coeff`` is c_pq) and on it (c_pq - 1) the coefficient
-    is one negative constant, so each run strictly decreases and
-    :func:`heapq.merge` of ``(-key, m)`` orders the two as sorting all the
-    terms would.  Both runs share one pass of ``seq.scaled_values()``.
+    Each index's column comes from a walk of the diagonals (1; 1, 2; 1, 2,
+    3; ...), so m is on the band when that column s has p <= s < q.  A key
+    is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off the
+    band (c_pq) and on it (c_pq - 1) the coefficient is one negative
+    constant, so each run strictly decreases and :func:`heapq.merge` of
+    ``(-key, m)`` orders the two as sorting all the terms would.  Both runs
+    share one pass of ``seq.scaled_values()``.
     """
     pq = p * q
     blue = c_pq(p, q)
     red = blue - 1
     blue_num = scaled_numerator(blue, pq)
-    blues, reds = itertools.tee(
-        (m, alpha, family.ratio_coeff(p, q, m) != blue)
-        for m, alpha in zip(indices, family.seq.scaled_values())
-    )
+    columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
+    blues, reds = itertools.tee(zip(indices, columns, family.seq.scaled_values()))
     merged = heapq.merge(
-        ((-blue_num * alpha, m, blue) for m, alpha, on_band in blues if not on_band),
-        ((-(blue_num - pq) * alpha, m, red) for m, alpha, on_band in reds if on_band),
+        ((-blue_num * alpha, m, blue) for m, s, alpha in blues if not p <= s < q),
+        ((-(blue_num - pq) * alpha, m, red) for m, s, alpha in reds if p <= s < q),
     )
     for n, (neg_key, m, coeff) in enumerate(merged):
         yield DiameterEntry(coeff, m, n, ORACLE, bound is None or -neg_key > bound)
 
 
 def oracle_diameters(
-    family: KotheFamily, p: int, q: int, prefix_len: int
+    family: KotheFamily, p: int, q: int, count: int, horizon: int | None = None
 ) -> DiameterTable:
-    """Merge the first ``prefix_len`` exact ratio terms in descending order.
+    """The first ``count`` entries of one merge of the exact ratio terms in
+    descending order: d_n is the (n+1)-th merged term.
 
-    d_n is the (n+1)-th merged term.  An entry is certified final when it is
-    strictly greater than e^(c_pq alpha_{prefix_len+1}), which dominates
-    every unseen term; ties with that bound stay uncertified because an
-    unseen term could equal them.  A table that certifies nothing lists no
-    entries.
+    With ``horizon`` None the merge covers every ratio term and each entry
+    is final: every term not yet merged comes after the heads of the two
+    runs.  With ``horizon`` H it covers m <= H, and an entry is certified
+    final when it is strictly greater than e^(c_pq alpha_{H+1}), which
+    dominates every unseen term; ties with that bound stay uncertified
+    because an unseen term could equal them.  Such a table that certifies
+    nothing lists no entries.  ``oracle_prefix`` is the largest ratio index
+    the merge read.
     """
-    if prefix_len < 2:
-        raise ValueError("oracle prefix must have at least 2 terms")
-    # alpha_{prefix_len+1} from a pass of its own, so that no key is kept
-    alpha_next = next(itertools.islice(family.seq.scaled_values(), prefix_len, None))
-    bound = scaled_numerator(c_pq(p, q), p * q) * alpha_next
-    entries = list(_merged_entries(family, p, q, range(1, prefix_len + 1), bound))
-    horizon = sum(e.certified for e in entries) - 1  # the keys decrease
-    return DiameterTable(
-        p, q, "oracle", entries if horizon >= 0 else [], horizon,
-        oracle_prefix=prefix_len,
-        diagnostic=None if horizon >= 0 else (
-            f"prefix of {prefix_len} ratio terms certifies no diameter; "
-            "increase the prefix length"
-        ),
-    )
-
-
-def oracle_diameters_certified(
-    family: KotheFamily, p: int, q: int, count: int
-) -> DiameterTable:
-    """The first ``count`` entries of the merge over every ratio term.
-
-    Each is final: every term not yet merged comes after the heads of the
-    two runs.  ``oracle_prefix`` is the largest ratio index the merge read.
-    """
+    bound = None
+    if horizon is not None:
+        if horizon < 2:
+            raise ValueError("oracle prefix must have at least 2 terms")
+        if horizon < count:
+            raise ValueError("oracle prefix must hold at least count terms")
+        # alpha_{H+1} from a pass of its own, so that no key is kept
+        alpha_next = next(itertools.islice(family.seq.scaled_values(), horizon, None))
+        bound = scaled_numerator(c_pq(p, q), p * q) * alpha_next
     indices = itertools.count(1)
-    merged = _merged_entries(family, p, q, indices, None)
+    merged = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound)
     entries = list(itertools.islice(merged, count))
+    certified = sum(e.certified for e in entries)  # a prefix: the keys decrease
+    empty = horizon is not None and not certified
     return DiameterTable(
-        p, q, "oracle", entries, count - 1, oracle_prefix=next(indices) - 1
+        p, q, "oracle", [] if empty else entries, certified - 1,
+        oracle_prefix=next(indices) - 1,
+        diagnostic=(
+            f"prefix of {horizon} ratio terms certifies no diameter; "
+            "increase the prefix length"
+        ) if empty else None,
     )
+
+
+# perfbench/ calls the oracle by this name; the alias goes when perfbench/ is
+# next edited (ROADMAP item 1)
+oracle_diameters_certified = oracle_diameters
 
 
 # -- route two: index formulas ------------------------------------------------

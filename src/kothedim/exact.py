@@ -13,7 +13,8 @@ the sandwich bounds and the regularity checks call it on numerators over
 ``pq`` (:func:`scaled_numerator`); the (d2) and nuclearity checks use
 ``ExponentSequence.compare_to``.  A ratio of two alpha values is
 ``ExponentSequence.quotient``.  The oracle, kept as the independent
-reference, merges its two strictly decreasing runs by big-integer keys,
+reference, walks the diagonals of the grid for each ratio index's column
+and merges its two strictly decreasing runs by big-integer keys,
 ``scaled_numerator(coeff, pq)`` times ``ExponentSequence.scaled_values``.
 Floats appear only in display/export paths, through
 ``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
@@ -65,8 +66,9 @@ class LogTerm:
     alpha_index: int
 
     def log_value(self, seq: "ExponentSequence") -> Rational:
-        """Exact exponent ``coeff * alpha_{alpha_index}``."""
-        return self.coeff * seq.value(self.alpha_index)
+        """Exact exponent ``coeff * alpha_{alpha_index}``, a Fraction: the
+        stored alpha is an int or, for a ``file`` alpha, a Fraction."""
+        return self.coeff * seq.stored(self.alpha_index)
 
 
 def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:

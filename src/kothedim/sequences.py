@@ -177,9 +177,10 @@ class ExponentSequence:
             v *= self._ratio(i)
             memo.append(v)
 
-    def _stored(self, n: int) -> int | Rational:
-        """alpha_n (1-based): n**d for the closed forms, else the memo entry,
-        extending the memo as needed."""
+    def stored(self, n: int) -> int | Rational:
+        """alpha_n (1-based) as stored, an int for the generated kinds and a
+        Fraction for a ``file``: n**d for the closed forms, else the memo
+        entry, extending the memo as needed."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
         if self.degree is not None:
@@ -190,12 +191,12 @@ class ExponentSequence:
 
     def value(self, n: int) -> Rational:
         """Exact alpha_n (1-based) as a Fraction."""
-        v = self._stored(n)
+        v = self.stored(n)
         return v if self.kind == "file" else Fraction(v)
 
     def scaled(self, n: int) -> int:
         """The exact integer ``alpha_n * scale``."""
-        v = self._stored(n)
+        v = self.stored(n)
         if self.kind != "file":
             return v
         return v.numerator * (self.scale // v.denominator)
@@ -276,7 +277,7 @@ class ExponentSequence:
         if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
             return 0.0, True
         try:
-            return math.exp(num * self._stored(m) / den), False
+            return math.exp(num * self.stored(m) / den), False
         except OverflowError:  # e^x passes the double range from x ~ 709.78 on
             return math.inf, True
 

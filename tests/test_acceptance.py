@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from kothedim.diameters import closedform_diameters, oracle_diameters_certified
+from kothedim.diameters import closedform_diameters, oracle_diameters
 from kothedim.grid import BandIndexing, column_start, pair_index, unpair
 from kothedim.kothe import (
     KotheFamily,
@@ -43,7 +43,7 @@ def grid_tables():
     for spec in ALPHAS:
         family = KotheFamily(ExponentSequence.from_spec(spec))
         for p, q in PAIRS:
-            oracle = oracle_diameters_certified(family, p, q, COUNT)
+            oracle = oracle_diameters(family, p, q, COUNT)
             closed = closedform_diameters(family, p, q, COUNT)
             tables[(spec, p, q)] = (family, oracle, closed)
     return tables, time.time() - t0

@@ -593,10 +593,7 @@ def test_values_equal_matches_fraction_reference(
     spec = long_file_alpha if alpha == "file" else alpha
     family = KotheFamily(ExponentSequence.from_spec(spec))
     seq = family.seq
-    if horizon is None:
-        oracle = dm.oracle_diameters_certified(family, p, q, count)
-    else:
-        oracle = dm.oracle_diameters(family, p, q, horizon)
+    oracle = dm.oracle_diameters(family, p, q, count, horizon)
     closed = dm.closedform_diameters(family, p, q, count)
     pairs = list(zip(closed.entries, oracle.entries))
     want = [

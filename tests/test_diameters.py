@@ -12,7 +12,6 @@ from kothedim.diameters import (
     _find_i,
     closedform_diameters,
     oracle_diameters,
-    oracle_diameters_certified,
 )
 from kothedim.grid import BandIndexing
 from kothedim.kothe import KotheFamily, a_pq, c_pq
@@ -43,7 +42,7 @@ def test_oracle_matches_frozen_values(key):
     spec, p, q = key
     fam = family(spec)
     expected = [Fraction(v) for v in FROZEN[key]]
-    table = oracle_diameters_certified(fam, p, q, len(expected))
+    table = oracle_diameters(fam, p, q, len(expected))
     assert log_values(table, fam.seq, len(expected)) == expected
 
 
@@ -58,7 +57,7 @@ def test_closedform_matches_frozen_values(key):
 
 def test_oracle_tie_at_the_top_linear_1_2():
     fam = family("linear")
-    table = oracle_diameters(fam, 1, 2, 50)
+    table = oracle_diameters(fam, 1, 2, 50, horizon=50)
     # two distinct source terms share the top value e^(-3/2)
     first, second = table.entries[0], table.entries[1]
     assert first.log_value(fam.seq) == second.log_value(fam.seq) == Fraction(-3, 2)
@@ -137,7 +136,7 @@ def test_regular_case_diameters_are_shifted_ratios():
 def test_oracle_certification_bound_is_strict():
     fam = family("linear")
     # with only two terms nothing beats the bound e^(c*a_3) = e^(-3/2)
-    table = oracle_diameters(fam, 1, 2, 2)
+    table = oracle_diameters(fam, 1, 2, 2, horizon=2)
     assert table.certified_horizon == -1
     assert table.entries == []
     assert "certifies no diameter" in table.diagnostic
@@ -145,7 +144,9 @@ def test_oracle_certification_bound_is_strict():
 
 def test_oracle_refuses_tiny_prefix():
     with pytest.raises(ValueError):
-        oracle_diameters(family("linear"), 1, 2, 1)
+        oracle_diameters(family("linear"), 1, 2, 1, horizon=1)
+    with pytest.raises(ValueError):
+        oracle_diameters(family("linear"), 1, 2, 10, horizon=9)
 
 
 def test_epsilon_values():
@@ -179,7 +180,7 @@ def test_oracle_equals_closedform(spec, pq):
     seq = fam.seq
     count = 130
     closed = closedform_diameters(fam, p, q, count)
-    oracle = oracle_diameters_certified(fam, p, q, count)
+    oracle = oracle_diameters(fam, p, q, count)
     assert log_values(oracle, seq, count) == log_values(closed, seq)
 
 
@@ -209,7 +210,7 @@ def test_oracle_equals_closedform_random_alpha(p, gap, seed):
     fam = KotheFamily(seq)
     count = 40
     closed = closedform_diameters(fam, p, q, count)
-    oracle = oracle_diameters_certified(fam, p, q, count)
+    oracle = oracle_diameters(fam, p, q, count)
     assert log_values(oracle, seq, count) == log_values(closed, seq)
 
 
@@ -248,7 +249,7 @@ def test_scaling_alpha_leaves_both_tables_unchanged(p, gap, seed, lam):
         tables.append(
             (
                 closedform_diameters(fam, p, q, 40).entries,
-                oracle_diameters_certified(fam, p, q, 40).entries,
+                oracle_diameters(fam, p, q, 40).entries,
             )
         )
     assert tables[0] == tables[1]
@@ -321,13 +322,13 @@ def test_oracle_equals_closedform_hypothesis(spec, p, gap, count):
     fam = family(spec)
     seq = fam.seq
     closed = closedform_diameters(fam, p, q, count)
-    oracle = oracle_diameters_certified(fam, p, q, count)
+    oracle = oracle_diameters(fam, p, q, count)
     assert log_values(oracle, seq, count) == log_values(closed, seq)
 
 
 def test_epsilon_respects_oracle_horizon():
     fam = family("linear")
-    table = oracle_diameters(fam, 1, 2, 30)
+    table = oracle_diameters(fam, 1, 2, 30, horizon=30)
     assert 0 <= table.certified_horizon < len(table.entries) - 1
     assert table.entries[table.certified_horizon].certified
     assert not table.entries[table.certified_horizon + 1].certified
@@ -347,7 +348,7 @@ def test_terzioglu_bracket():
     # inf over any (n+1)-subset of ratios <= d_n <= sup over any n-exclusion
     fam = family("linear")
     seq = fam.seq
-    table = oracle_diameters_certified(fam, 2, 3, 60)
+    table = oracle_diameters(fam, 2, 3, 60)
     prefix = table.oracle_prefix
     ratios = {
         m: fam.ratio_coeff(2, 3, m) * seq.value(m) for m in range(1, prefix + 1)
@@ -380,8 +381,8 @@ def test_oracle_certification_is_monotone_in_the_prefix(spec, pq):
     fam = KotheFamily(sequence(spec))
     certified = 0
     for prefix in (8, 30, 100, 190):
-        small = oracle_diameters(fam, p, q, prefix)
-        large = oracle_diameters(fam, p, q, 2 * prefix)
+        small = oracle_diameters(fam, p, q, prefix, horizon=prefix)
+        large = oracle_diameters(fam, p, q, 2 * prefix, horizon=2 * prefix)
         assert large.certified_horizon >= small.certified_horizon
         for e in small.entries[: small.certified_horizon + 1]:
             f = large.entries[e.n]
@@ -403,18 +404,23 @@ def sorted_reference(spec, p, q, horizon):
 
 
 @pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct", "rational"])
-@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7)])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7), (1, 4), (4, 5)])
 def test_oracle_matches_sorted_reference(spec, pq):
     """The merge lists exactly what a sort of all the terms lists, tie rows
-    included, with and without a fixed prefix."""
+    included, with and without a fixed prefix, and in full or cut at
+    count."""
     p, q = pq
     # linear 1:2 at 137: the band term -3/2 * 46 ties the bound -1/2 * 138
     horizon, count = 137, 60
     want, values = sorted_reference(spec, p, q, horizon)
     assert all(certified for _, _, certified in want[:count])
-    fixed = oracle_diameters(KotheFamily(sequence(spec)), p, q, horizon)
+    fixed = oracle_diameters(KotheFamily(sequence(spec)), p, q, horizon, horizon=horizon)
     assert [(e.coeff, e.alpha_index, e.certified) for e in fixed.entries] == want
-    merged = oracle_diameters_certified(KotheFamily(sequence(spec)), p, q, count)
+    assert fixed.oracle_prefix == horizon
+    head = oracle_diameters(KotheFamily(sequence(spec)), p, q, count, horizon=horizon)
+    assert [(e.coeff, e.alpha_index, e.certified) for e in head.entries] == want[:count]
+    assert head.oracle_prefix <= horizon
+    merged = oracle_diameters(KotheFamily(sequence(spec)), p, q, count)
     assert [(e.coeff, e.alpha_index, e.certified) for e in merged.entries] == want[:count]
     assert merged.certified_horizon == count - 1
     if (spec, pq) == ("linear", (1, 2)):
@@ -425,8 +431,8 @@ def test_oracle_matches_sorted_reference(spec, pq):
 @pytest.mark.parametrize("spec", ["factorial", "superproduct"])
 def test_oracle_grows_no_memo(spec):
     fam = family(spec)
-    oracle_diameters_certified(fam, 2, 5, 2000)
-    oracle_diameters(fam, 2, 5, 300)
+    oracle_diameters(fam, 2, 5, 2000)
+    oracle_diameters(fam, 2, 5, 300, horizon=300)
     assert len(fam.seq) == 1
 
 
@@ -568,7 +574,7 @@ def test_faulted_tables_raise_or_match_the_oracle(monkeypatch, kind):
     for spec in ("linear", "factorial"):
         fam = family(spec)
         for p, q in [(1, 2), (1, 3), (2, 5)]:
-            oracle = log_values(oracle_diameters_certified(fam, p, q, 40), fam.seq)
+            oracle = log_values(oracle_diameters(fam, p, q, 40), fam.seq)
             for t in range(1, 5):
                 with monkeypatch.context() as patched:
                     patched.setattr(*fault(kind, t))

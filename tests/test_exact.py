@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kothedim.diameters import (
     closedform_diameters,
     oracle_diameters,
-    oracle_diameters_certified,
 )
 from kothedim.exact import (
     LogTerm,
@@ -185,8 +184,8 @@ def test_diameter_entries_of_both_engines_are_logterms():
     family = KotheFamily(ExponentSequence.linear())
     tables = [
         closedform_diameters(family, 1, 2, 30),
-        oracle_diameters_certified(family, 1, 2, 30),
-        oracle_diameters(family, 1, 2, 40),
+        oracle_diameters(family, 1, 2, 30),
+        oracle_diameters(family, 1, 2, 40, horizon=40),
     ]
     for table in tables:
         assert table.entries
@@ -199,7 +198,7 @@ def test_log_terms_and_diameter_entries_are_slotted_and_frozen():
     pickle round trips give equal entries with equal hashes."""
     family = KotheFamily(ExponentSequence.linear())
     closed = closedform_diameters(family, 2, 5, 12).entries
-    oracle = oracle_diameters_certified(family, 2, 5, 12).entries
+    oracle = oracle_diameters(family, 2, 5, 12).entries
     terms = [LogTerm(Fraction(-3, 10), 4), closed[0], closed[-1], oracle[5]]
     for term in terms:
         assert not hasattr(term, "__dict__")

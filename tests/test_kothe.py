@@ -33,12 +33,24 @@ def test_c_and_a_constants():
     assert a_pq(2, 5) == 1 + Fraction(10, 3)
 
 
-def test_log_entry_cases(linear_family):
+def test_log_entry_cases(linear_family, tmp_path):
     seq = linear_family.seq
     # n=3 lies in column 2
     assert linear_family.log_entry(1, 3).log_value(seq) == -3
     assert linear_family.log_entry(3, 3).log_value(seq) == 2
     assert linear_family.log_entry(2, 1).log_value(seq) == Fraction(1, 2)
+    # the same three entries on every kind: coeffs -1, 2/3 and 1/2 times
+    # alpha_3 and alpha_1, always an exact Fraction
+    path = tmp_path / "alpha.txt"
+    path.write_text("1/2\n3/4\n5/3\n")
+    kinds = [("linear", 1, 3), ("poly:2", 1, 9), ("factorial", 1, 6), ("superproduct", 1, 21),
+             (f"file:{path}", Fraction(1, 2), Fraction(5, 3))]
+    for spec, alpha_1, alpha_3 in kinds:
+        family = KotheFamily(ExponentSequence.from_spec(spec))
+        cases = [(1, 3, -alpha_3), (3, 3, Fraction(2, 3) * alpha_3), (2, 1, Fraction(1, 2) * alpha_1)]
+        for k, n, want in cases:
+            value = family.log_entry(k, n).log_value(family.seq)
+            assert type(value) is Fraction and value == want, (spec, k, n)
 
 
 def test_entry_monotone_in_k(linear_family):
