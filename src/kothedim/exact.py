@@ -8,8 +8,8 @@ sign of ``a * alpha_m - b * alpha_n``, walks the small integer ratios
 ``alpha_i / alpha_{i-1}`` of ``factorial`` and ``superproduct`` and
 cross-multiplies scaled values for the other kinds.  :func:`logterm_cmp`
 calls it with the two coefficients over one denominator (the CLI's
-``values_equal``, edd-tail and the delta probe's sup); the closed form,
-the sandwich bounds and the regularity checks call it on numerators over
+``values_equal`` and the delta probe's sup); the closed form, the sandwich
+bounds, edd-tail and the regularity checks call it on numerators over
 ``pq`` (:func:`scaled_numerator`); the (d2) and nuclearity checks use
 ``ExponentSequence.compare_to``.  A ratio of two alpha values is
 ``ExponentSequence.quotient``.  The oracle, kept as the independent

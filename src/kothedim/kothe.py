@@ -32,7 +32,7 @@ class SearchCapExceeded(RuntimeError):
     """A bounded witness search ran out of budget."""
 
 
-@lru_cache(maxsize=256)  # edd-tail asks through ratio_coeff once per ratio index
+@lru_cache(maxsize=256)  # ratio_coeff asks once per ratio index
 def c_pq(p: int, q: int) -> Rational:
     """The negative ratio coefficient -1/p + 1/q."""
     if not q > p >= 1:

@@ -1,4 +1,4 @@
-"""Exponent sequences: generators, memoization, finite-prefix classification.
+"""Exponent sequences: generators, exact reads, finite-prefix classification.
 
 A finite prefix can never decide a ``sup`` or a ``lim``, so each sequence
 carries a *declared* analytic class (stable / unstable / unspecified) and the
@@ -37,25 +37,25 @@ class PrefixExhaustedError(SequenceError):
 class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
-    ``memo`` holds alpha_1..alpha_len.  Every generated kind starts with
-    alpha_1 = 1 stored.  ``linear`` and ``poly:d`` are the closed forms n
-    and n**d (``degree`` is 1 for ``linear``), read without the memo, which
-    never grows past alpha_1.  ``factorial`` and ``superproduct`` grow it on
-    demand, as plain ints; a ``file`` alpha holds its stored rationals,
-    which never grow.  Mutation is append-only; the intended pattern is
-    "prefill, then share read-only".  :meth:`scaled_values` reads alpha in
-    order without growing the memo.
+    ``memo`` holds alpha_1 = 1 for every generated kind, or a ``file``'s
+    stored rationals; it never grows.  ``linear`` and ``poly:d`` are the
+    closed forms n and n**d (``degree`` is 1 for ``linear``).  ``factorial``
+    and ``superproduct`` read alpha_n from one cursor ``_last = (i,
+    alpha_i)``, as ints, at one :meth:`_ratio` step per index between i and
+    n, or between 1 and n when alpha_1 is nearer.  The cursor is one tuple,
+    replaced in a single assignment, and a read works from the snapshot it
+    took, so a sequence shared between threads stays correct.
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
-    least common denominator of the stored prefix for ``file`` alphas,
-    whose prefix never grows.
+    least common denominator of the stored prefix for ``file`` alphas.
 
     :meth:`compare` decides ``a * alpha_m`` against ``b * alpha_n`` for
     integers a and b: for ``factorial`` and ``superproduct`` it walks the
     small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
-    the same ones the memo is built from), never reading the memo; for the
+    the same ones the cursor steps by), never reading a value; for the
     closed forms it cross-multiplies ``m**d``, for a ``file`` :meth:`scaled`.
+    :meth:`scaled_values` reads alpha in order without the cursor, and
     :meth:`quotient` gives the exact ``alpha_m / alpha_n`` (ratio steps or
     :meth:`scaled`).  :meth:`compare_to` decides ``a * alpha_m`` against a
     constant, and :meth:`exp_float` the display double of ``e^(coeff * alpha_m)``.
@@ -67,6 +67,7 @@ class ExponentSequence:
     degree: int | None = None
     memo: list[int | Rational] = field(default_factory=list)
     scale: int = field(init=False, default=1)
+    _last: tuple[int, int] = field(init=False, default=(1, 1), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.declared_class not in (STABLE, UNSTABLE, UNSPECIFIED):
@@ -81,7 +82,7 @@ class ExponentSequence:
         if self.kind == "file":
             self.scale = math.lcm(*(v.denominator for v in self.memo))
         elif not self.memo:
-            self.memo.append(1)  # alpha_1; a ratio kind's later values are ratio products
+            self.memo.append(1)  # alpha_1; a ratio kind's later values come from the cursor
 
     # -- construction ----------------------------------------------------
 
@@ -162,32 +163,27 @@ class ExponentSequence:
         ``factorial``, 1 + (i-1)i for ``superproduct``; always >= 2."""
         return i if self.kind == "factorial" else 1 + (i - 1) * i
 
-    def _extend(self, n: int) -> None:
-        """Grow the memo of a ratio kind to alpha_1..alpha_n, as ints; a
-        ``file`` prefix cannot grow.  Strict increase holds by construction:
-        every :meth:`_ratio` is at least 2."""
-        memo = self.memo
-        m = len(memo)
-        if self.kind not in _RATIO_KINDS:
-            raise PrefixExhaustedError(
-                f"{self.name}: prefix of length {m} exhausted at n={m + 1}"
-            )
-        v = memo[-1]
-        for i in range(m + 1, n + 1):
-            v *= self._ratio(i)
-            memo.append(v)
-
     def stored(self, n: int) -> int | Rational:
         """alpha_n (1-based) as stored, an int for the generated kinds and a
-        Fraction for a ``file``: n**d for the closed forms, else the memo
-        entry, extending the memo as needed."""
+        Fraction for a ``file``: n**d, a ``file``'s memo entry, or for a ratio
+        kind one :meth:`_ratio` step per index from the cursor (forward, or
+        back by exact division), or from alpha_1 when that is nearer."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
         if self.degree is not None:
             return n**self.degree
-        if len(self.memo) < n:
-            self._extend(n)
-        return self.memo[n - 1]
+        if self.kind == "file":
+            self.prefill(n)
+            return self.memo[n - 1]
+        i, v = self._last
+        if n < i - n:
+            i, v = 1, 1
+        for j in range(i + 1, n + 1):
+            v *= self._ratio(j)
+        for j in range(i, n, -1):
+            v //= self._ratio(j)
+        self._last = (n, v)
+        return v
 
     def value(self, n: int) -> Rational:
         """Exact alpha_n (1-based) as a Fraction."""
@@ -202,7 +198,7 @@ class ExponentSequence:
         return v.numerator * (self.scale // v.denominator)
 
     def scaled_values(self) -> Iterator[int]:
-        """:meth:`scaled` at 1, 2, 3, ... in order, never growing the memo:
+        """:meth:`scaled` at 1, 2, 3, ... in order, never moving the cursor:
         ``n**d`` for a closed form, the running product of the :meth:`_ratio`
         steps from alpha_1 = 1 for a ratio kind; a ``file`` alpha raises
         :class:`PrefixExhaustedError` past its stored prefix."""
@@ -244,8 +240,8 @@ class ExponentSequence:
 
     def quotient(self, m: int, n: int) -> Rational:
         """The exact ``alpha_m / alpha_n``: a ratio kind multiplies the
-        :meth:`_ratio` steps between the two indices and never reads or
-        grows the memo; the other kinds divide :meth:`scaled` integers."""
+        :meth:`_ratio` steps between the two indices and never reads a
+        value; the other kinds divide :meth:`scaled` integers."""
         if self.kind not in _RATIO_KINDS:
             return Fraction(self.scaled(m), self.scaled(n))
         if m < 1 or n < 1:
@@ -282,13 +278,15 @@ class ExponentSequence:
             return math.inf, True
 
     def prefill(self, n: int) -> None:
-        """Store alpha_1..alpha_n; a no-op when they are already stored and
-        for the closed forms, which store only alpha_1.  A ``file`` prefix
-        shorter than n raises :class:`PrefixExhaustedError`."""
-        if self.degree is None and len(self.memo) < n:
-            self._extend(n)
+        """Check that alpha_1..alpha_n can be read: a ``file`` prefix shorter
+        than n raises :class:`PrefixExhaustedError`; a no-op for the generated
+        kinds, which store only alpha_1 and read at the cost :meth:`stored` gives."""
+        if self.kind == "file" and (m := len(self.memo)) < n:
+            raise PrefixExhaustedError(f"{self.name}: prefix of length {m} exhausted at n={m + 1}")
 
     def __len__(self) -> int:
+        """The number of stored values: a ``file``'s prefix length, else 1
+        (alpha_1); a generated kind's reads store only the cursor."""
         return len(self.memo)
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .diameters import DiameterTable, PlanRow
 from .exact import LogTerm, Rational, fraction_to_float, logterm_cmp, scaled_numerator
+from .grid import in_band
 from .kothe import KotheFamily, c_pq
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
@@ -52,6 +53,14 @@ class SandwichReport:
         }
 
 
+def _numerators(table: DiameterTable, pq: int, lo: int) -> dict[int, int]:
+    """Each coefficient object of the certified entries from ``lo`` on, by
+    identity, to its numerator over pq: both engines share one Fraction per
+    coefficient, and hashing a Fraction costs more than scaling it."""
+    coeffs = {id(e.coeff): e.coeff for e in table.entries[lo : table.certified_horizon + 1]}
+    return {key: scaled_numerator(coeff, pq) for key, coeff in coeffs.items()}
+
+
 def verify_sandwich(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> SandwichReport:
@@ -63,17 +72,13 @@ def verify_sandwich(
     seq = family.seq
     pq = p * q
     c_num = scaled_numerator(c_pq(p, q), pq)
+    nums = _numerators(table, pq, 1)
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
-    # keyed by identity: both engines share one Fraction per coefficient,
-    # and hashing a Fraction costs more than scaling it
-    nums: dict[int, int] = {}
     for n in range(1, horizon + 1):
         entry = table.entry(n)
-        num, m = nums.get(id(entry.coeff)), entry.alpha_index
-        if num is None:
-            num = nums[id(entry.coeff)] = scaled_numerator(entry.coeff, pq)
+        num, m = nums[id(entry.coeff)], entry.alpha_index
         if seq.compare(num, m, c_num, n) > 0:
             upper_violations.append(n)
         if seq.compare(num, m, c_num, 4 * n) < 0:
@@ -212,15 +217,18 @@ def aa_statistic(
     return stat
 
 
+def _ratio_numerator(p: int, q: int, m: int) -> int:
+    """``KotheFamily.ratio_coeff(p, q, m)`` over pq: c_pq = (p - q)/pq, less 1 on the band."""
+    return p - q - p * q if in_band(p, q, m) else p - q
+
+
 def edd_tail_check(
-    family: KotheFamily,
-    p: int,
-    q: int,
-    table: DiameterTable,
+    family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> CheckReport:
     """Past the tail threshold the ratio sequence itself is descending and
     d_n is literally its (n+1)-th term; both facts checked exactly over the
-    whole certified table.
+    whole certified table on numerators over pq.  An entry that is ratio term
+    n + 1 by index and numerator matches at once; else ``seq.compare`` decides.
     """
     params = {"p": p, "q": q, "alpha": family.seq.name}
     if table.tail_start is None:
@@ -236,17 +244,16 @@ def edd_tail_check(
     seq = family.seq
     horizon = table.certified_horizon
     threshold = table.tail_start
-
-    def ratio_term(m: int) -> LogTerm:
-        return LogTerm(family.ratio_coeff(p, q, m), m)
-
+    nums = _numerators(table, p * q, threshold)
+    ratio = {m: _ratio_numerator(p, q, m) for m in range(threshold + 1, horizon + 2)}
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
-        if logterm_cmp(ratio_term(m), ratio_term(m + 1), seq) < 0:
+        if seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
-    for n in range(threshold, horizon + 1):
-        if logterm_cmp(table.entry(n), ratio_term(n + 1), seq) != 0:
+    for n, entry in enumerate(table.entries[threshold : horizon + 1], threshold):
+        num, m, r = nums[id(entry.coeff)], entry.alpha_index, ratio[n + 1]
+        if (m != n + 1 or num != r) and seq.compare(num, m, r, n + 1) != 0:
             witnesses.append({"type": "value", "n": n})
             break
     return CheckReport(
@@ -328,12 +335,7 @@ def delta_membership_probe(
             record["mode"] = "empirical-prefix"
         report.per_pair.append(record)
 
-    if theta <= 0:
-        report.kothe_member = True
-        report.lambda1_member = True
-    else:
-        report.kothe_member = False
-        report.kothe_witness_p = math.ceil(1 / theta)
-        report.lambda1_member = False
-        report.lambda1_witness_k = math.ceil(1 / theta)
+    report.kothe_member = report.lambda1_member = theta <= 0
+    if theta > 0:
+        report.kothe_witness_p = report.lambda1_witness_k = math.ceil(1 / theta)
     return report

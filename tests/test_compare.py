@@ -212,10 +212,10 @@ def test_closed_form_and_verify_keep_the_memo_at_count(spec):
     table = closedform_diameters(family, 1, 2, count)
     verify_sandwich(family, 1, 2, table)
     edd_tail_check(family, 1, 2, table)
-    assert len(family.seq) <= count + 1
+    assert len(family.seq) == 1
 
 
 def test_regularity_check_keeps_the_superproduct_memo_small():
     family = KotheFamily(ExponentSequence.superproduct())
     assert check_regularity(family, 5000).passed
-    assert len(family.seq) <= 301
+    assert len(family.seq) == 1

@@ -406,9 +406,6 @@ def test_random_rational_alpha_matches_reference(seed, k, j, bound):
 @pytest.mark.parametrize("spec", ["linear", "poly:3", "factorial", "superproduct"])
 def test_generated_memo_equals_the_recurrence(spec):
     seq = ExponentSequence.from_spec(spec)
-    # grow the memo in uneven steps, as callers do
-    for n in (1, 2, 7, 8, 150, 600):
-        seq.prefill(n)
     want, prev = [], None
     for n in range(1, 601):
         if spec == "linear":
@@ -421,11 +418,15 @@ def test_generated_memo_equals_the_recurrence(spec):
             v = 1 if n == 1 else prev * (1 + (n - 1) * n)
         want.append(v)
         prev = v
+    # prefill and read in uneven steps, as callers do
+    for n in (1, 2, 7, 8, 150, 600):
+        seq.prefill(n)
+        assert seq.stored(n) == want[n - 1]
     values = [seq.scaled(n) for n in range(1, 601)]
     assert values == want
     assert all(type(v) is int for v in values)
-    # linear and poly:d are closed forms: their memo stays at alpha_1
-    assert seq.memo == (want if spec in ("factorial", "superproduct") else [1])
+    # no generated kind grows its memo past alpha_1
+    assert seq.memo == [1]
     value = seq.value(600)
     assert type(value) is Fraction and value == want[-1]
     assert seq.scaled(600) == want[-1]

@@ -1,9 +1,14 @@
 import itertools
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from kothedim.diameters import closedform_diameters
+from kothedim.kothe import KotheFamily
 from kothedim.sequences import (
     ExponentSequence,
     PrefixExhaustedError,
@@ -32,8 +37,104 @@ def test_strictly_increasing_positive_prefix(spec):
     values = [seq.scaled(n) for n in range(1, 10_000 + 2)]
     assert values[0] > 0
     assert all(a < b for a, b in zip(values, values[1:]))
-    # linear and poly:d are closed forms: their memo stays at alpha_1
-    assert seq.memo == (values if spec in ("factorial", "superproduct") else [1])
+    # no generated kind grows its memo past alpha_1
+    assert seq.memo == [1]
+
+
+def ratio_recurrence(spec: str, count: int) -> list[int]:
+    """alpha_1..alpha_count of a ratio kind from its recurrence."""
+    values = [1]
+    for n in range(2, count + 1):
+        values.append(values[-1] * (n if spec == "factorial" else 1 + (n - 1) * n))
+    return values
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_stored_reads_the_cursor_in_any_order(spec):
+    """Forward, back by one, far back and shuffled reads on one sequence,
+    each from wherever the last read left the cursor."""
+    want = ratio_recurrence(spec, 400)
+    seq = ExponentSequence.from_spec(spec)
+    orders = {
+        "forward": range(1, 401),
+        "back by one": range(400, 0, -1),
+        "far back": [400, 3, 399, 2, 400, 1, 250, 120, 119, 1, 200],
+        "shuffled": random.Random(17).sample(range(1, 401), 400),
+    }
+    for name, order in orders.items():
+        for n in order:
+            assert seq.stored(n) == want[n - 1], (name, n)
+    assert seq.memo == [1] and len(seq) == 1
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_stored_steps_from_the_nearer_of_the_cursor_and_alpha_1(spec, monkeypatch):
+    want = ratio_recurrence(spec, 400)
+    seq = ExponentSequence.from_spec(spec)
+    assert seq.stored(400) == want[399]
+    steps: list[int] = []
+    ratio = seq._ratio
+    monkeypatch.setattr(seq, "_ratio", lambda i: steps.append(i) or ratio(i))
+    reads = [(3, [2, 3]), (2, [3]), (5, [3, 4, 5]), (300, list(range(6, 301))), (299, [300])]
+    for n, walked in reads:
+        steps.clear()
+        assert seq.stored(n) == want[n - 1]
+        assert steps == walked, n
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_threads_sharing_one_sequence_read_the_recurrence(spec):
+    """Each read works from the cursor snapshot it took, so reads racing on
+    one sequence never mix two threads' walks."""
+    want = ratio_recurrence(spec, 40)
+    seq = ExponentSequence.from_spec(spec)
+    wrong: list[tuple[int, int]] = []
+
+    def reader(seed: int) -> None:
+        for n in random.Random(seed).choices(range(1, 41), k=20000):
+            if seq.stored(n) != want[n - 1]:
+                wrong.append((seed, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_plot_data_reads_cost_ratio_steps_linear_in_the_count(monkeypatch):
+    """plot-data's read pattern (log_value of entry n, then alpha_(n+1)) on
+    factorial 1:2 costs one ratio step per index, not one walk from alpha_1."""
+
+    def ratio_steps(count: int) -> int:
+        family = KotheFamily(ExponentSequence.factorial())
+        seq = family.seq
+        table = closedform_diameters(family, 1, 2, count)
+        steps, ratio = 0, seq._ratio
+
+        def spy(i: int) -> int:
+            nonlocal steps
+            steps += 1
+            return ratio(i)
+
+        monkeypatch.setattr(seq, "_ratio", spy)
+        want = ratio_recurrence("factorial", count + 1)
+        for n, e in enumerate(table.entries):
+            assert e.log_value(seq) == e.coeff * want[e.alpha_index - 1]
+            assert seq.value(n + 1) == want[n]
+        assert seq.memo == [1]
+        return steps
+
+    steps = {count: ratio_steps(count) for count in (150, 300)}
+    assert steps[300] <= 2 * 300
+    assert steps[300] - steps[150] <= 2 * 150
 
 
 @pytest.mark.parametrize("spec", ["linear", "factorial", "superproduct", "poly:3", "file"])

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from kothedim.diameters import closedform_diameters
+from kothedim.exact import scaled_numerator
 from kothedim.kothe import KotheFamily, c_pq
 from kothedim.sequences import UNSPECIFIED, ExponentSequence
 from kothedim.verify import (
+    _ratio_numerator,
     aa_statistic,
     delta_membership_probe,
     eadd_ratio,
@@ -210,6 +212,28 @@ def test_edd_tail_factorial():
         report = edd_tail_check(fam, p, q, table_for(fam, p, q, 120))
         assert report.verdict == "pass"
         assert not report.witnesses
+
+
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (1, 4)])
+def test_edd_tail_ratio_numerator_is_ratio_coeff_over_pq(pq):
+    p, q = pq
+    fam = family("linear")
+    for m in range(1, 501):
+        assert _ratio_numerator(p, q, m) == scaled_numerator(fam.ratio_coeff(p, q, m), p * q)
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, shift):
+    fam = family(spec)
+    table = table_for(fam, 1, 2, 200)
+    assert edd_tail_check(fam, 1, 2, table).verdict == "pass"
+    n = (table.tail_start + table.certified_horizon) // 2
+    entries = list(table.entries)
+    entries[n] = dataclasses.replace(entries[n], alpha_index=entries[n].alpha_index + shift)
+    report = edd_tail_check(fam, 1, 2, dataclasses.replace(table, entries=entries))
+    assert report.verdict == "fail"
+    assert report.witnesses == [{"type": "value", "n": n}]
 
 
 def test_edd_tail_linear_inconclusive():
