@@ -7,6 +7,11 @@ display-only.  ``diameters --method both`` decides its ``values_equal``
 column with ``exact.logterm_cmp``, and leaves it empty where the oracle
 entry is not certified; ``oracle_agrees`` reads the same cells.
 
+Rows stream: once the engines have returned, the CSV commands and
+``diameters --output json`` write each row as they render it, in chunks, to
+stdout or to the ``--out`` file, which opens only then, so a failing command
+writes nothing.  A table's coefficients are formatted once each.
+
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
 segment-coverage failure.  Exact integers are printed and parsed without
@@ -14,11 +19,12 @@ Python's int-to-str digit limit, so a large valid value never exits 2.
 """
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import click
@@ -68,32 +74,47 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _emit(text: str, out: str | None) -> None:
+_CHUNK_LINES = 1024  # lines per write; a plot-data row can hold every digit of alpha
+
+
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write ``lines`` to stdout or to the ``--out`` file, joined into
+    chunks of _CHUNK_LINES; the file is created here, after the engines."""
+    lines = iter(lines)
+    chunks = iter(lambda: "".join(itertools.islice(lines, _CHUNK_LINES)), "")
     if out is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
         return
     base = os.environ.get(OUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         _fail(EXIT_IO, f"cannot write {path}: {exc}")
     click.echo(f"wrote {path}", err=True)
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    buf = io.StringIO()
-    buf.write(_CSV_HEADER + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(cell) for cell in row) + "\n")
-    return buf.getvalue()
+def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
+    return itertools.chain([f"{_CSV_HEADER}\n{header}\n"], rows)
 
 
 def _json_text(payload: dict) -> str:
     payload = {"schema": SCHEMA_VERSION, **payload}
     return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _coeff_texts(*tables: dm.DiameterTable) -> dict[int, str]:
+    """The "p/q" text of each coefficient object in the tables, by identity:
+    an engine shares one Fraction per coefficient, so each is formatted
+    once (and hashing a Fraction costs more than formatting it)."""
+    coeffs = {id(e.coeff): e.coeff for table in tables for e in table.entries}
+    return {key: format_rational(coeff) for key, coeff in coeffs.items()}
+
+
+def _float_text(x: Fraction | int) -> str:
+    return repr(fraction_to_float(x)[0])
 
 
 def _rational_option(name: str, text: str) -> Fraction:
@@ -152,25 +173,26 @@ def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | No
             _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
         b = BandIndexing(p=p, q=q)
         markers = {}
-        k = b.k_min
-        while True:
-            s = b.s_k(k)
-            if s > count:
+        for k in itertools.count(b.k_min):
+            if (s := b.s_k(k)) > count:
                 break
             markers[s] = k
-            k += 1
-        rows = []
-        for i in range(1, count + 1):
-            n = b.element(i)
-            x, y = unpair(n)
-            rows.append([i, n, x, y, markers.get(i, "")])
-        _emit(_csv(rows, ["i", "n", "x", "y", "marker_k"]), out)
+
+        def band_rows() -> Iterator[str]:
+            for i in range(1, count + 1):
+                n = b.element(i)
+                x, y = unpair(n)
+                yield f"{i},{n},{x},{y},{markers.get(i, '')}\n"
+
+        _emit(_csv("i,n,x,y,marker_k", band_rows()), out)
         return
-    rows = []
-    for n in range(1, max_n + 1):
-        x, y = unpair(n)
-        rows.append([n, x, y, column_of(n)])
-    _emit(_csv(rows, ["n", "x", "y", "column"]), out)
+
+    def pair_rows() -> Iterator[str]:
+        for n in range(1, max_n + 1):
+            x, y = unpair(n)
+            yield f"{n},{x},{y},{column_of(n)}\n"
+
+    _emit(_csv("n,x,y,column", pair_rows()), out)
 
 
 # -- gen-matrix ----------------------------------------------------------------
@@ -184,15 +206,16 @@ def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | No
 def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     """Export the log-domain matrix entries e^(coeff * alpha_n)."""
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
-    rows = []
-    for k in range(1, k_max + 1):
-        for n in range(1, n_max + 1):
-            term = family.log_entry(k, n)
-            approx, _ = family.seq.exp_float(term.coeff, term.alpha_index)
-            rows.append(
-                [k, n, column_of(n), format_rational(term.coeff), repr(approx)]
-            )
-    _emit(_csv(rows, ["k", "n", "column", "coeff", "approx"]), out)
+    family.seq.prefill(n_max)  # a short file prefix exits 3 before any row
+
+    def rows() -> Iterator[str]:
+        for k in range(1, k_max + 1):
+            for n in range(1, n_max + 1):
+                term = family.log_entry(k, n)
+                approx, _ = family.seq.exp_float(term.coeff, term.alpha_index)
+                yield f"{k},{n},{column_of(n)},{format_rational(term.coeff)},{approx!r}\n"
+
+    _emit(_csv("k,n,column,coeff,approx", rows()), out)
 
 
 # -- diameters -----------------------------------------------------------------
@@ -238,46 +261,57 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         if not oracle.entries:
             _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
     primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
-    entries = primary.entries  # both engines list count entries
-    agrees = []
-    if method == "both":
-        # agreement is only meaningful where the oracle's entry is final
-        for e, o in zip(entries, oracle.entries):
-            agrees.append("" if not o.certified else logterm_cmp(o, e, seq) == 0)
+    both = method == "both"
+    texts = _coeff_texts(primary, oracle) if both else _coeff_texts(primary)
+    # both engines list count entries; one table is paired with itself
+    pairs = zip(primary.entries, oracle.entries if both else primary.entries)
 
-    if output == "json":
-        payload = {
-            "p": p,
-            "q": q,
-            "alpha": seq.name,
-            "method": method,
-            "floats_display_only": True,
-            "entries": [dm.entry_to_json(e, seq) for e in entries],
-        }
-        if method == "both":
-            payload["oracle_agrees"] = all(equal for equal in agrees if equal != "")
-        _emit(_json_text(payload), out)
+    def equal(e: dm.DiameterEntry, o: dm.DiameterEntry) -> bool | str:
+        # agreement is only meaningful where the oracle's entry is final
+        return "" if not o.certified else logterm_cmp(o, e, seq) == 0
+
+    def csv_rows() -> Iterator[str]:
+        for n, (e, o) in enumerate(pairs):
+            approx = seq.exp_float(e.coeff, e.alpha_index)[0]
+            row = f"{n},{texts[id(e.coeff)]},{e.alpha_index},{e.segment},{approx!r}"
+            yield (f"{row},{e.certified and o.certified},{texts[id(o.coeff)]},"
+                   f"{o.alpha_index},{equal(e, o)}\n" if both else f"{row},{e.certified}\n")
+
+    def json_document() -> Iterator[str]:
+        """Byte for byte ``_json_text``'s document, one entry at a time with
+        its keys sorted: ``entries`` comes before ``oracle_agrees``, which
+        is decided along the way."""
+        yield f'{{\n  "alpha": {json.dumps(seq.name)},\n  "entries": [\n'
+        agree, sep = True, ""
+        for e, o in pairs:
+            value, clamped = seq.exp_float(e.coeff, e.alpha_index)
+            agree = agree and (not both or equal(e, o) is not False)
+            clamp = '      "approx_clamped": true,\n' if clamped else ""
+            yield (
+                f'{sep}    {{\n'
+                f'      "alpha_index": {e.alpha_index},\n{clamp}'
+                f'      "approx_value": {"Infinity" if value == math.inf else repr(value)},\n'
+                f'      "certified": {"true" if e.certified else "false"},\n'
+                f'      "coeff": "{texts[id(e.coeff)]}",\n'
+                f'      "n": {e.n},\n'
+                f'      "segment": "{e.segment}",\n'
+                f'      "source_ratio_index": {e.alpha_index}\n'  # d_n's ratio term: alpha's index
+                f'    }}'
+            )
+            sep = ",\n"
+        agreement = f'  "oracle_agrees": {json.dumps(agree)},\n' if both else ""
+        yield (f'\n  ],\n  "floats_display_only": true,\n  "method": "{method}",\n'
+               f'{agreement}  "p": {p},\n  "q": {q},\n  "schema": {SCHEMA_VERSION}\n}}\n')
+
+    header = "n,coeff,alpha_index,segment,approx_value,certified"
+    header += ",oracle_coeff,oracle_alpha_index,values_equal" if both else ""
+    if output != "table":
+        _emit(json_document() if output == "json" else _csv(header, csv_rows()), out)
         return
-    header = ["n", "coeff", "alpha_index", "segment", "approx_value", "certified"]
-    if method == "both":
-        header += ["oracle_coeff", "oracle_alpha_index", "values_equal"]
-    rows = []
-    for n, e in enumerate(entries):
-        approx = repr(seq.exp_float(e.coeff, e.alpha_index)[0])
-        row = [n, format_rational(e.coeff), e.alpha_index, e.segment, approx, e.certified]
-        if method == "both":
-            o = oracle.entry(n)
-            row[-1] = e.certified and o.certified
-            row += [format_rational(o.coeff), o.alpha_index, agrees[n]]
-        rows.append(row)
-    if output == "csv":
-        _emit(_csv(rows, header), out)
-    else:
-        widths = [max(len(str(h)), max((len(str(r[i])) for r in rows), default=0)) for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in rows:
-            lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip())
-        _emit("\n".join(lines) + "\n", out)
+    # a cell holds no comma, so the table splits the CSV rows
+    cells = [header.split(","), *(row[:-1].split(",") for row in csv_rows())]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    _emit(("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in cells), out)
 
 
 # -- check ---------------------------------------------------------------------
@@ -326,7 +360,7 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
         report = km.check_d2_failure(family, jj, _rational_option("--B", bound), search_cap)
     else:
         report = km.check_regularity(family, horizon)
-    _emit(_json_text(report.to_json()), out)
+    _emit([_json_text(report.to_json())], out)
 
 
 # -- verify --------------------------------------------------------------------
@@ -371,7 +405,7 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
         payload["report"] = vf.delta_membership_probe(family, theta_value, tables).to_json()
     else:
         payload["reports"] = [pair_report(p, q) for p, q in pair_list]
-    _emit(_json_text(payload), out)
+    _emit([_json_text(payload)], out)
 
 
 # -- plot-data -----------------------------------------------------------------
@@ -390,40 +424,21 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     closed = dm.closedform_diameters(family, p, q, count)
-    rows = []
-    for n, e in enumerate(closed.entries):
-        eps_value = -e.log_value(seq)
-        alpha_next = seq.value(n + 1)
-        ratio = -e.coeff * seq.quotient(e.alpha_index, n + 1)
-        f_eps, _ = fraction_to_float(eps_value)
-        f_alpha, _ = fraction_to_float(alpha_next)
-        f_ratio, _ = fraction_to_float(ratio)
-        rows.append(
-            [
-                n,
-                repr(f_eps),
-                repr(f_alpha),
-                repr(f_ratio),
-                format_rational(eps_value),
-                format_rational(alpha_next),
-                format_rational(ratio),
-            ]
-        )
-    _emit(
-        _csv(
-            rows,
-            [
-                "n",
-                "neg_log_dn",
-                "alpha_next",
-                "ratio",
-                "neg_log_dn_exact",
-                "alpha_next_exact",
-                "ratio_exact",
-            ],
-        ),
-        out,
-    )
+    negated = {id(e.coeff): -e.coeff for e in closed.entries}  # once per coefficient
+
+    def rows() -> Iterator[str]:
+        for n, e in enumerate(closed.entries):
+            m, neg = e.alpha_index, negated[id(e.coeff)]
+            eps_value = neg * seq.stored(m)
+            alpha_next = seq.stored(n + 1)  # an int on the generated kinds
+            # at m = n + 1, as on every tail entry, the ratio is -coeff itself
+            ratio = neg if m == n + 1 else neg * seq.quotient(m, n + 1)
+            yield (f"{n},{_float_text(eps_value)},{_float_text(alpha_next)},{_float_text(ratio)},"
+                   f"{format_rational(eps_value)},{format_rational(alpha_next)},"
+                   f"{format_rational(ratio)}\n")
+
+    header = "n,neg_log_dn,alpha_next,ratio,neg_log_dn_exact,alpha_next_exact,ratio_exact"
+    _emit(_csv(header, rows()), out)
 
 
 if __name__ == "__main__":

@@ -362,19 +362,3 @@ def closedform_diameters(
         tail_start=tail_start,
     )
 
-
-def entry_to_json(entry: DiameterEntry, seq) -> dict:
-    value, clamped = seq.exp_float(entry.coeff, entry.alpha_index)
-    payload = {
-        "n": entry.n,
-        "coeff": entry.coeff,
-        "alpha_index": entry.alpha_index,
-        "segment": entry.segment,
-        # the ratio term behind d_n is alpha's own index in both engines
-        "source_ratio_index": entry.alpha_index,
-        "certified": entry.certified,
-        "approx_value": value,
-    }
-    if clamped:
-        payload["approx_clamped"] = True
-    return payload

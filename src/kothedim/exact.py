@@ -45,9 +45,9 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"zero denominator in rational {text.strip()!r}") from None
 
 
-def format_rational(x: Rational) -> str:
-    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    x = Fraction(x)
+def format_rational(x: Rational | int) -> str:
+    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1; an int
+    has a numerator and a denominator of 1 too, so it is not copied."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

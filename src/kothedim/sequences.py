@@ -212,10 +212,11 @@ class ExponentSequence:
         ``a`` and ``b`` are integers, typically coefficient numerators over
         one shared positive denominator.  After the index check, the closed
         forms cross-multiply ``m**d`` directly.  For the ratio kinds, once
-        both products are positive, the smaller index's alpha divides out
+        both integers have one sign, the smaller index's alpha divides out
         and the running product of the ratios between the two indices is
-        compared with the other integer; it is at least 2**steps, so the
-        walk stops after about log2 of the integers' quotient.
+        compared with the other integer's magnitude; it is at least
+        2**steps, so the walk stops after about log2 of the integers'
+        quotient.  That sign then orients the answer.
         """
         if m < 1 or n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
@@ -226,17 +227,16 @@ class ExponentSequence:
         sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sa != sb or sa == 0:
             return (sa > sb) - (sa < sb)  # alpha > 0: the signs decide
-        if sa < 0:
-            return -self.compare(-a, m, -b, n)
-        # a, b > 0.  m <= n: sign(a - b * R) with R = r_{m+1}...r_n, which
-        # only grows; m > n: sign(a * R - b) with R = r_{n+1}...r_m.
+        a, b = a * sa, b * sa  # |a| and |b|; sa orients the result
+        # m <= n: sign(a - b * R) with R = r_{m+1}...r_n, which only grows;
+        # m > n: sign(a * R - b) with R = r_{n+1}...r_m.
         lo, hi, x, y = (m, n, b, a) if m <= n else (n, m, a, b)
         for i in range(lo + 1, hi + 1):
             x *= self._ratio(i)
             if x > y:
                 break
         s = (x > y) - (x < y)
-        return -s if m <= n else s
+        return sa * (-s if m <= n else s)
 
     def quotient(self, m: int, n: int) -> Rational:
         """The exact ``alpha_m / alpha_n``: a ratio kind multiplies the

@@ -256,7 +256,7 @@ def test_uncertifiable_file_prefix_exits_3(runner, tmp_path, length, args):
     ],
     ids=["diameters", "verify"],
 )
-def test_coverage_failure_exits_5(runner, monkeypatch, args):
+def test_coverage_failure_exits_5(runner, monkeypatch, tmp_path, args):
     def broken(*_):
         raise dm.CoverageError("gap at index 7")
 
@@ -265,6 +265,61 @@ def test_coverage_failure_exits_5(runner, monkeypatch, args):
     assert result.exit_code == 5
     assert "error: segment coverage failure: gap at index 7" in result.output
     assert "Traceback" not in result.output
+    assert result.stdout == ""
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "table.out")])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert not (tmp_path / "table.out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["plot-data", "--p", "1", "--q", "2", "--count", "38"],
+        ["diameters", "--p", "1", "--q", "2", "--count", "38"],
+        ["diameters", "--p", "1", "--q", "2", "--count", "38", "--output", "json"],
+        ["gen-matrix", "--n-max", "45"],
+    ],
+    ids=["plot-data", "diameters-csv", "diameters-json", "gen-matrix"],
+)
+def test_an_exhausted_prefix_exits_3_writing_nothing(runner, tmp_path, args):
+    """The rows are streamed, yet an error leaves stdout empty and creates
+    no --out file: every row is computable once the output opens."""
+    path = tmp_path / "short.txt"
+    path.write_text("".join(f"{n}\n" for n in range(1, 41)))
+    args = args + ["--alpha", f"file:{path}"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    out = tmp_path / "rows.out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["grid", "--max-n", "5"],
+        ["gen-matrix", "--alpha", "linear"],
+        ["diameters", "--alpha", "linear", "--p", "1", "--q", "2"],
+        ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--output", "json"],
+        ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--output", "table"],
+        ["plot-data", "--alpha", "linear", "--p", "1", "--q", "2"],
+        ["check", "--criterion", "regularity", "--alpha", "linear", "--N", "50"],
+    ],
+    ids=["grid", "gen-matrix", "diameters-csv", "diameters-json", "diameters-table",
+         "plot-data", "check"],
+)
+def test_an_unwritable_out_exits_4_writing_nothing(runner, tmp_path, args):
+    out = tmp_path / "missing" / "rows.out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 4
+    assert f"error: cannot write {out}" in result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert not out.exists()
 
 
 def test_out_file_and_env_dir(runner, tmp_path, monkeypatch):

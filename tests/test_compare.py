@@ -99,6 +99,39 @@ def test_compare_named_ties():
     assert ExponentSequence.superproduct().compare(1, 3, 7, 2) == 0  # 21 = 7 * 3
 
 
+# (a, b) with every sign pair: both negative, mixed, a zero, both positive;
+# the 6/-6 pairs tie with alpha_m = alpha_n, the others straddle a ratio
+SIGN_PAIRS = [(-6, -6), (-7, -3), (-1, -40), (-5, 4), (4, -5), (0, 3), (0, -3),
+              (0, 0), (3, 0), (-3, 0), (6, 6), (7, 3), (1, 40)]
+
+
+@pytest.mark.parametrize("spec", RATIO_SPECS)
+@pytest.mark.parametrize("a,b", SIGN_PAIRS)
+def test_ratio_compare_every_sign_pair_matches_stored(spec, a, b):
+    """m below, equal to and above n, against the product of ``stored``
+    values (the cursor's route, not the ratio walk)."""
+    seq = make_seq(spec)
+    for m, n in [(2, 5), (4, 4), (6, 3), (1, 2), (3, 1)]:
+        want = sign(a * seq.stored(m) - b * seq.stored(n))
+        assert seq.compare(a, m, b, n) == want, (m, n)
+
+
+@pytest.mark.parametrize("spec", RATIO_SPECS)
+def test_ratio_compare_of_two_negatives_is_one_call(spec, monkeypatch):
+    calls = []
+    compare = ExponentSequence.compare
+
+    def spy(self, *args):
+        calls.append(args)
+        return compare(self, *args)
+
+    monkeypatch.setattr(ExponentSequence, "compare", spy)
+    seq = make_seq(spec)
+    assert seq.compare(-7, 3, -2, 5) == 1
+    assert seq.compare(-2, 5, -7, 3) == -1
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_compare_rejects_index_zero(spec):
     with pytest.raises(SequenceError):
