@@ -3,14 +3,17 @@
 Identical configurations produce byte-identical output (there are no
 timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
-display-only.  ``diameters --method both`` decides its ``values_equal``
-column with ``exact.logterm_cmp``, and leaves it empty where the oracle
-entry is not certified; ``oracle_agrees`` reads the same cells.
+display-only.  ``diameters --method both`` counts a row's ``values_equal``
+true where both tables hold the same coefficient at the same alpha index,
+decides the other rows with ``exact.logterm_cmp``, and leaves the cell
+empty where the oracle entry is not certified; ``oracle_agrees`` reads the
+same cells.
 
 Rows stream: once the engines have returned, the CSV commands and
 ``diameters --output json`` write each row as they render it, in chunks, to
 stdout or to the ``--out`` file, which opens only then, so a failing command
-writes nothing.  A table's coefficients are formatted once each.
+writes nothing.  Table rows are read from the tables' columns, and each
+coefficient is formatted once.
 
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
@@ -33,7 +36,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import format_rational, fraction_to_float, logterm_cmp, parse_rational
+from .exact import LogTerm, format_rational, fraction_to_float, logterm_cmp, parse_rational
 from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -103,14 +106,6 @@ def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
 def _json_text(payload: dict) -> str:
     payload = {"schema": SCHEMA_VERSION, **payload}
     return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _coeff_texts(*tables: dm.DiameterTable) -> dict[int, str]:
-    """The "p/q" text of each coefficient object in the tables, by identity:
-    an engine shares one Fraction per coefficient, so each is formatted
-    once (and hashing a Fraction costs more than formatting it)."""
-    coeffs = {id(e.coeff): e.coeff for table in tables for e in table.entries}
-    return {key: format_rational(coeff) for key, coeff in coeffs.items()}
 
 
 def _float_text(x: Fraction | int) -> str:
@@ -262,20 +257,28 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
             _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
     primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
     both = method == "both"
-    texts = _coeff_texts(primary, oracle) if both else _coeff_texts(primary)
+    entries = primary.entries
     # both engines list count entries; one table is paired with itself
-    pairs = zip(primary.entries, oracle.entries if both else primary.entries)
+    other = oracle.entries if both else entries
+    texts = [format_rational(c) for c in entries.coeffs]
+    other_texts = [format_rational(c) for c in other.coeffs]
+    same_coeffs = entries.coeffs == other.coeffs
+    # n, code, alpha index, segment code, flag; then the other table's code, index, flag
+    columns = zip(itertools.count(), entries.codes, entries.alpha_index, entries.segments,
+                  entries.certified, other.codes, other.alpha_index, other.certified)
 
-    def equal(e: dm.DiameterEntry, o: dm.DiameterEntry) -> bool | str:
-        # agreement is only meaningful where the oracle's entry is final
-        return "" if not o.certified else logterm_cmp(o, e, seq) == 0
+    def equal(code: int, m: int, o_code: int, o_m: int, o_cert: int) -> bool | str:
+        # only where the oracle's entry is final; the same coefficient at the
+        # same index is equal, and the kernel decides the rest
+        return "" if not o_cert else (same_coeffs and code == o_code and m == o_m) or logterm_cmp(
+            LogTerm(other.coeffs[o_code], o_m), LogTerm(entries.coeffs[code], m), seq) == 0
 
     def csv_rows() -> Iterator[str]:
-        for n, (e, o) in enumerate(pairs):
-            approx = seq.exp_float(e.coeff, e.alpha_index)[0]
-            row = f"{n},{texts[id(e.coeff)]},{e.alpha_index},{e.segment},{approx!r}"
-            yield (f"{row},{e.certified and o.certified},{texts[id(o.coeff)]},"
-                   f"{o.alpha_index},{equal(e, o)}\n" if both else f"{row},{e.certified}\n")
+        for n, code, m, seg, cert, o_code, o_m, o_cert in columns:
+            approx = seq.exp_float(entries.coeffs[code], m)[0]
+            row = f"{n},{texts[code]},{m},{dm.SEGMENTS[seg]},{approx!r}"
+            yield (f"{row},{bool(cert and o_cert)},{other_texts[o_code]},{o_m},"
+                   f"{equal(code, m, o_code, o_m, o_cert)}\n" if both else f"{row},{bool(cert)}\n")
 
     def json_document() -> Iterator[str]:
         """Byte for byte ``_json_text``'s document, one entry at a time with
@@ -283,19 +286,19 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         is decided along the way."""
         yield f'{{\n  "alpha": {json.dumps(seq.name)},\n  "entries": [\n'
         agree, sep = True, ""
-        for e, o in pairs:
-            value, clamped = seq.exp_float(e.coeff, e.alpha_index)
-            agree = agree and (not both or equal(e, o) is not False)
+        for n, code, m, seg, cert, o_code, o_m, o_cert in columns:
+            value, clamped = seq.exp_float(entries.coeffs[code], m)
+            agree = agree and (not both or equal(code, m, o_code, o_m, o_cert) is not False)
             clamp = '      "approx_clamped": true,\n' if clamped else ""
             yield (
                 f'{sep}    {{\n'
-                f'      "alpha_index": {e.alpha_index},\n{clamp}'
+                f'      "alpha_index": {m},\n{clamp}'
                 f'      "approx_value": {"Infinity" if value == math.inf else repr(value)},\n'
-                f'      "certified": {"true" if e.certified else "false"},\n'
-                f'      "coeff": "{texts[id(e.coeff)]}",\n'
-                f'      "n": {e.n},\n'
-                f'      "segment": "{e.segment}",\n'
-                f'      "source_ratio_index": {e.alpha_index}\n'  # d_n's ratio term: alpha's index
+                f'      "certified": {"true" if cert else "false"},\n'
+                f'      "coeff": "{texts[code]}",\n'
+                f'      "n": {n},\n'
+                f'      "segment": "{dm.SEGMENTS[seg]}",\n'
+                f'      "source_ratio_index": {m}\n'  # d_n's ratio term: alpha's index
                 f'    }}'
             )
             sep = ",\n"
@@ -423,12 +426,12 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
-    closed = dm.closedform_diameters(family, p, q, count)
-    negated = {id(e.coeff): -e.coeff for e in closed.entries}  # once per coefficient
+    entries = dm.closedform_diameters(family, p, q, count).entries
+    negated = [-coeff for coeff in entries.coeffs]  # once per coefficient
 
     def rows() -> Iterator[str]:
-        for n, e in enumerate(closed.entries):
-            m, neg = e.alpha_index, negated[id(e.coeff)]
+        for n, code, m in entries.rows():
+            neg = negated[code]
             eps_value = neg * seq.stored(m)
             alpha_next = seq.stored(n + 1)  # an int on the generated kinds
             # at m = n + 1, as on every tail entry, the ratio is -coeff itself

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
-from dataclasses import dataclass
+import operator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 
 from .exact import LogTerm, Rational, scaled_numerator
 from .grid import BandIndexing, gallop
@@ -34,6 +36,7 @@ SEG_L = "L"
 SEG_M = "M"
 TAIL = "tail"
 ORACLE = "oracle"
+SEGMENTS = (HEAD, SEG_J, SEG_K, SEG_L, SEG_M, TAIL, ORACLE)  # a segment code indexes this
 
 
 class CoverageError(RuntimeError):
@@ -50,6 +53,66 @@ class DiameterEntry(LogTerm):
 
     def term(self) -> LogTerm:
         return self
+
+
+@dataclass(eq=False)
+class DiameterEntries(Sequence):
+    """A table's entries as columns, entry n at position n: each coefficient
+    once in ``coeffs`` (the engines write the off-band one as code 0, the
+    band one as code 1), and per entry its code, alpha index, code into
+    :data:`SEGMENTS` and certified flag.  Readers that scan a table read the
+    columns (:meth:`rows`).  Otherwise it works as a list of
+    :class:`DiameterEntry`, each built on demand (iteration maps over the
+    columns at C level); an assigned entry's new coefficient joins ``coeffs``.
+    """
+
+    coeffs: list[Rational]
+    alpha_index: array = field(default_factory=lambda: array("q"))
+    codes: bytearray = field(default_factory=bytearray)
+    segments: bytearray = field(default_factory=bytearray)
+    certified: bytearray = field(default_factory=bytearray)
+
+    @classmethod
+    def of(cls, entries: list[DiameterEntry]) -> DiameterEntries:
+        view = cls([], array("q", [0]) * len(entries), *(bytearray(len(entries)) for _ in range(3)))
+        for n, entry in enumerate(entries):
+            view[n] = entry
+        return view
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, int, int]]:
+        """(n, code, alpha index) at the positions start..stop-1."""
+        return itertools.islice(zip(itertools.count(), self.codes, self.alpha_index), start, stop)
+
+    def __len__(self) -> int:
+        return len(self.alpha_index)
+
+    def __iter__(self) -> Iterator[DiameterEntry]:
+        return map(DiameterEntry, map(self.coeffs.__getitem__, self.codes), self.alpha_index,
+                   itertools.count(), map(SEGMENTS.__getitem__, self.segments),
+                   map(bool, self.certified))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[n] for n in range(len(self))[key]]
+        n = range(len(self))[key]  # an int, negative ones from the end
+        return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
+                             SEGMENTS[self.segments[n]], bool(self.certified[n]))
+
+    def __setitem__(self, key: int, entry: DiameterEntry) -> None:
+        n = range(len(self))[key]
+        if entry.n != n:
+            raise ValueError(f"entry d_{entry.n} cannot sit at position {n}")
+        if entry.coeff not in self.coeffs:
+            self.coeffs.append(entry.coeff)
+        self.codes[n] = self.coeffs.index(entry.coeff)
+        self.alpha_index[n] = entry.alpha_index
+        self.segments[n] = SEGMENTS.index(entry.segment)
+        self.certified[n] = entry.certified
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, DiameterEntries)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)
@@ -71,16 +134,25 @@ class PlanRow:
 
 @dataclass
 class DiameterTable:
+    """d_0, d_1, ... of one pair (p, q) from one engine, final up to
+    ``certified_horizon``.  ``entries`` is a :class:`DiameterEntries`; a
+    list of entries given in its place, as by ``dataclasses.replace(table,
+    entries=[...])``, is turned into one."""
+
     p: int
     q: int
     method: str
-    entries: list[DiameterEntry]
+    entries: DiameterEntries
     certified_horizon: int
     plan: list[PlanRow] | None = None
     a0: int | None = None
     tail_start: int | None = None
     oracle_prefix: int | None = None  # the largest ratio index the oracle's merge read
     diagnostic: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.entries, DiameterEntries):
+            self.entries = DiameterEntries.of(self.entries)
 
     def entry(self, n: int) -> DiameterEntry:
         return self.entries[n]
@@ -90,32 +162,36 @@ class DiameterTable:
 
 
 def _merged_entries(
-    family: KotheFamily, p: int, q: int, indices: Iterator[int], bound: int | None
-) -> Iterator[DiameterEntry]:
-    """The ratio terms at ``indices`` (1, 2, 3, ...), descending by value,
-    ties by the smaller ratio index m; certified when the key beats
-    ``bound``, always when ``bound`` is None.
+    family: KotheFamily, p: int, q: int, indices: Iterator[int], bound: int | None, count: int
+) -> DiameterEntries:
+    """The first ``count`` ratio terms at ``indices`` (1, 2, 3, ...),
+    descending by value, ties by the smaller ratio index m; certified when
+    the key beats ``bound``, always when ``bound`` is None.
 
     Each index's column comes from a walk of the diagonals (1; 1, 2; 1, 2,
     3; ...), so m is on the band when that column s has p <= s < q.  A key
     is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off the
-    band (c_pq) and on it (c_pq - 1) the coefficient is one negative
-    constant, so each run strictly decreases and :func:`heapq.merge` of
-    ``(-key, m)`` orders the two as sorting all the terms would.  Both runs
-    share one pass of ``seq.scaled_values()``.
+    band (c_pq, code 0) and on it (c_pq - 1, code 1) the coefficient is one
+    negative constant, so each run strictly decreases and
+    :func:`heapq.merge` of ``(-key, m, code)`` orders the two as sorting
+    all the terms would.  Both runs share one pass of ``seq.scaled_values()``.
     """
     pq = p * q
     blue = c_pq(p, q)
-    red = blue - 1
     blue_num = scaled_numerator(blue, pq)
     columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
     blues, reds = itertools.tee(zip(indices, columns, family.seq.scaled_values()))
     merged = heapq.merge(
-        ((-blue_num * alpha, m, blue) for m, s, alpha in blues if not p <= s < q),
-        ((-(blue_num - pq) * alpha, m, red) for m, s, alpha in reds if p <= s < q),
+        ((-blue_num * alpha, m, 0) for m, s, alpha in blues if not p <= s < q),
+        ((-(blue_num - pq) * alpha, m, 1) for m, s, alpha in reds if p <= s < q),
     )
-    for n, (neg_key, m, coeff) in enumerate(merged):
-        yield DiameterEntry(coeff, m, n, ORACLE, bound is None or -neg_key > bound)
+    entries = DiameterEntries([blue, blue - 1])
+    for neg_key, m, code in itertools.islice(merged, count):
+        entries.alpha_index.append(m)
+        entries.codes.append(code)
+        entries.certified.append(bound is None or -neg_key > bound)
+    entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
+    return entries
 
 
 def oracle_diameters(
@@ -143,12 +219,11 @@ def oracle_diameters(
         alpha_next = next(itertools.islice(family.seq.scaled_values(), horizon, None))
         bound = scaled_numerator(c_pq(p, q), p * q) * alpha_next
     indices = itertools.count(1)
-    merged = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound)
-    entries = list(itertools.islice(merged, count))
-    certified = sum(e.certified for e in entries)  # a prefix: the keys decrease
+    entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
+    certified = sum(entries.certified)  # a prefix: the keys decrease
     empty = horizon is not None and not certified
     return DiameterTable(
-        p, q, "oracle", [] if empty else entries, certified - 1,
+        p, q, "oracle", DiameterEntries(entries.coeffs) if empty else entries, certified - 1,
         oracle_prefix=next(indices) - 1,
         diagnostic=(
             f"prefix of {horizon} ratio terms certifies no diameter; "
@@ -274,7 +349,8 @@ def closedform_diameters(
 
     reds = {row.j_a: row.n_a for row in rows}
     blues = itertools.chain.from_iterable(off_band_runs())
-    entries: list[DiameterEntry] = []
+    entries = DiameterEntries([blue, red])
+    add_index, add_code = entries.alpha_index.append, entries.codes.append
     last_num = last_index = 0
 
     def mark(start: int, end: int, label: str, shift: int | None) -> None:
@@ -288,7 +364,7 @@ def closedform_diameters(
                 f"expected {len(entries)}"
             )
         for n in range(start, end + 1):
-            num, coeff, m = (red_num, red, reds[n]) if n in reds else (blue_num, blue, next(blues))
+            num, code, m = (red_num, 1, reds[n]) if n in reds else (blue_num, 0, next(blues))
             if shift is not None and m != n + shift:
                 raise CoverageError(
                     f"segment {label} expects alpha index {n + shift} at "
@@ -299,7 +375,9 @@ def closedform_diameters(
                     else n and seq.compare(last_num, last_index, num, m) < 0):
                 raise CoverageError(f"diameters not non-increasing at index {n}")
             last_num, last_index = num, m
-            entries.append(DiameterEntry(coeff, m, n, label, True))
+            add_index(m)
+            add_code(code)
+        entries.segments.extend(itertools.repeat(SEGMENTS.index(label), end + 1 - start))
 
     def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
         """The positions from one past ``row``'s band term to ``end``, cut
@@ -351,6 +429,7 @@ def closedform_diameters(
         or m - 1 - bnd.count_below(m) != count - (len(rows) - 1)
     ):
         raise CoverageError(f"a term past diameter index {count - 1} is out of place")
+    entries.certified = bytearray(b"\x01") * count
     return DiameterTable(
         p=p,
         q=q,

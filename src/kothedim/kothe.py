@@ -355,16 +355,10 @@ def _row_step(k: int, s: int) -> int:
     return scaled_numerator(_column_coeff(k + 1, s) - _column_coeff(k, s), k * (k + 1))
 
 
-def _definition_regular(
-    seq: ExponentSequence, k: int, n: int, s: int, s_next: int
-) -> bool:
-    """:func:`definition_regular_at` with n in column s and n+1 in s_next."""
-    return seq.compare(_row_step(k, s), n, _row_step(k, s_next), n + 1) <= 0
-
-
 def definition_regular_at(family: KotheFamily, k: int, n: int) -> bool:
     """Matrix-level regularity a_{k+1,n}/a_{k,n} <= a_{k+1,n+1}/a_{k,n+1}."""
-    return _definition_regular(family.seq, k, n, column_of(n), column_of(n + 1))
+    return family.seq.compare(_row_step(k, column_of(n)), n,
+                              _row_step(k, column_of(n + 1)), n + 1) <= 0
 
 
 # the matrix-definition window: rows 1..DEFINITION_K, n up to DEFINITION_N
@@ -419,8 +413,13 @@ def check_regularity(family: KotheFamily, horizon: int) -> CheckReport:
     for n in range(1, definition_n + 1):
         s, s_next = s_next, column_of(n + 1)
         crit = regularity_criterion(family, s, n)
+        # k enters only through the row steps, at most three distinct pairs
+        # per n: each pair's verdict is decided once
+        verdicts: dict[tuple[int, int], bool] = {}
         for k in range(1, DEFINITION_K + 1):
-            defn = _definition_regular(family.seq, k, n, s, s_next)
+            steps = _row_step(k, s), _row_step(k, s_next)
+            if (defn := verdicts.get(steps)) is None:
+                defn = verdicts[steps] = seq.compare(steps[0], n, steps[1], n + 1) <= 0
             # the matrix definition binds exactly at k = s, matching the
             # column criterion, except at n = 1: there n and n+1 share
             # column 1 and the definition collapses to alpha_1 <= alpha_2,

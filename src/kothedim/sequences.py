@@ -262,18 +262,22 @@ class ExponentSequence:
     def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:
         """Best-effort ``e^(coeff * alpha_m)`` as a double, display-only;
         the flag is set when the value clamps to inf (an exponent >= 710, or
-        one past the double range) or to 0.0 (<= -746).  Both clamps are
-        settled by :meth:`compare_to`, so alpha_m is materialised only for
-        an unclamped exponent, and then as the correctly rounded quotient
-        ``float(coeff * alpha_m)``."""
+        one past the double range) or to 0.0 (<= -746).  On ``linear`` and
+        ``poly:d`` each clamp is one int comparison of ``num * m**d``; on
+        the other kinds :meth:`compare_to` settles both, so alpha_m is
+        materialised only for an unclamped exponent.  The value is then the
+        correctly rounded quotient ``float(coeff * alpha_m)``."""
         num, den = coeff.numerator, coeff.denominator
-        # alpha_m > 0: the sign of coeff leaves at most one clamp to decide
-        if num > 0 and self.compare_to(num, m, 710 * den) >= 0:
-            return math.inf, True
-        if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
-            return 0.0, True
+        if self.degree is None:  # alpha_m > 0: the sign of coeff leaves at most one clamp
+            if num > 0 and self.compare_to(num, m, 710 * den) >= 0:
+                return math.inf, True
+            if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
+                return 0.0, True
+        x = num * self.stored(m)  # exact; on the closed forms the int that settles both clamps
+        if not -746 * den < x < 710 * den:
+            return (math.inf if x > 0 else 0.0), True
         try:
-            return math.exp(num * self.stored(m) / den), False
+            return math.exp(x / den), False
         except OverflowError:  # e^x passes the double range from x ~ 709.78 on
             return math.inf, True
 

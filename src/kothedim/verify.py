@@ -10,6 +10,7 @@ Absence of a threshold within the certified horizon is reported as
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,12 +54,12 @@ class SandwichReport:
         }
 
 
-def _numerators(table: DiameterTable, pq: int, lo: int) -> dict[int, int]:
-    """Each coefficient object of the certified entries from ``lo`` on, by
-    identity, to its numerator over pq: both engines share one Fraction per
-    coefficient, and hashing a Fraction costs more than scaling it."""
-    coeffs = {id(e.coeff): e.coeff for e in table.entries[lo : table.certified_horizon + 1]}
-    return {key: scaled_numerator(coeff, pq) for key, coeff in coeffs.items()}
+def _numerators(table: DiameterTable, pq: int, lo: int) -> list[int | None]:
+    """Each coefficient of the table, by code, as its numerator over pq, or
+    None where no certified entry from ``lo`` on has it."""
+    entries, hi = table.entries, table.certified_horizon + 1
+    return [scaled_numerator(coeff, pq) if entries.codes.find(code, lo, hi) >= 0 else None
+            for code, coeff in enumerate(entries.coeffs)]
 
 
 def verify_sandwich(
@@ -66,8 +67,8 @@ def verify_sandwich(
 ) -> SandwichReport:
     """Exact scan of both bounds over the certified range (n >= 1).
 
-    Each coefficient object is scaled once to its integer numerator over
-    pq (an engine's table holds two), and each bound is one ``seq.compare``.
+    Each coefficient is scaled once to its integer numerator over pq (an
+    engine's table holds two), and each bound is one ``seq.compare``.
     """
     seq = family.seq
     pq = p * q
@@ -76,9 +77,8 @@ def verify_sandwich(
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
-    for n in range(1, horizon + 1):
-        entry = table.entry(n)
-        num, m = nums[id(entry.coeff)], entry.alpha_index
+    for n, code, m in table.entries.rows(1, horizon + 1):
+        num = nums[code]
         if seq.compare(num, m, c_num, n) > 0:
             upper_violations.append(n)
         if seq.compare(num, m, c_num, 4 * n) < 0:
@@ -105,10 +105,13 @@ def _tail_band(table: DiameterTable) -> list[PlanRow]:
     return [row for row in table.plan[table.a0 - 1 :] if row.n_a - 1 <= horizon]
 
 
-def _decay_ratio(seq, table: DiameterTable, n: int) -> Rational:
-    """The exact ratio -log(d_n) / alpha_{n+1}, built from no alpha value."""
-    e = table.entries[n]
-    return -e.coeff * seq.quotient(e.alpha_index, n + 1)
+def _decay_ratios(seq, table: DiameterTable, positions: Iterable[int]) -> Iterator[Rational]:
+    """The exact ratios -log(d_n) / alpha_{n+1} at ``positions``, built from
+    no alpha value: -coeff itself where d_n's alpha index is n + 1."""
+    entries, negated = table.entries, [-coeff for coeff in table.entries.coeffs]
+    for n in positions:
+        neg, m = negated[entries.codes[n]], entries.alpha_index[n]
+        yield neg if m == n + 1 else neg * seq.quotient(m, n + 1)
 
 
 def eadd_ratio(
@@ -131,10 +134,9 @@ def eadd_ratio(
             "table never enters the tail regime within its range; "
             "increase the count"
         )
-    return [
-        {"a": row.a, "n_a": row.n_a, "ratio": _decay_ratio(family.seq, table, row.n_a - 1)}
-        for row in _tail_band(table)
-    ]
+    rows = _tail_band(table)
+    ratios = _decay_ratios(family.seq, table, (row.n_a - 1 for row in rows))
+    return [{"a": row.a, "n_a": row.n_a, "ratio": ratio} for row, ratio in zip(rows, ratios)]
 
 
 @dataclass
@@ -181,8 +183,8 @@ def aa_statistic(
         red_sup: Rational | None = None
         red_points = 0
         red_positions = {row.n_a - 1 for row in _tail_band(table)}
-        for n in range(lo, horizon + 1):
-            ratio = _decay_ratio(seq, table, n)
+        window = range(lo, horizon + 1)
+        for n, ratio in zip(window, _decay_ratios(seq, table, window)):
             if sup is None or ratio > sup:
                 sup = ratio
             if n in red_positions:
@@ -251,8 +253,8 @@ def edd_tail_check(
         if seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
-    for n, entry in enumerate(table.entries[threshold : horizon + 1], threshold):
-        num, m, r = nums[id(entry.coeff)], entry.alpha_index, ratio[n + 1]
+    for n, code, m in table.entries.rows(threshold, horizon + 1):
+        num, r = nums[code], ratio[n + 1]
         if (m != n + 1 or num != r) and seq.compare(num, m, r, n + 1) != 0:
             witnesses.append({"type": "value", "n": n})
             break
@@ -321,9 +323,9 @@ def delta_membership_probe(
             # theta*alpha_{n+1} + log d_n as one term over alpha_{n+1}
             seq = family.seq
             best: LogTerm | None = None
-            for n in range(table.certified_horizon + 1):
-                e = table.entry(n)
-                v = LogTerm(theta + e.coeff * seq.quotient(e.alpha_index, n + 1), n + 1)
+            certified = range(table.certified_horizon + 1)
+            for n, ratio in zip(certified, _decay_ratios(seq, table, certified)):
+                v = LogTerm(theta - ratio, n + 1)
                 if best is None or logterm_cmp(v, best, seq) > 0:
                     best = v
             sup = best.log_value(seq) if best is not None else None

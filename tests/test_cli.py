@@ -771,3 +771,30 @@ def test_every_exit_code_is_documented(data, file_alpha):
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3, 4, 5), (args, result.output, result.exception)
     assert "Traceback" not in result.output
+
+
+# sha256 of ``check --criterion regularity`` stdout before the window
+# decided each row-step pair once
+REGULARITY_REPORT_DIGESTS = {
+    ("linear", 2): "9a28f7a3aade594f4f8170a461881d1165649b13153237839d2f202d5f0bc031",
+    ("linear", 40): "9939a936cdad48f2b493f3dbabdd52408bddc264e766fc86b91f20f911e80020",
+    ("linear", 300): "8f7d2a801911cb97daaabf157d7315138d681e1502b63ffbf8bf17354a78dfe5",
+    ("poly:2", 2): "29bcd89607267904503230ed12fc5847c2665e5f01a545b5963fa64ce737aa2d",
+    ("poly:2", 40): "78fccd1348379e2dc61ba084371d04509956f7eb0a571502c9d4636b76742843",
+    ("poly:2", 300): "a1e9c875389a96265a9063974306e63df1cee29b89cc252a3b7e062d0c333fbd",
+    ("factorial", 2): "deccf3e407e8b1cde02cc63291abe782fd7f15a4c39eb5ab0f798c73b32cb292",
+    ("factorial", 40): "5596261e0138d23af15df4825e8e82e47f5610b7ad1a199f93c0f5773120c3cb",
+    ("factorial", 300): "3162c3647bc0c1222eb8f0b699cf3d0a9e8df51faf7899b4e1740e0d989e043d",
+    ("superproduct", 2): "d254b11ad3bb1eee18ac413deb8edb49948ebed3520d48f2851ee333e92fd1c8",
+    ("superproduct", 40): "f07165e2b29572251afb9fa8873045917ef09f0e598a914f108d616ad006ea73",
+    ("superproduct", 300): "f41af9e98da92fe278f2ccb11b0d592d16e23ffe9aa81d0ed2df7d71fcbe7970",
+}
+
+
+@pytest.mark.parametrize("spec, horizon", sorted(REGULARITY_REPORT_DIGESTS))
+def test_regularity_report_bytes_are_unchanged(runner, spec, horizon):
+    args = ["check", "--criterion", "regularity", "--alpha", spec, "--N", str(horizon)]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert digest == REGULARITY_REPORT_DIGESTS[(spec, horizon)]

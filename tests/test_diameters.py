@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from kothedim import diameters as dm
 from kothedim.diameters import (
     CoverageError,
+    DiameterEntry,
     _find_i,
     closedform_diameters,
     oracle_diameters,
@@ -599,3 +602,125 @@ def test_band_element_off_the_band_raises_at_its_run(monkeypatch, p, q, t):
     monkeypatch.setattr(*fault("element", t))
     with pytest.raises(CoverageError, match=f"band element n_{t} "):
         closedform_diameters(family("linear"), p, q, 40)
+
+
+# -- the entries view -------------------------------------------------------
+
+
+def test_entries_view_reads_like_a_list_of_entries():
+    fam = family("linear")
+    table = closedform_diameters(fam, 2, 5, 30)
+    entries = table.entries
+    listed = list(entries)
+    assert len(entries) == len(listed) == 30
+    assert all(type(e) is DiameterEntry for e in listed)
+    assert [e.n for e in listed] == list(range(30))
+    assert listed == [entries[n] for n in range(30)] == [table.entry(n) for n in range(30)]
+    assert entries[-1] == listed[29] and entries[-30] == listed[0]
+    for n in (30, -31):
+        with pytest.raises(IndexError):
+            entries[n]
+    assert entries[3:7] == listed[3:7] and [e.n for e in entries[3:7]] == [3, 4, 5, 6]
+    assert entries[::-4] == listed[::-4] and entries[7:3] == [] and entries[:] == listed
+    assert list(reversed(entries)) == listed[::-1]
+    # the columns hold what the entries show
+    assert [entries.coeffs[c] for c in entries.codes] == [e.coeff for e in listed]
+    assert list(entries.alpha_index) == [e.alpha_index for e in listed]
+    assert [dm.SEGMENTS[s] for s in entries.segments] == [e.segment for e in listed]
+    assert list(map(bool, entries.certified)) == [e.certified for e in listed]
+
+
+def test_entries_view_equality():
+    fam = family("linear")
+    entries = closedform_diameters(fam, 1, 2, 20).entries
+    listed = list(entries)
+    assert entries == listed and listed == entries
+    assert entries == closedform_diameters(fam, 1, 2, 20).entries
+    assert entries != listed[:-1] and entries != listed[1:] + listed[:1]
+    assert entries != tuple(listed) and entries != closedform_diameters(fam, 1, 2, 21).entries
+    assert oracle_diameters(fam, 1, 2, 2, horizon=2).entries == []
+    moved = listed[:-1] + [dataclasses.replace(listed[-1], certified=False)]
+    assert entries != moved
+
+
+def test_entries_view_item_assignment():
+    fam = family("linear")
+    table = closedform_diameters(fam, 2, 5, 40)
+    entries = table.entries
+    before = list(entries)
+    entries[-1] = dataclasses.replace(entries[-1], alpha_index=entries[-1].alpha_index + 1)
+    assert entries[39].alpha_index == before[39].alpha_index + 1
+    assert entries[:39] == before[:39]
+    # a coefficient equal to one in the table takes its code; a new one is added
+    entries[5] = dataclasses.replace(entries[5], coeff=Fraction(before[5].coeff.numerator,
+                                                                before[5].coeff.denominator))
+    assert len(entries.coeffs) == 2 and entries[5] == before[5]
+    third = Fraction(-1, 10)
+    entries[6] = dataclasses.replace(entries[6], coeff=third, segment="tail", certified=False)
+    assert entries.coeffs[2] == third and entries.codes[6] == 2
+    assert entries[6] == DiameterEntry(third, before[6].alpha_index, 6, "tail", False)
+    assert list(entries)[6] == entries[6]
+    with pytest.raises(ValueError, match="position 7"):
+        entries[7] = entries[8]
+    with pytest.raises(IndexError):
+        entries[40] = dataclasses.replace(before[0], n=40)
+
+
+def test_replacing_entries_with_a_list_gives_a_view():
+    fam = family("factorial")
+    table = closedform_diameters(fam, 1, 2, 30)
+    listed = list(table.entries)
+    listed[12] = dataclasses.replace(listed[12], alpha_index=listed[12].alpha_index + 1)
+    changed = dataclasses.replace(table, entries=listed)
+    assert isinstance(changed.entries, dm.DiameterEntries)
+    assert changed.entries == listed and changed.entries != table.entries
+    assert (changed.plan, changed.a0, changed.certified_horizon) == (
+        table.plan, table.a0, table.certified_horizon)
+    assert dataclasses.replace(table, entries=[]).entries == []
+
+
+# sha256 of every table of the sweep below, entry by entry, as the engines
+# gave them when they built one DiameterEntry per index
+ENTRY_DIGESTS = {
+    "linear": "fa3f1d0df70d3e752eb6f6f9415007efba01a191400e15c251dc476ca70345ab",
+    "poly:2": "a97078306dd03c6178df7f922633e7af38e4893ad734da87fd498451cbbd5a10",
+    "factorial": "909a9e35a69bd3535637cc054e4d987a2c9812ea3e74fb497d5f692516eb3051",
+    "superproduct": "d413213b8a090dc7433345f06d78cfe1c2f74fa4f8e35baec7cbb7d5ea7022f2",
+    "rational": "15df135730aff1d1a3e9932561167428dad72f597188ae3cd86dbd6f258d8ab2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ENTRY_DIGESTS))
+def test_both_engines_match_the_per_entry_reference(spec):
+    """(coeff, alpha_index, n, segment, certified) of every entry, with the
+    plan, a0, tail_start and certified horizon, over p <= 4, q <= p + 6 and
+    counts 1..60; iteration, indexing and slicing give the same entries."""
+    fam = KotheFamily(sequence(spec))
+    digest = hashlib.sha256()
+    for p in range(1, 5):
+        for q in range(p + 1, p + 7):
+            for count in range(1, 61):
+                for table in (closedform_diameters(fam, p, q, count),
+                              oracle_diameters(fam, p, q, count)):
+                    digest.update(f"{p} {q} {count} {table.method} {table.certified_horizon} "
+                                  f"{table.a0} {table.tail_start} {table.plan}\n".encode())
+                    listed = list(table.entries)
+                    for e in listed:
+                        digest.update(f"{e.coeff} {e.alpha_index} {e.n} {e.segment} "
+                                      f"{e.certified}\n".encode())
+                    if count in (1, 7, 60):
+                        assert listed == [table.entry(n) for n in range(count)] == table.entries[:]
+    assert digest.hexdigest() == ENTRY_DIGESTS[spec]
+
+
+def test_closed_form_table_at_count_100000_holds_columns_not_entries():
+    fam = family("linear")
+    tracemalloc.start()
+    try:
+        table = closedform_diameters(fam, 2, 5, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 10**5
+    # at most 30 bytes an entry; one DiameterEntry object each took about 145
+    assert peak < 30 * 10**5

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from kothedim import kothe
+from kothedim.grid import column_of
 from kothedim.kothe import (
     KotheFamily,
     SearchCapExceeded,
@@ -223,3 +225,68 @@ def test_regularity_definition_is_vacuous_at_n1():
     family = KotheFamily(ExponentSequence.factorial())
     assert definition_regular_at(family, 1, 1)
     assert not regularity_criterion(family, 1, 1)
+
+
+# -- the regularity definition window --------------------------------------
+
+
+def spied(spec, lie=None):
+    """A sequence whose kernel records each call and, when ``lie`` is an
+    argument tuple, returns the opposite sign for that tuple alone."""
+    seq = ExponentSequence.from_spec(spec)
+    real, calls = seq.compare, []
+
+    def compare(*args):
+        calls.append(args)
+        sign = real(*args)
+        return -sign if args == lie else sign
+
+    seq.compare = compare
+    return seq, calls
+
+
+def reference_definition_witness(family, horizon):
+    """The matrix definition checked with one kernel call per (k, n)."""
+    for n in range(1, min(horizon, kothe.DEFINITION_N) + 1):
+        s = column_of(n)
+        crit = regularity_criterion(family, s, n)
+        for k in range(1, kothe.DEFINITION_K + 1):
+            expected = crit if (k == s and n >= 2) else True
+            if definition_regular_at(family, k, n) != expected:
+                return {"k": k, "n": n}
+    return None
+
+
+@pytest.mark.parametrize("horizon", [300, 1000])
+def test_regularity_definition_window_decides_each_row_step_pair_once(monkeypatch, horizon):
+    seq, calls = spied("superproduct")
+    check_regularity(KotheFamily(seq), horizon)
+    total = len(calls)
+    monkeypatch.setattr(kothe, "DEFINITION_N", 0)  # the scan alone
+    calls.clear()
+    check_regularity(KotheFamily(seq), horizon)
+    window = total - len(calls) - 300  # less one criterion call per n
+    pairs = sum(
+        len({(kothe._row_step(k, column_of(n)), kothe._row_step(k, column_of(n + 1)))
+             for k in range(1, 13)})
+        for n in range(1, 301)
+    )
+    assert window == pairs == 743  # one call per (k, n) made 3,600
+
+
+@pytest.mark.parametrize("spec", ["linear", "factorial", "superproduct"])
+def test_regularity_definition_witness_under_a_lying_kernel(spec):
+    """A kernel that lies on one argument tuple gives the witness that one
+    kernel call per (k, n) gives."""
+    horizon = 60
+    seq, calls = spied(spec)
+    check_regularity(KotheFamily(seq), horizon)
+    window = sorted({c for c in calls if c[3] == c[1] + 1 and c[1] <= horizon})
+    witnesses = set()
+    for lie in window[::3]:
+        report = check_regularity(KotheFamily(spied(spec, lie)[0]), horizon)
+        want = reference_definition_witness(KotheFamily(spied(spec, lie)[0]), horizon)
+        assert report.details["definition_witness"] == want, lie
+        assert report.details["definition_agrees_with_criterion"] == (want is None)
+        witnesses.add(None if want is None else tuple(want.values()))
+    assert len(witnesses) > 5  # the lies reach the window

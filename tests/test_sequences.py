@@ -231,3 +231,38 @@ def test_nuclear_probe_linear_consistent():
 def test_nuclear_probe_factorial_consistent():
     probe = finitely_nuclear_probe(ExponentSequence.factorial(), 100)
     assert probe.verdict == "consistent"
+
+
+def compare_to_exp_float(seq, coeff, m):
+    """Reference: ``exp_float`` with both clamps settled by ``compare_to``."""
+    num, den = coeff.numerator, coeff.denominator
+    if num > 0 and seq.compare_to(num, m, 710 * den) >= 0:
+        return math.inf, True
+    if num < 0 and seq.compare_to(num, m, -746 * den) <= 0:
+        return 0.0, True
+    try:
+        return math.exp(num * seq.stored(m) / den), False
+    except OverflowError:
+        return math.inf, True
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "poly:3"])
+def test_closed_form_exp_float_matches_the_compare_to_route(spec):
+    seq = ExponentSequence.from_spec(spec)
+    tiny = Fraction(1, 10**12)
+    for m in (1, 2, 3, 7, 40, 1000):
+        alpha = seq.stored(m)
+        # exponents 709, 710, -745 and -746, each exactly (a tie with the
+        # clamp where there is one) and a hair to either side
+        for exponent in (709, 710, -745, -746, Fraction(70978, 100), 0):
+            for e in (exponent, exponent - tiny, exponent + tiny):
+                coeff = Fraction(e) / alpha
+                assert seq.exp_float(coeff, m) == compare_to_exp_float(seq, coeff, m), (e, m)
+        for coeff in (Fraction(-3, 10), Fraction(1, 2), Fraction(-7)):
+            assert seq.exp_float(coeff, m) == compare_to_exp_float(seq, coeff, m), (coeff, m)
+    assert seq.exp_float(Fraction(710), 1) == (math.inf, True)
+    assert seq.exp_float(Fraction(-746), 1) == (0.0, True)
+    assert seq.exp_float(Fraction(709), 1) == (math.exp(709), False)
+    for coeff in (Fraction(1), Fraction(0), Fraction(-1)):
+        with pytest.raises(SequenceError, match="got 0"):
+            seq.exp_float(coeff, 0)
