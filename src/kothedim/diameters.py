@@ -23,7 +23,7 @@ import itertools
 import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .exact import LogTerm, Rational, scaled_numerator
 from .grid import BandIndexing, gallop
@@ -43,16 +43,30 @@ class CoverageError(RuntimeError):
     """The closed-form segment families failed to tile the index range."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DiameterEntry(LogTerm):
-    """One diameter d_n = e^(coeff * alpha_{alpha_index})."""
+    """One diameter d_n = e^(coeff * alpha_{alpha_index}).  Tables build
+    entries on demand, so the ``__init__`` stores each slot, as
+    :class:`LogTerm`'s does, at about half the generated one's cost."""
 
     n: int
     segment: str
     certified: bool
 
+    def __init__(self, coeff: Rational, alpha_index: int, n: int, segment: str,
+                 certified: bool) -> None:
+        _set_coeff(self, coeff)
+        _set_alpha_index(self, alpha_index)
+        _set_n(self, n)
+        _set_segment(self, segment)
+        _set_certified(self, certified)
+
     def term(self) -> LogTerm:
         return self
+
+
+_set_coeff, _set_alpha_index, _set_n, _set_segment, _set_certified = (
+    getattr(DiameterEntry, f.name).__set__ for f in fields(DiameterEntry))
 
 
 @dataclass(eq=False)
@@ -86,14 +100,19 @@ class DiameterEntries(Sequence):
     def __len__(self) -> int:
         return len(self.alpha_index)
 
+    def _build(self, codes, alpha_index, ns, segments, certified) -> Iterator[DiameterEntry]:
+        """Entries from (slices of) the columns, built at C level."""
+        return map(DiameterEntry, map(self.coeffs.__getitem__, codes), alpha_index, ns,
+                   map(SEGMENTS.__getitem__, segments), map(bool, certified))
+
     def __iter__(self) -> Iterator[DiameterEntry]:
-        return map(DiameterEntry, map(self.coeffs.__getitem__, self.codes), self.alpha_index,
-                   itertools.count(), map(SEGMENTS.__getitem__, self.segments),
-                   map(bool, self.certified))
+        return self._build(self.codes, self.alpha_index, itertools.count(), self.segments,
+                           self.certified)
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return [self[n] for n in range(len(self))[key]]
+            return list(self._build(self.codes[key], self.alpha_index[key], range(len(self))[key],
+                                    self.segments[key], self.certified[key]))
         n = range(len(self))[key]  # an int, negative ones from the end
         return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
                              SEGMENTS[self.segments[n]], bool(self.certified[n]))

@@ -53,22 +53,37 @@ def format_rational(x: Rational | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogTerm:
     """The real number ``e^(coeff * alpha_index)``, kept symbolic.
 
     ``coeff`` is dimensionless and exact; ``alpha_index`` indexes into an
     exponent sequence.  The denoted value is only ever materialized as a
-    float for display.
+    float for display.  The ``__init__``, which takes the fields in field
+    order, is written by hand: a store through each slot costs about half
+    the generated frozen one's ``object.__setattr__`` per field.
     """
 
     coeff: Rational
     alpha_index: int
 
+    def __init__(self, coeff: Rational, alpha_index: int) -> None:
+        _set_coeff(self, coeff)
+        _set_alpha_index(self, alpha_index)
+
     def log_value(self, seq: "ExponentSequence") -> Rational:
-        """Exact exponent ``coeff * alpha_{alpha_index}``, a Fraction: the
-        stored alpha is an int or, for a ``file`` alpha, a Fraction."""
-        return self.coeff * seq.stored(self.alpha_index)
+        """Exact exponent ``coeff * alpha_{alpha_index}``, a Fraction in
+        lowest terms.  On ``n**d`` alpha it is one constructor; a ratio
+        kind's big-int alpha or a ``file``'s Fraction goes through ``*``,
+        which reduces by the gcd with the small denominator alone."""
+        c, v = self.coeff, seq.stored(self.alpha_index)
+        if seq.degree is None:
+            return c * v
+        return Fraction(c.numerator * v, c.denominator)
+
+
+_set_coeff = LogTerm.coeff.__set__
+_set_alpha_index = LogTerm.alpha_index.__set__
 
 
 def logterm_cmp(x: LogTerm, y: LogTerm, seq: "ExponentSequence") -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import pickle
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kothedim.diameters import (
+    DiameterEntry,
     closedform_diameters,
     oracle_diameters,
 )
@@ -213,3 +215,69 @@ def test_log_terms_and_diameter_entries_are_slotted_and_frozen():
     moved = dataclasses.replace(closed[3], alpha_index=closed[3].alpha_index + 1)
     assert moved != closed[3]
     assert (moved.n, moved.segment, moved.coeff) == (3, closed[3].segment, closed[3].coeff)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceLogTerm:
+    """LogTerm as the generated dataclass __init__ builds it."""
+
+    coeff: Fraction
+    alpha_index: int
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceDiameterEntry(ReferenceLogTerm):
+    n: int
+    segment: str
+    certified: bool
+
+
+HAND_WRITTEN_INITS = [
+    (LogTerm, ReferenceLogTerm, (Fraction(-3, 10), 4)),
+    (DiameterEntry, ReferenceDiameterEntry, (Fraction(-7, 10), 9, 5, "K", True)),
+]
+
+
+@pytest.mark.parametrize("cls", [LogTerm, DiameterEntry], ids=lambda cls: cls.__name__)
+def test_hand_written_init_takes_every_field_in_field_order(cls):
+    """A field added later and left out of the __init__ would leave its slot unset."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    assert cls.__match_args__ == tuple(names)
+
+
+@pytest.mark.parametrize("cls, reference, args", HAND_WRITTEN_INITS, ids=["LogTerm", "DiameterEntry"])
+def test_hand_written_init_builds_what_the_generated_one_builds(cls, reference, args):
+    names = [f.name for f in dataclasses.fields(cls)]
+    positional, keyword = cls(*args), cls(**dict(zip(names, args)))
+    want = reference(*args)
+    for term in (positional, keyword):
+        assert term == positional and hash(term) == hash(positional) == hash(want)
+        assert dataclasses.astuple(term) == dataclasses.astuple(want)
+        assert repr(term) == repr(want).replace(reference.__name__, cls.__name__, 1)
+        assert [getattr(term, name) for name in names] == list(args)
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
+    with pytest.raises(TypeError):
+        cls(*args, 0)
+    with pytest.raises(TypeError):
+        cls(*args, extra=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(["linear", "poly:2", "poly:3", "factorial", "superproduct", "rational"]),
+    num=st.integers(min_value=-10**12, max_value=10**12),
+    den=st.integers(min_value=1, max_value=10**12),
+    m=indices,
+)
+@example(spec="linear", num=0, den=7, m=3)
+@example(spec="poly:2", num=-6, den=4, m=2)
+@example(spec="rational", num=-3, den=7, m=60)
+def test_log_value_is_the_exact_exponent_in_lowest_terms(spec, num, den, m):
+    seq = make_seq(spec)
+    coeff = Fraction(num, den)
+    value = LogTerm(coeff, m).log_value(seq)
+    assert value == coeff * make_seq(spec).value(m)
+    assert type(value) is Fraction
+    assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1

@@ -77,10 +77,13 @@ def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
     another Fraction object, are scanned as the Fraction reference scans them."""
     fam = family("linear")
     table = table_for(fam, 2, 5, 200)
+    entries = list(table.entries)
     for n in range(3, 200, 7):
-        e = table.entries[n]
+        e = entries[n]
         coeff = Fraction(-1, 10) if n % 2 else Fraction(e.coeff.numerator, e.coeff.denominator)
-        table.entries[n] = dataclasses.replace(e, coeff=coeff)
+        entries[n] = dataclasses.replace(e, coeff=coeff)
+    table = dataclasses.replace(table, entries=entries)
+    assert len(table.entries.coeffs) == 3  # DiameterEntries.of adds -1/10 as a third code
     report = verify_sandwich(fam, 2, 5, table)
     assert report.upper_violations
     assert (report.upper_violations, report.lower_violations) == sandwich_reference(fam, 2, 5, table)
@@ -89,8 +92,9 @@ def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
 def test_sandwich_rejects_a_coefficient_off_pq():
     fam = family("linear")
     table = table_for(fam, 1, 2, 50)
-    e = table.entries[30]
-    table.entries[30] = dataclasses.replace(e, coeff=Fraction(-1, 7))
+    entries = list(table.entries)
+    entries[30] = dataclasses.replace(entries[30], coeff=Fraction(-1, 7))
+    table = dataclasses.replace(table, entries=entries)
     with pytest.raises(ValueError, match="no denominator dividing 2"):
         verify_sandwich(fam, 1, 2, table)
 
