@@ -18,10 +18,10 @@ element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from array import array
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
@@ -191,24 +191,44 @@ def _merged_entries(
     3; ...), so m is on the band when that column s has p <= s < q.  A key
     is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off the
     band (c_pq, code 0) and on it (c_pq - 1, code 1) the coefficient is one
-    negative constant, so each run strictly decreases and
-    :func:`heapq.merge` of ``(-key, m, code)`` orders the two as sorting
-    all the terms would.  Both runs share one pass of ``seq.scaled_values()``.
+    negative constant, so each run strictly decreases.  One pass of
+    ``seq.scaled_values()`` reads the indices in order; the band terms read
+    but not yet listed wait in a FIFO.  Before each off-band term it lists
+    every pending band term whose key is at least that term's: on a tie the
+    band term goes first, its index being the smaller.  This orders the
+    terms as sorting them all would: a band term (c - 1) alpha_n lies
+    strictly below c alpha_n, and so below every off-band term c alpha_m
+    with m < n; a band term therefore only ever precedes off-band terms not
+    yet read, and none not yet read reaches the off-band term at hand.  The
+    FIFO is flushed when the indices run out.  It holds the band indices n
+    with A_pq alpha_n > alpha_m for the last m read, O(sqrt(m)) of them on
+    ``linear`` and ``poly:d`` and a few on the ratio kinds.
     """
     pq = p * q
     blue = c_pq(p, q)
     blue_num = scaled_numerator(blue, pq)
+    red_num = blue_num - pq
     columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
-    blues, reds = itertools.tee(zip(indices, columns, family.seq.scaled_values()))
-    merged = heapq.merge(
-        ((-blue_num * alpha, m, 0) for m, s, alpha in blues if not p <= s < q),
-        ((-(blue_num - pq) * alpha, m, 1) for m, s, alpha in reds if p <= s < q),
-    )
+
+    def merged() -> Iterator[tuple[int, int, int]]:
+        """(key, m, code) in descending order of the key."""
+        pending: deque[tuple[int, int]] = deque()  # (key, n) of the band terms to list
+        for m, s, alpha in zip(indices, columns, family.seq.scaled_values()):
+            if p <= s < q:
+                pending.append((red_num * alpha, m))
+                continue
+            key = blue_num * alpha
+            while pending and pending[0][0] >= key:
+                yield *pending.popleft(), 1
+            yield key, m, 0
+        for key, n in pending:
+            yield key, n, 1
+
     entries = DiameterEntries([blue, blue - 1])
-    for neg_key, m, code in itertools.islice(merged, count):
+    for key, m, code in itertools.islice(merged(), count):
         entries.alpha_index.append(m)
         entries.codes.append(code)
-        entries.certified.append(bound is None or -neg_key > bound)
+        entries.certified.append(bound is None or key > bound)
     entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
     return entries
 
@@ -220,13 +240,14 @@ def oracle_diameters(
     descending order: d_n is the (n+1)-th merged term.
 
     With ``horizon`` None the merge covers every ratio term and each entry
-    is final: every term not yet merged comes after the heads of the two
-    runs.  With ``horizon`` H it covers m <= H, and an entry is certified
-    final when it is strictly greater than e^(c_pq alpha_{H+1}), which
-    dominates every unseen term; ties with that bound stay uncertified
-    because an unseen term could equal them.  Such a table that certifies
-    nothing lists no entries.  ``oracle_prefix`` is the largest ratio index
-    the merge read.
+    is final: every term not yet listed comes after it (see
+    :func:`_merged_entries`).  With ``horizon`` H it covers m <= H, and an
+    entry is certified final when it is strictly greater than
+    e^(c_pq alpha_{H+1}), which dominates every unseen term; ties with that
+    bound stay uncertified because an unseen term could equal them.  Such a
+    table that certifies nothing lists no entries.  ``oracle_prefix`` is the
+    largest ratio index the merge read: ``count`` plus the terms it read but
+    did not list, about ``count`` on the ratio kinds.
     """
     bound = None
     if horizon is not None:

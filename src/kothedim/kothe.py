@@ -32,7 +32,6 @@ class SearchCapExceeded(RuntimeError):
     """A bounded witness search ran out of budget."""
 
 
-@lru_cache(maxsize=256)  # ratio_coeff asks once per ratio index
 def c_pq(p: int, q: int) -> Rational:
     """The negative ratio coefficient -1/p + 1/q."""
     if not q > p >= 1:
@@ -79,14 +78,6 @@ class KotheFamily:
 
     def log_entry(self, k: int, n: int) -> LogTerm:
         return LogTerm(self.entry_coeff(k, n), n)
-
-    def ratio_coeff(self, p: int, q: int, n: int) -> Rational:
-        """log(a_{p,n}/a_{q,n}) divided by alpha_n: c_pq off band, c_pq - 1 on it."""
-        c = c_pq(p, q)
-        s = column_of(n)
-        if s >= q or s < p:
-            return c
-        return c - 1
 
 
 # -- Grothendieck-Pietsch nuclearity ---------------------------------------

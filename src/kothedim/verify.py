@@ -220,7 +220,7 @@ def aa_statistic(
 
 
 def _ratio_numerator(p: int, q: int, m: int) -> int:
-    """``KotheFamily.ratio_coeff(p, q, m)`` over pq: c_pq = (p - q)/pq, less 1 on the band."""
+    """log(a_{p,m}/a_{q,m}) / alpha_m over pq: c_pq = (p - q)/pq, less 1 on the band."""
     return p - q - p * q if in_band(p, q, m) else p - q
 
 

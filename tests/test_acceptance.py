@@ -25,6 +25,8 @@ from kothedim.kothe import (
 from kothedim.sequences import ExponentSequence, classify_prefix
 from kothedim.verify import delta_membership_probe, eadd_ratio, verify_sandwich
 
+from ratio_terms import ratio_coeff
+
 ALPHAS = ["linear", "factorial", "superproduct"]
 PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7)]
 COUNT = 1000
@@ -78,7 +80,7 @@ def test_criterion_2_regular_case_law(grid_tables):
         fam, _, closed = tables[("superproduct", p, q)]
         seq = fam.seq
         for n in range(closed.certified_horizon + 1):
-            want = fam.ratio_coeff(p, q, n + 1) * seq.value(n + 1)
+            want = ratio_coeff(p, q, n + 1) * seq.value(n + 1)
             if closed.entry(n).log_value(seq) != want:
                 shifted = False
                 break

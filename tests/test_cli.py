@@ -15,6 +15,8 @@ from kothedim.cli import main
 from kothedim.kothe import KotheFamily, c_pq
 from kothedim.sequences import ExponentSequence
 
+from ratio_terms import ratio_coeff
+
 
 @pytest.fixture
 def runner():
@@ -516,8 +518,7 @@ def test_oracle_prefix_certifying_nothing_exits_3(runner):
 def sorted_terms(seq, p, q, horizon):
     """The ratio terms with m <= horizon as (value, coeff, m), by a literal
     sorted() in Fractions: descending, ties by the smaller m."""
-    fam = KotheFamily(seq)
-    coeffs = {m: fam.ratio_coeff(p, q, m) for m in range(1, horizon + 1)}
+    coeffs = {m: ratio_coeff(p, q, m) for m in range(1, horizon + 1)}
     terms = sorted((-c * seq.value(m), m, c) for m, c in coeffs.items())
     return [(-neg, coeff, m) for neg, m, coeff in terms]
 

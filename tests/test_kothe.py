@@ -68,12 +68,6 @@ def test_entry_monotone_in_k(linear_family):
         assert all(a <= b for a, b in zip(coeffs, coeffs[1:]))
 
 
-def test_ratio_coeff_cases(linear_family):
-    assert linear_family.ratio_coeff(1, 2, 1) == Fraction(-3, 2)
-    assert linear_family.ratio_coeff(1, 2, 3) == Fraction(-1, 2)
-    assert linear_family.ratio_coeff(2, 5, 1) == Fraction(-3, 10)
-
-
 def test_nuclearity_linear(linear_family):
     report = check_nuclearity(linear_family, 1, 1000)
     assert report.passed
