@@ -4,10 +4,11 @@ Identical configurations produce byte-identical output (there are no
 timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
 display-only.  ``diameters --method both`` counts a row's ``values_equal``
-true where both tables hold the same coefficient at the same alpha index,
-decides the other rows with ``exact.logterm_cmp``, and leaves the cell
-empty where the oracle entry is not certified; ``oracle_agrees`` reads the
-same cells.
+true where both tables hold the same coefficient code at the same alpha
+index, decides the other rows with ``seq.compare`` on the two coefficients'
+numerators over pq (``kothe.ratio_numerators``), and leaves the cell empty
+where the oracle entry is not certified; ``oracle_agrees`` reads the same
+cells.
 
 Rows stream: once the engines have returned, the CSV commands and
 ``diameters --output json`` write each row as they render it, in chunks, to
@@ -36,7 +37,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import LogTerm, format_rational, fraction_to_float, logterm_cmp, parse_rational
+from .exact import format_rational, fraction_to_float, parse_rational
 from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -122,9 +123,10 @@ def _rational_option(name: str, text: str) -> Fraction:
 
 
 # exception -> (exit code, message prefix), first match wins:
-# PrefixExhaustedError is a SequenceError, which is a ValueError
+# PrefixExhaustedError (a SequenceError) and UncertifiableError are ValueErrors
 _EXIT_CODES = (
     (sq.PrefixExhaustedError, EXIT_UNCERTIFIABLE, ""),
+    (dm.UncertifiableError, EXIT_UNCERTIFIABLE, ""),
     (km.SearchCapExceeded, EXIT_UNCERTIFIABLE, ""),
     (dm.CoverageError, EXIT_INTERNAL, "segment coverage failure: "),
     (ValueError, EXIT_BAD_CONFIG, ""),
@@ -250,34 +252,30 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         _fail(EXIT_BAD_CONFIG, "--horizon must be at least --count")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
-    oracle = None
-    if method != "closed":
-        oracle = dm.oracle_diameters(family, p, q, count, horizon)
-        if not oracle.entries:
-            _fail(EXIT_UNCERTIFIABLE, oracle.diagnostic)
+    oracle = dm.oracle_diameters(family, p, q, count, horizon) if method != "closed" else None
     primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
     both = method == "both"
     entries = primary.entries
     # both engines list count entries; one table is paired with itself
     other = oracle.entries if both else entries
+    # both tables hold the pair's two coefficients, by the same codes
     texts = [format_rational(c) for c in entries.coeffs]
-    other_texts = [format_rational(c) for c in other.coeffs]
-    same_coeffs = entries.coeffs == other.coeffs
+    nums = km.ratio_numerators(p, q)
     # n, code, alpha index, segment code, flag; then the other table's code, index, flag
     columns = zip(itertools.count(), entries.codes, entries.alpha_index, entries.segments,
                   entries.certified, other.codes, other.alpha_index, other.certified)
 
     def equal(code: int, m: int, o_code: int, o_m: int, o_cert: int) -> bool | str:
-        # only where the oracle's entry is final; the same coefficient at the
-        # same index is equal, and the kernel decides the rest
-        return "" if not o_cert else (same_coeffs and code == o_code and m == o_m) or logterm_cmp(
-            LogTerm(other.coeffs[o_code], o_m), LogTerm(entries.coeffs[code], m), seq) == 0
+        # only where the oracle's entry is final; the same code at the same
+        # index is equal, and the kernel decides the rest on numerators over pq
+        return "" if not o_cert else (code == o_code and m == o_m) or seq.compare(
+            nums[o_code], o_m, nums[code], m) == 0
 
     def csv_rows() -> Iterator[str]:
         for n, code, m, seg, cert, o_code, o_m, o_cert in columns:
             approx = seq.exp_float(entries.coeffs[code], m)[0]
             row = f"{n},{texts[code]},{m},{dm.SEGMENTS[seg]},{approx!r}"
-            yield (f"{row},{bool(cert and o_cert)},{other_texts[o_code]},{o_m},"
+            yield (f"{row},{bool(cert and o_cert)},{texts[o_code]},{o_m},"
                    f"{equal(code, m, o_code, o_m, o_cert)}\n" if both else f"{row},{bool(cert)}\n")
 
     def json_document() -> Iterator[str]:

@@ -25,9 +25,9 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
-from .exact import LogTerm, Rational, scaled_numerator
+from .exact import LogTerm, Rational
 from .grid import BandIndexing, gallop
-from .kothe import KotheFamily, a_pq, c_pq
+from .kothe import KotheFamily, a_pq, ratio_numerators
 
 HEAD = "head"
 SEG_J = "J"
@@ -41,6 +41,10 @@ SEGMENTS = (HEAD, SEG_J, SEG_K, SEG_L, SEG_M, TAIL, ORACLE)  # a segment code in
 
 class CoverageError(RuntimeError):
     """The closed-form segment families failed to tile the index range."""
+
+
+class UncertifiableError(ValueError):
+    """An oracle prefix too short to certify any diameter."""
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -71,24 +75,31 @@ _set_coeff, _set_alpha_index, _set_n, _set_segment, _set_certified = (
 
 @dataclass(eq=False)
 class DiameterEntries(Sequence):
-    """A table's entries as columns, entry n at position n: each coefficient
-    once in ``coeffs`` (the engines write the off-band one as code 0, the
-    band one as code 1), and per entry its code, alpha index, code into
+    """A table's entries as columns, entry n at position n: the pair's two
+    coefficients in ``coeffs``, c_pq off the band (code 0) and c_pq - 1 on
+    it (code 1), and per entry its code, alpha index, code into
     :data:`SEGMENTS` and certified flag.  Readers that scan a table read the
     columns (:meth:`rows`).  Otherwise it works as a list of
     :class:`DiameterEntry`, each built on demand (iteration maps over the
-    columns at C level); an assigned entry's new coefficient joins ``coeffs``.
+    columns at C level); an assigned entry with any other coefficient
+    raises ValueError.
     """
 
-    coeffs: list[Rational]
+    coeffs: tuple[Rational, Rational]
     alpha_index: array = field(default_factory=lambda: array("q"))
     codes: bytearray = field(default_factory=bytearray)
     segments: bytearray = field(default_factory=bytearray)
     certified: bytearray = field(default_factory=bytearray)
 
     @classmethod
-    def of(cls, entries: list[DiameterEntry]) -> DiameterEntries:
-        view = cls([], array("q", [0]) * len(entries), *(bytearray(len(entries)) for _ in range(3)))
+    def for_pair(cls, p: int, q: int, *columns) -> DiameterEntries:
+        """The columns given, empty by default, with the pair (p, q)'s coefficients."""
+        return cls(tuple(Rational(num, p * q) for num in ratio_numerators(p, q)), *columns)
+
+    @classmethod
+    def of(cls, p: int, q: int, entries: list[DiameterEntry]) -> DiameterEntries:
+        view = cls.for_pair(p, q, array("q", [0]) * len(entries),
+                            *(bytearray(len(entries)) for _ in range(3)))
         for n, entry in enumerate(entries):
             view[n] = entry
         return view
@@ -122,7 +133,7 @@ class DiameterEntries(Sequence):
         if entry.n != n:
             raise ValueError(f"entry d_{entry.n} cannot sit at position {n}")
         if entry.coeff not in self.coeffs:
-            self.coeffs.append(entry.coeff)
+            raise ValueError("coefficient {} is neither {} nor {}".format(entry.coeff, *self.coeffs))
         self.codes[n] = self.coeffs.index(entry.coeff)
         self.alpha_index[n] = entry.alpha_index
         self.segments[n] = SEGMENTS.index(entry.segment)
@@ -156,7 +167,8 @@ class DiameterTable:
     """d_0, d_1, ... of one pair (p, q) from one engine, final up to
     ``certified_horizon``.  ``entries`` is a :class:`DiameterEntries`; a
     list of entries given in its place, as by ``dataclasses.replace(table,
-    entries=[...])``, is turned into one."""
+    entries=[...])``, is turned into one, and an entry with neither of the
+    pair's coefficients raises ValueError."""
 
     p: int
     q: int
@@ -167,11 +179,10 @@ class DiameterTable:
     a0: int | None = None
     tail_start: int | None = None
     oracle_prefix: int | None = None  # the largest ratio index the oracle's merge read
-    diagnostic: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.entries, DiameterEntries):
-            self.entries = DiameterEntries.of(self.entries)
+            self.entries = DiameterEntries.of(self.p, self.q, self.entries)
 
     def entry(self, n: int) -> DiameterEntry:
         return self.entries[n]
@@ -204,10 +215,7 @@ def _merged_entries(
     with A_pq alpha_n > alpha_m for the last m read, O(sqrt(m)) of them on
     ``linear`` and ``poly:d`` and a few on the ratio kinds.
     """
-    pq = p * q
-    blue = c_pq(p, q)
-    blue_num = scaled_numerator(blue, pq)
-    red_num = blue_num - pq
+    blue_num, red_num = ratio_numerators(p, q)
     columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
 
     def merged() -> Iterator[tuple[int, int, int]]:
@@ -224,7 +232,7 @@ def _merged_entries(
         for key, n in pending:
             yield key, n, 1
 
-    entries = DiameterEntries([blue, blue - 1])
+    entries = DiameterEntries.for_pair(p, q)
     for key, m, code in itertools.islice(merged(), count):
         entries.alpha_index.append(m)
         entries.codes.append(code)
@@ -244,10 +252,11 @@ def oracle_diameters(
     :func:`_merged_entries`).  With ``horizon`` H it covers m <= H, and an
     entry is certified final when it is strictly greater than
     e^(c_pq alpha_{H+1}), which dominates every unseen term; ties with that
-    bound stay uncertified because an unseen term could equal them.  Such a
-    table that certifies nothing lists no entries.  ``oracle_prefix`` is the
-    largest ratio index the merge read: ``count`` plus the terms it read but
-    did not list, about ``count`` on the ratio kinds.
+    bound stay uncertified because an unseen term could equal them, and a
+    prefix that certifies nothing raises UncertifiableError.
+    ``oracle_prefix`` is the largest ratio index the merge read: ``count``
+    plus the terms it read but did not list, about ``count`` on the ratio
+    kinds.
     """
     bound = None
     if horizon is not None:
@@ -257,19 +266,15 @@ def oracle_diameters(
             raise ValueError("oracle prefix must hold at least count terms")
         # alpha_{H+1} from a pass of its own, so that no key is kept
         alpha_next = next(itertools.islice(family.seq.scaled_values(), horizon, None))
-        bound = scaled_numerator(c_pq(p, q), p * q) * alpha_next
+        bound = ratio_numerators(p, q)[0] * alpha_next
     indices = itertools.count(1)
     entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
     certified = sum(entries.certified)  # a prefix: the keys decrease
-    empty = horizon is not None and not certified
-    return DiameterTable(
-        p, q, "oracle", DiameterEntries(entries.coeffs) if empty else entries, certified - 1,
-        oracle_prefix=next(indices) - 1,
-        diagnostic=(
-            f"prefix of {horizon} ratio terms certifies no diameter; "
-            "increase the prefix length"
-        ) if empty else None,
-    )
+    if horizon is not None and not certified:
+        raise UncertifiableError(
+            f"prefix of {horizon} ratio terms certifies no diameter; increase the prefix length"
+        )
+    return DiameterTable(p, q, "oracle", entries, certified - 1, oracle_prefix=next(indices) - 1)
 
 
 # perfbench/ calls the oracle by this name; the alias goes when perfbench/ is
@@ -356,11 +361,7 @@ def closedform_diameters(
     if count < 1:
         raise ValueError("count must be >= 1")
     seq = family.seq
-    pq = p * q
-    blue = c_pq(p, q)
-    red = blue - 1
-    blue_num = scaled_numerator(blue, pq)
-    red_num = blue_num - pq
+    blue_num, red_num = ratio_numerators(p, q)
     bnd = BandIndexing(p=p, q=q)
     rows = _build_plan(family, bnd, count)
     n_1 = bnd.element(1)
@@ -389,7 +390,7 @@ def closedform_diameters(
 
     reds = {row.j_a: row.n_a for row in rows}
     blues = itertools.chain.from_iterable(off_band_runs())
-    entries = DiameterEntries([blue, red])
+    entries = DiameterEntries.for_pair(p, q)
     add_index, add_code = entries.alpha_index.append, entries.codes.append
     last_num = last_index = 0
 

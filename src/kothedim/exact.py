@@ -7,15 +7,16 @@ kernel decides that order: ``ExponentSequence.compare(a, m, b, n)``, the
 sign of ``a * alpha_m - b * alpha_n``, walks the small integer ratios
 ``alpha_i / alpha_{i-1}`` of ``factorial`` and ``superproduct`` and
 cross-multiplies scaled values for the other kinds.  :func:`logterm_cmp`
-calls it with the two coefficients over one denominator (the CLI's
-``values_equal`` and the delta probe's sup); the closed form, the sandwich
-bounds, edd-tail and the regularity checks call it on numerators over
-``pq`` (:func:`scaled_numerator`); the (d2) and nuclearity checks use
+calls it with the two coefficients over one denominator (the delta probe's
+sup); the closed form, the sandwich bounds, edd-tail and the CLI's
+``values_equal`` call it on a pair's two coefficients as numerators over
+``pq`` (``kothe.ratio_numerators``), and the regularity checks on integer
+multipliers (:func:`scaled_numerator`); the (d2) and nuclearity checks use
 ``ExponentSequence.compare_to``.  A ratio of two alpha values is
 ``ExponentSequence.quotient``.  The oracle, kept as the independent
 reference, walks the diagonals of the grid for each ratio index's column
-and merges its two strictly decreasing runs by big-integer keys,
-``scaled_numerator(coeff, pq)`` times ``ExponentSequence.scaled_values``.
+and merges its two strictly decreasing runs by big-integer keys, the
+coefficient's numerator over ``pq`` times ``ExponentSequence.scaled_values``.
 Floats appear only in display/export paths, through
 ``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
 """

@@ -32,11 +32,17 @@ class SearchCapExceeded(RuntimeError):
     """A bounded witness search ran out of budget."""
 
 
-def c_pq(p: int, q: int) -> Rational:
-    """The negative ratio coefficient -1/p + 1/q."""
+def ratio_numerators(p: int, q: int) -> tuple[int, int]:
+    """The two ratio coefficients of the pair as numerators over pq: c_pq =
+    (p - q)/pq for an index off the band, c_pq - 1 for one on it."""
     if not q > p >= 1:
         raise ValueError("need q > p >= 1")
-    return Fraction(-1, p) + Fraction(1, q)
+    return p - q, p - q - p * q
+
+
+def c_pq(p: int, q: int) -> Rational:
+    """The negative ratio coefficient -1/p + 1/q."""
+    return Fraction(ratio_numerators(p, q)[0], p * q)
 
 
 def a_pq(p: int, q: int) -> Rational:
@@ -111,14 +117,10 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     if seq.kind == "file":
         seq.prefill(horizon)  # a horizon past the stored prefix raises
         alpha_dominates = all(seq.compare_to(1, n, n) >= 0 for n in range(1, horizon + 1))
-    # for k >= 1 the differences are bound, bound - 1 and bound, so no
-    # region breaks the bound; one that did would make each of its n a witness
-    witnesses = []
-    if any(diff > bound for diff in diffs):
-        for n in range(1, horizon + 1):
-            diff = diffs[region(n)]
-            if diff > bound:
-                witnesses.append({"n": n, "coeff_diff": diff, "bound": bound})
+    # decided per region: for k >= 1 the differences are bound, bound - 1
+    # and bound, so no region breaks the bound
+    witnesses = [{"region": name, "coeff_diff": diff, "bound": bound}
+                 for name, diff in zip(("s<k", "s=k", "s>k"), diffs) if diff > bound]
 
     # every difference is at most bound < 0 and alpha increases, so the
     # float e^(bound * alpha_n) bounds term n and every later term.  Once
@@ -344,12 +346,6 @@ def _row_step(k: int, s: int) -> int:
     """k(k+1) times the coefficient of row k+1 minus that of row k on
     column s: 1, plus k(k+1) on column k."""
     return scaled_numerator(_column_coeff(k + 1, s) - _column_coeff(k, s), k * (k + 1))
-
-
-def definition_regular_at(family: KotheFamily, k: int, n: int) -> bool:
-    """Matrix-level regularity a_{k+1,n}/a_{k,n} <= a_{k+1,n+1}/a_{k,n+1}."""
-    return family.seq.compare(_row_step(k, column_of(n)), n,
-                              _row_step(k, column_of(n + 1)), n + 1) <= 0
 
 
 # the matrix-definition window: rows 1..DEFINITION_K, n up to DEFINITION_N

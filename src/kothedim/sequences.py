@@ -307,18 +307,6 @@ class ClassifyReport:
     consistent_with_declared: bool
     note: str
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.name,
-            "declared_class": self.declared_class,
-            "horizon": self.horizon,
-            "max_doubling_ratio": format_rational(self.max_doubling_ratio),
-            "max_successive_ratio": format_rational(self.max_successive_ratio),
-            "min_successive_ratio_tail": format_rational(self.min_successive_ratio_tail),
-            "consistent_with_declared": self.consistent_with_declared,
-            "note": self.note,
-        }
-
 
 def _decade_blocks(limit: int) -> list[tuple[int, int]]:
     """[1,10], (10,100], (100,1000], ... intersected with [1, limit]."""
@@ -399,15 +387,6 @@ class NuclearityProbe:
     horizon: int
     samples: list[tuple[int, float]]
     verdict: str  # "consistent" | "inconsistent"
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.name,
-            "horizon": self.horizon,
-            "samples": [{"n": n, "ln_n_over_alpha_n": v} for n, v in self.samples],
-            "verdict": self.verdict,
-            "floats_display_only": True,
-        }
 
 
 def finitely_nuclear_probe(seq: ExponentSequence, horizon: int) -> NuclearityProbe:

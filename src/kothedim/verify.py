@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diameters import DiameterTable, PlanRow
-from .exact import LogTerm, Rational, fraction_to_float, logterm_cmp, scaled_numerator
+from .exact import LogTerm, Rational, fraction_to_float, logterm_cmp
 from .grid import in_band
-from .kothe import KotheFamily, c_pq
+from .kothe import KotheFamily, c_pq, ratio_numerators
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
 
@@ -54,26 +54,18 @@ class SandwichReport:
         }
 
 
-def _numerators(table: DiameterTable, pq: int, lo: int) -> list[int | None]:
-    """Each coefficient of the table, by code, as its numerator over pq, or
-    None where no certified entry from ``lo`` on has it."""
-    entries, hi = table.entries, table.certified_horizon + 1
-    return [scaled_numerator(coeff, pq) if entries.codes.find(code, lo, hi) >= 0 else None
-            for code, coeff in enumerate(entries.coeffs)]
-
-
 def verify_sandwich(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> SandwichReport:
     """Exact scan of both bounds over the certified range (n >= 1).
 
-    Each coefficient is scaled once to its integer numerator over pq (an
-    engine's table holds two), and each bound is one ``seq.compare``.
+    An entry's coefficient is read by its code as a numerator over pq
+    (:func:`~kothedim.kothe.ratio_numerators`), and each bound is one
+    ``seq.compare``.
     """
     seq = family.seq
-    pq = p * q
-    c_num = scaled_numerator(c_pq(p, q), pq)
-    nums = _numerators(table, pq, 1)
+    nums = ratio_numerators(p, q)
+    c_num = nums[0]
     horizon = table.certified_horizon
     upper_violations: list[int] = []
     lower_violations: list[int] = []
@@ -219,11 +211,6 @@ def aa_statistic(
     return stat
 
 
-def _ratio_numerator(p: int, q: int, m: int) -> int:
-    """log(a_{p,m}/a_{q,m}) / alpha_m over pq: c_pq = (p - q)/pq, less 1 on the band."""
-    return p - q - p * q if in_band(p, q, m) else p - q
-
-
 def edd_tail_check(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> CheckReport:
@@ -246,8 +233,8 @@ def edd_tail_check(
     seq = family.seq
     horizon = table.certified_horizon
     threshold = table.tail_start
-    nums = _numerators(table, p * q, threshold)
-    ratio = {m: _ratio_numerator(p, q, m) for m in range(threshold + 1, horizon + 2)}
+    nums = ratio_numerators(p, q)  # by code, and by in_band for ratio term m
+    ratio = {m: nums[in_band(p, q, m)] for m in range(threshold + 1, horizon + 2)}
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
         if seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shlex
@@ -228,6 +229,24 @@ def test_bad_pair_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("pairs,message", [
+    (",", "no pairs given"),
+    (" , ,", "no pairs given"),
+    ("1:2,1-3", "bad pair '1-3'; expected like 1:2"),
+    ("1:2:3", "bad pair '1:2:3'; expected like 1:2"),
+    ("1:x", "bad pair '1:x'; expected like 1:2"),
+])
+def test_malformed_pairs_exit_2(runner, pairs, message):
+    result = runner.invoke(main, ["verify", "--what", "sandwich", "--alpha", "linear", "--pairs", pairs])
+    assert result.exit_code == 2
+    assert f"error: {message}" in result.output and "Traceback" not in result.output
+
+
+def test_empty_pair_chunks_are_skipped(runner):
+    args = ["verify", "--what", "sandwich", "--alpha", "linear", "--count", "30", "--pairs"]
+    assert invoke(runner, args + [",1:2,,2:5 ,"]).output == invoke(runner, args + ["1:2,2:5"]).output
+
+
 @pytest.mark.parametrize(
     "length,args",
     [
@@ -248,6 +267,30 @@ def test_uncertifiable_file_prefix_exits_3(runner, tmp_path, length, args):
     if length == 40:
         assert "prefix of length 40 exhausted at n=41" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("change", [
+    {"alpha_index": -1},  # a larger value than the oracle's, same code
+    {"alpha_index": 1},  # a smaller one
+    {"code": 1},  # the pair's other coefficient at the same index
+])
+def test_values_equal_is_false_where_the_engines_disagree(runner, monkeypatch, change):
+    closed = dm.closedform_diameters
+
+    def moved(*args):
+        table = closed(*args)
+        entries = list(table.entries)
+        e, coeffs = entries[20], table.entries.coeffs
+        entries[20] = dataclasses.replace(
+            e, alpha_index=e.alpha_index + change.get("alpha_index", 0),
+            coeff=coeffs[(coeffs.index(e.coeff) + change.get("code", 0)) % 2])
+        return dataclasses.replace(table, entries=entries)
+
+    monkeypatch.setattr(dm, "closedform_diameters", moved)
+    args = ["diameters", "--alpha", "linear", "--p", "2", "--q", "5", "--count", "40"]
+    rows = invoke(runner, args).output.splitlines()[2:]
+    assert [row.split(",")[-1] for row in rows] == ["True"] * 20 + ["False"] + ["True"] * 19
+    assert '"oracle_agrees": false' in invoke(runner, args + ["--output", "json"]).output
 
 
 @pytest.mark.parametrize(

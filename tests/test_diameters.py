@@ -12,6 +12,7 @@ from kothedim import diameters as dm
 from kothedim.diameters import (
     CoverageError,
     DiameterEntry,
+    UncertifiableError,
     _find_i,
     closedform_diameters,
     oracle_diameters,
@@ -140,11 +141,10 @@ def test_regular_case_diameters_are_shifted_ratios():
 
 def test_oracle_certification_bound_is_strict():
     fam = family("linear")
-    # with only two terms nothing beats the bound e^(c*a_3) = e^(-3/2)
-    table = oracle_diameters(fam, 1, 2, 2, horizon=2)
-    assert table.certified_horizon == -1
-    assert table.entries == []
-    assert "certifies no diameter" in table.diagnostic
+    # with only two terms nothing beats the bound e^(c*a_3) = e^(-3/2): the
+    # first term ties it and stays uncertified
+    with pytest.raises(UncertifiableError, match="prefix of 2 ratio terms certifies no diameter"):
+        oracle_diameters(fam, 1, 2, 2, horizon=2)
 
 
 def test_oracle_refuses_tiny_prefix():
@@ -704,7 +704,9 @@ def test_entries_view_equality():
     assert entries == closedform_diameters(fam, 1, 2, 20).entries
     assert entries != listed[:-1] and entries != listed[1:] + listed[:1]
     assert entries != tuple(listed) and entries != closedform_diameters(fam, 1, 2, 21).entries
-    assert oracle_diameters(fam, 1, 2, 2, horizon=2).entries == []
+    assert dm.DiameterEntries.for_pair(1, 2) == []
+    with pytest.raises(UncertifiableError):
+        oracle_diameters(fam, 1, 2, 2, horizon=2)
     moved = listed[:-1] + [dataclasses.replace(listed[-1], certified=False)]
     assert entries != moved
 
@@ -717,15 +719,18 @@ def test_entries_view_item_assignment():
     entries[-1] = dataclasses.replace(entries[-1], alpha_index=entries[-1].alpha_index + 1)
     assert entries[39].alpha_index == before[39].alpha_index + 1
     assert entries[:39] == before[:39]
-    # a coefficient equal to one in the table takes its code; a new one is added
+    # a coefficient equal to one of the pair takes its code; any other raises
     entries[5] = dataclasses.replace(entries[5], coeff=Fraction(before[5].coeff.numerator,
                                                                 before[5].coeff.denominator))
-    assert len(entries.coeffs) == 2 and entries[5] == before[5]
-    third = Fraction(-1, 10)
-    entries[6] = dataclasses.replace(entries[6], coeff=third, segment="tail", certified=False)
-    assert entries.coeffs[2] == third and entries.codes[6] == 2
-    assert entries[6] == DiameterEntry(third, before[6].alpha_index, 6, "tail", False)
+    assert entries[5] == before[5]
+    other = entries.coeffs[1 - entries.codes[6]]
+    entries[6] = dataclasses.replace(entries[6], coeff=other, segment="tail", certified=False)
+    assert entries.codes[6] == 1 - entries.coeffs.index(before[6].coeff)
+    assert entries[6] == DiameterEntry(other, before[6].alpha_index, 6, "tail", False)
     assert list(entries)[6] == entries[6]
+    with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
+        entries[7] = dataclasses.replace(entries[7], coeff=Fraction(-1, 10))
+    assert entries.coeffs == (Fraction(-3, 10), Fraction(-13, 10)) and entries[7] == before[7]
     with pytest.raises(ValueError, match="position 7"):
         entries[7] = entries[8]
     with pytest.raises(IndexError):

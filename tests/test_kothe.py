@@ -15,12 +15,19 @@ from kothedim.kothe import (
     check_nuclearity,
     check_omega,
     check_regularity,
-    definition_regular_at,
     dn_lambda_bound,
     omega_j_bound,
+    ratio_numerators,
     regularity_criterion,
 )
 from kothedim.sequences import ExponentSequence
+
+
+def definition_regular_at(family, k, n):
+    """Matrix-level regularity a_{k+1,n}/a_{k,n} <= a_{k+1,n+1}/a_{k,n+1}:
+    one kernel call on the row steps, as the definition window makes it."""
+    return family.seq.compare(kothe._row_step(k, column_of(n)), n,
+                              kothe._row_step(k, column_of(n + 1)), n + 1) <= 0
 
 
 @pytest.fixture
@@ -33,6 +40,13 @@ def test_c_and_a_constants():
     assert c_pq(2, 5) == Fraction(-3, 10)
     assert a_pq(1, 2) == 3
     assert a_pq(2, 5) == 1 + Fraction(10, 3)
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 1), (0, 1)])
+def test_ratio_numerators_validate_as_c_pq(p, q):
+    for helper in (ratio_numerators, c_pq):
+        with pytest.raises(ValueError, match="need q > p >= 1"):
+            helper(p, q)
 
 
 def test_log_entry_cases(linear_family, tmp_path):

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from kothedim.diameters import closedform_diameters
-from kothedim.exact import scaled_numerator
-from kothedim.kothe import KotheFamily, c_pq
+from kothedim.grid import in_band
+from kothedim.kothe import KotheFamily, c_pq, ratio_numerators
 from kothedim.sequences import UNSPECIFIED, ExponentSequence
 from kothedim.verify import (
-    _ratio_numerator,
     aa_statistic,
     delta_membership_probe,
     eadd_ratio,
@@ -75,19 +74,26 @@ def sandwich_reference(fam, p, q, table):
 
 
 def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
-    """Entries given a third coefficient over pq, or an equal coefficient in
-    another Fraction object, are scanned as the Fraction reference scans them."""
+    """Entries given the pair's other coefficient, or an equal coefficient in
+    another Fraction object at a lower alpha index, are scanned as the
+    Fraction reference scans them; a third coefficient is refused."""
     fam = family("linear")
     table = table_for(fam, 2, 5, 200)
-    entries = list(table.entries)
+    coeffs, entries = table.entries.coeffs, list(table.entries)
     for n in range(3, 200, 7):
         e = entries[n]
-        coeff = Fraction(-1, 10) if n % 2 else Fraction(e.coeff.numerator, e.coeff.denominator)
-        entries[n] = dataclasses.replace(e, coeff=coeff)
+        if n % 2:
+            entries[n] = dataclasses.replace(e, coeff=coeffs[1 - coeffs.index(e.coeff)])
+        else:
+            coeff = Fraction(e.coeff.numerator, e.coeff.denominator)
+            entries[n] = dataclasses.replace(e, coeff=coeff, alpha_index=max(1, e.alpha_index - 5))
+    third = entries[:3] + [dataclasses.replace(entries[3], coeff=Fraction(-1, 10))]
+    with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
+        dataclasses.replace(table, entries=third)
     table = dataclasses.replace(table, entries=entries)
-    assert len(table.entries.coeffs) == 3  # DiameterEntries.of adds -1/10 as a third code
+    assert table.entries.coeffs == coeffs
     report = verify_sandwich(fam, 2, 5, table)
-    assert report.upper_violations
+    assert report.upper_violations and report.lower_violations
     assert (report.upper_violations, report.lower_violations) == sandwich_reference(fam, 2, 5, table)
 
 
@@ -96,9 +102,8 @@ def test_sandwich_rejects_a_coefficient_off_pq():
     table = table_for(fam, 1, 2, 50)
     entries = list(table.entries)
     entries[30] = dataclasses.replace(entries[30], coeff=Fraction(-1, 7))
-    table = dataclasses.replace(table, entries=entries)
-    with pytest.raises(ValueError, match="no denominator dividing 2"):
-        verify_sandwich(fam, 1, 2, table)
+    with pytest.raises(ValueError, match="-1/7 is neither -1/2 nor -3/2"):
+        dataclasses.replace(table, entries=entries)
 
 
 def test_eadd_factorial_1_2():
@@ -223,8 +228,21 @@ def test_edd_tail_factorial():
 @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (1, 4)])
 def test_edd_tail_ratio_numerator_is_ratio_coeff_over_pq(pq):
     p, q = pq
+    nums = ratio_numerators(p, q)
+    assert Fraction(nums[0], p * q) == c_pq(p, q) and nums[1] == nums[0] - p * q
     for m in range(1, 501):
-        assert _ratio_numerator(p, q, m) == scaled_numerator(ratio_coeff(p, q, m), p * q)
+        assert Fraction(nums[in_band(p, q, m)], p * q) == ratio_coeff(p, q, m)
+
+
+def test_edd_tail_reports_a_ratio_sequence_out_of_order():
+    """On linear alpha the ratio terms are not descending from index 1: a
+    threshold moved to 0 gives a ratio-order witness."""
+    fam = family("linear")
+    table = table_for(fam, 1, 2, 100)
+    assert table.tail_start is None
+    report = edd_tail_check(fam, 1, 2, dataclasses.replace(table, tail_start=0))
+    assert report.verdict == "fail"
+    assert report.witnesses[0] == {"type": "ratio-order", "m": 2}
 
 
 @pytest.mark.parametrize("spec", ["factorial", "superproduct"])
