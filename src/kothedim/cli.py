@@ -430,7 +430,7 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
     def rows() -> Iterator[str]:
         for n, code, m in entries.rows():
             neg = negated[code]
-            eps_value = neg * seq.stored(m)
+            eps_value = seq.exponent(neg, m)
             alpha_next = seq.stored(n + 1)  # an int on the generated kinds
             # at m = n + 1, as on every tail entry, the ratio is -coeff itself
             ratio = neg if m == n + 1 else neg * seq.quotient(m, n + 1)

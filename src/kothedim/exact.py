@@ -13,12 +13,13 @@ sup); the closed form, the sandwich bounds, edd-tail and the CLI's
 ``pq`` (``kothe.ratio_numerators``), and the regularity checks on integer
 multipliers (:func:`scaled_numerator`); the (d2) and nuclearity checks use
 ``ExponentSequence.compare_to``.  A ratio of two alpha values is
-``ExponentSequence.quotient``.  The oracle, kept as the independent
-reference, walks the diagonals of the grid for each ratio index's column
-and merges its two strictly decreasing runs by big-integer keys, the
-coefficient's numerator over ``pq`` times ``ExponentSequence.scaled_values``.
-Floats appear only in display/export paths, through
-``ExponentSequence.exp_float``, and are flagged as non-authoritative there.
+``ExponentSequence.quotient`` and an exact exponent ``coeff * alpha_m`` is
+``ExponentSequence.exponent``.  The oracle, the independent reference,
+walks the diagonals of the grid for each ratio index's column and merges
+its two strictly decreasing runs by big-integer keys, the coefficient's
+numerator over ``pq`` times ``ExponentSequence.scaled_values``.  Floats
+appear only in display/export paths, through ``ExponentSequence.exp_float``,
+and are flagged as non-authoritative there.
 """
 from __future__ import annotations
 
@@ -74,13 +75,9 @@ class LogTerm:
 
     def log_value(self, seq: "ExponentSequence") -> Rational:
         """Exact exponent ``coeff * alpha_{alpha_index}``, a Fraction in
-        lowest terms.  On ``n**d`` alpha it is one constructor; a ratio
-        kind's big-int alpha or a ``file``'s Fraction goes through ``*``,
-        which reduces by the gcd with the small denominator alone."""
-        c, v = self.coeff, seq.stored(self.alpha_index)
-        if seq.degree is None:
-            return c * v
-        return Fraction(c.numerator * v, c.denominator)
+        lowest terms: ``ExponentSequence.exponent``, which on a ratio kind
+        passes over the big alpha once."""
+        return seq.exponent(self.coeff, self.alpha_index)
 
 
 _set_coeff = LogTerm.coeff.__set__

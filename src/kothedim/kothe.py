@@ -326,7 +326,7 @@ def check_d2_failure(
                 "n": n,
                 "column": j,
                 "exponent_coeff": coefficient,
-                "exponent_value": coefficient * seq.value(n),
+                "exponent_value": seq.exponent(coefficient, n),
             }
         ],
         details={"scanned_column_elements": y + 1},

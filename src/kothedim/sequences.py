@@ -58,7 +58,8 @@ class ExponentSequence:
     :meth:`scaled_values` reads alpha in order without the cursor, and
     :meth:`quotient` gives the exact ``alpha_m / alpha_n`` (ratio steps or
     :meth:`scaled`).  :meth:`compare_to` decides ``a * alpha_m`` against a
-    constant, and :meth:`exp_float` the display double of ``e^(coeff * alpha_m)``.
+    constant, :meth:`exponent` gives the exact ``coeff * alpha_m`` and
+    :meth:`exp_float` the display double of ``e^(coeff * alpha_m)``.
     """
 
     name: str
@@ -258,6 +259,19 @@ class ExponentSequence:
             return self.compare(a, m, c, 1)
         d = a * self.scaled(m) - c * self.scale
         return (d > 0) - (d < 0)
+
+    def exponent(self, coeff: Rational, m: int) -> Rational:
+        """The exact ``coeff * alpha_m`` in lowest terms.  A ratio kind's big
+        alpha takes one ``divmod`` by den; a remainder term r/den in lowest
+        terms plus an integer needs no further reduction."""
+        num, den = coeff.numerator, coeff.denominator
+        v = self.stored(m)
+        if self.degree is not None:
+            return Fraction(num * v, den)
+        if self.kind == "file":
+            return coeff * v
+        q, r = divmod(v, den) if den > 1 else (v, 0)  # den 1: no pass, not even a gcd
+        return Fraction(num * r, den) + num * q if r else Fraction(num * q)
 
     def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:
         """Best-effort ``e^(coeff * alpha_m)`` as a double, display-only;

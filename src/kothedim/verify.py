@@ -54,6 +54,12 @@ class SandwichReport:
         }
 
 
+def _check_pair(p: int, q: int, table: DiameterTable) -> None:
+    """Refuse a table of another pair: its codes would read wrong coefficients."""
+    if (p, q) != (table.p, table.q):
+        raise ValueError(f"table is for the pair {table.p}:{table.q}, not {p}:{q}")
+
+
 def verify_sandwich(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> SandwichReport:
@@ -61,8 +67,9 @@ def verify_sandwich(
 
     An entry's coefficient is read by its code as a numerator over pq
     (:func:`~kothedim.kothe.ratio_numerators`), and each bound is one
-    ``seq.compare``.
+    ``seq.compare``.  A table of another pair raises ``ValueError``.
     """
+    _check_pair(p, q, table)
     seq = family.seq
     nums = ratio_numerators(p, q)
     c_num = nums[0]
@@ -112,8 +119,9 @@ def eadd_ratio(
     """Exact ratios -log(d_{n_a - 1}) / alpha_{n_a} over the tail band terms.
 
     Only asserted for unstable parameter sequences (the law the tail proves);
-    each returned ratio is an exact rational and equals 1 - c_pq.
+    each returned ratio is exactly 1 - c_pq.  Another pair's table raises.
     """
+    _check_pair(p, q, table)
     if family.seq.declared_class != UNSTABLE:
         raise ValueError(
             "the tail ratio law is only asserted for unstable alpha; "
@@ -215,10 +223,11 @@ def edd_tail_check(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> CheckReport:
     """Past the tail threshold the ratio sequence itself is descending and
-    d_n is literally its (n+1)-th term; both facts checked exactly over the
-    whole certified table on numerators over pq.  An entry that is ratio term
-    n + 1 by index and numerator matches at once; else ``seq.compare`` decides.
+    d_n is literally its (n+1)-th term; both checked exactly over the whole
+    certified table on numerators over pq (another pair's table raises).  An
+    entry with ratio term n + 1's index and numerator matches, else compared.
     """
+    _check_pair(p, q, table)
     params = {"p": p, "q": q, "alpha": family.seq.name}
     if table.tail_start is None:
         return CheckReport(

@@ -281,3 +281,36 @@ def test_log_value_is_the_exact_exponent_in_lowest_terms(spec, num, den, m):
     assert value == coeff * make_seq(spec).value(m)
     assert type(value) is Fraction
     assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+
+
+def halves():
+    """A ``file`` alpha of halves, long enough for the large indices below."""
+    memo = [Fraction(2 * n - 1, 2) for n in range(1, 4001)]
+    return ExponentSequence(name="halves", kind="file", declared_class=UNSPECIFIED, memo=memo)
+
+
+@pytest.mark.parametrize("m", [2000, 3999])
+@pytest.mark.parametrize(
+    "spec, coeff, want_den",
+    [
+        ("factorial", Fraction(-3), 1),  # den 1: no division
+        ("superproduct", Fraction(-4), 1),
+        ("factorial", Fraction(-5, 21), 1),  # 21 divides alpha_m: integral
+        ("superproduct", Fraction(-7, 6), 2),  # alpha_m = 3 mod 6: partly reduced
+        ("superproduct", Fraction(-1, 2), 2),  # alpha_m odd: coprime
+        ("superproduct", Fraction(-3, 10), 10),
+        ("halves", Fraction(-3, 7), 14),
+        ("halves", Fraction(-3), 2),
+    ],
+)
+def test_exponent_at_large_indices_is_the_fraction_product(spec, coeff, want_den, m):
+    """Every branch of ``exponent`` on values of 20k-90k bits, checked
+    against the product of two Fractions, alpha read from a fresh sequence."""
+    make = halves if spec == "halves" else lambda: ExponentSequence.from_spec(spec)
+    seq = make()
+    value = seq.exponent(coeff, m)
+    want = coeff * make().value(m)
+    assert type(value) is Fraction
+    assert value == want and value.denominator == want_den
+    assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
+    assert len(seq) == len(make())  # 1 on the ratio kinds: no memo grew

@@ -106,6 +106,19 @@ def test_sandwich_rejects_a_coefficient_off_pq():
         dataclasses.replace(table, entries=entries)
 
 
+def test_sandwich_rejects_a_table_of_another_pair():
+    """A linear 1:2 table named as 2:5 would be read with 2:5's bounds."""
+    fam = family("linear")
+    with pytest.raises(ValueError, match="table is for the pair 1:2, not 2:5"):
+        verify_sandwich(fam, 2, 5, table_for(fam, 1, 2, 100))
+
+
+def test_eadd_rejects_a_table_of_another_pair():
+    fam = family("factorial")
+    with pytest.raises(ValueError, match="table is for the pair 1:2, not 2:5"):
+        eadd_ratio(fam, 2, 5, table_for(fam, 1, 2, 100))
+
+
 def test_eadd_factorial_1_2():
     fam = family("factorial")
     ratios = eadd_ratio(fam, 1, 2, table_for(fam, 1, 2, 100))
@@ -223,6 +236,13 @@ def test_edd_tail_factorial():
         report = edd_tail_check(fam, p, q, table_for(fam, p, q, 120))
         assert report.verdict == "pass"
         assert not report.witnesses
+
+
+def test_edd_tail_rejects_a_table_of_another_pair():
+    """A correct factorial 1:2 table named as 2:5 would fail its check."""
+    fam = family("factorial")
+    with pytest.raises(ValueError, match="table is for the pair 1:2, not 2:5"):
+        edd_tail_check(fam, 2, 5, table_for(fam, 1, 2, 120))
 
 
 @pytest.mark.parametrize("pq", [(1, 2), (2, 5), (1, 4)])
