@@ -5,7 +5,8 @@ timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
 display-only.  ``diameters --method both`` counts a row's ``values_equal``
 true where both tables hold the same coefficient code at the same alpha
-index, decides the other rows with ``seq.compare`` on the two coefficients'
+index and false at another index (one coefficient: the index decides),
+decides the rows of two codes with ``seq.compare`` on the two coefficients'
 numerators over pq (``kothe.ratio_numerators``), and leaves the cell empty
 where the oracle entry is not certified; ``oracle_agrees`` reads the same
 cells.
@@ -266,9 +267,9 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
                   entries.certified, other.codes, other.alpha_index, other.certified)
 
     def equal(code: int, m: int, o_code: int, o_m: int, o_cert: int) -> bool | str:
-        # only where the oracle's entry is final; the same code at the same
-        # index is equal, and the kernel decides the rest on numerators over pq
-        return "" if not o_cert else (code == o_code and m == o_m) or seq.compare(
+        # only where the oracle's entry is final; with the same code the
+        # index decides, and the kernel decides the rest on numerators over pq
+        return "" if not o_cert else m == o_m if code == o_code else seq.compare(
             nums[o_code], o_m, nums[code], m) == 0
 
     def csv_rows() -> Iterator[str]:

@@ -18,6 +18,7 @@ element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from array import array
@@ -98,10 +99,12 @@ class DiameterEntries(Sequence):
 
     @classmethod
     def of(cls, p: int, q: int, entries: list[DiameterEntry]) -> DiameterEntries:
-        view = cls.for_pair(p, q, array("q", [0]) * len(entries),
-                            *(bytearray(len(entries)) for _ in range(3)))
-        for n, entry in enumerate(entries):
-            view[n] = entry
+        """The columns of ``entries``, each checked as item assignment checks it."""
+        view = cls.for_pair(p, q)
+        fields = zip(*[view._fields(n, entry) for n, entry in enumerate(entries)])
+        for column, values in zip((view.codes, view.alpha_index, view.segments,
+                                   view.certified), fields):
+            column.extend(values)
         return view
 
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, int, int]]:
@@ -128,16 +131,23 @@ class DiameterEntries(Sequence):
         return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
                              SEGMENTS[self.segments[n]], bool(self.certified[n]))
 
-    def __setitem__(self, key: int, entry: DiameterEntry) -> None:
-        n = range(len(self))[key]
+    def _fields(self, n: int, entry: DiameterEntry) -> tuple[int, int, int, bool]:
+        """(code, alpha index, segment code, certified) of ``entry`` at
+        position n; ValueError if it belongs elsewhere or has neither of
+        the pair's coefficients."""
         if entry.n != n:
             raise ValueError(f"entry d_{entry.n} cannot sit at position {n}")
-        if entry.coeff not in self.coeffs:
-            raise ValueError("coefficient {} is neither {} nor {}".format(entry.coeff, *self.coeffs))
-        self.codes[n] = self.coeffs.index(entry.coeff)
-        self.alpha_index[n] = entry.alpha_index
-        self.segments[n] = SEGMENTS.index(entry.segment)
-        self.certified[n] = entry.certified
+        try:
+            code = self.coeffs.index(entry.coeff)
+        except ValueError:
+            raise ValueError("coefficient {} is neither {} nor {}".format(
+                entry.coeff, *self.coeffs)) from None
+        return code, entry.alpha_index, SEGMENTS.index(entry.segment), entry.certified
+
+    def __setitem__(self, key: int, entry: DiameterEntry) -> None:
+        n = range(len(self))[key]
+        (self.codes[n], self.alpha_index[n], self.segments[n],
+         self.certified[n]) = self._fields(n, entry)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, DiameterEntries)):
@@ -352,16 +362,24 @@ def closedform_diameters(
     term a+1) with shift s_(k+1) - a, and labelled L first, K between and
     M last; next to a miss the stretch is one unshifted M.  The last row
     with a qualifying i_a ends in its L piece alone, and the tail (shift 1)
-    follows.  Each entry is checked against its piece's shift and against
-    the entry before it; a piece that does not start at the next index, a
-    value mismatch, an increase, a table short of ``count`` entries, or a
-    next band or off-band term that beats d_(count-1) or an off-band index
-    skipped by the fill raises CoverageError.
+    follows.  A piece is listed run by run: each band term placed in it
+    (only the tail's interleave), and between them the off-band terms, one
+    contiguous slice lo..hi of an off-band run at a time, put in with one
+    ``extend``.  The shift is checked at each run's first index (and so
+    for all of it: the slice is contiguous) and at each band term.  Inside
+    a run the values strictly decrease (one negative coefficient, rising
+    indices), so monotonicity is checked only where a run meets the entry
+    before it: an int test of the indices when the coefficient is the
+    same, ``seq.compare`` only when it differs.  A piece that does not
+    start at the next index, a value mismatch, an increase, a table short
+    of ``count`` entries, or a next band or off-band term that beats
+    d_(count-1) or an off-band index skipped by the fill raises
+    CoverageError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     seq = family.seq
-    blue_num, red_num = ratio_numerators(p, q)
+    nums = blue_num, red_num = ratio_numerators(p, q)
     bnd = BandIndexing(p=p, q=q)
     rows = _build_plan(family, bnd, count)
     n_1 = bnd.element(1)
@@ -388,36 +406,67 @@ def closedform_diameters(
             yield range(n_prev + 1, n_i)
             n_prev = n_i
 
-    reds = {row.j_a: row.n_a for row in rows}
-    blues = itertools.chain.from_iterable(off_band_runs())
+    runs = off_band_runs()
+    rest = range(0)  # the off-band indices of the current run not yet listed
+
+    def blues(length: int) -> Iterator[range]:
+        """The next ``length`` off-band indices, as slices of the runs; a run
+        is read (and its band element checked) only when a slice needs it."""
+        nonlocal rest
+        while length:
+            while not rest:
+                rest = next(runs)
+            part = rest[:length]
+            rest = rest[len(part):]
+            length -= len(part)
+            yield part
+
+    red_at = [row.j_a for row in rows]  # strictly increasing: the plan checks it
     entries = DiameterEntries.for_pair(p, q)
-    add_index, add_code = entries.alpha_index.append, entries.codes.append
     last_num = last_index = 0
 
-    def mark(start: int, end: int, label: str, shift: int | None) -> None:
-        """Emit [start, end] up to count - 1, each value checked against the
-        formula and the entry before it."""
+    def place(n: int, code: int, run: range, label: str, shift: int | None) -> None:
+        """List ``run``, increasing alpha indices of one code, from d_n on.
+        The values strictly decrease inside it (one negative coefficient,
+        rising indices), so only its first entry is checked: against the
+        piece's shift, which then holds for all of it, and against the entry
+        before it."""
         nonlocal last_num, last_index
+        num, m = nums[code], run[0]
+        if shift is not None and m != n + shift:
+            raise CoverageError(
+                f"segment {label} expects alpha index {n + shift} at "
+                f"diameter index {n}, fill has {m}"
+            )
+        # one negative coefficient: the value decreases iff the index increases
+        if (m <= last_index if num == last_num
+                else n and seq.compare(last_num, last_index, num, m) < 0):
+            raise CoverageError(f"diameters not non-increasing at index {n}")
+        last_num, last_index = num, run[-1]
+        entries.alpha_index.extend(run)
+        entries.codes.extend(bytes([code]) * len(run))
+
+    def mark(start: int, end: int, label: str, shift: int | None) -> None:
+        """Emit [start, end] up to count - 1 run by run: each band term placed
+        there, and between them the off-band terms, one contiguous slice of
+        an off-band run at a time."""
         end = min(end, count - 1)
         if start <= end and start != len(entries):
             raise CoverageError(
                 f"segment {label} starts at diameter index {start}, "
                 f"expected {len(entries)}"
             )
-        for n in range(start, end + 1):
-            num, code, m = (red_num, 1, reds[n]) if n in reds else (blue_num, 0, next(blues))
-            if shift is not None and m != n + shift:
-                raise CoverageError(
-                    f"segment {label} expects alpha index {n + shift} at "
-                    f"diameter index {n}, fill has {m}"
-                )
-            # one negative coefficient: the value decreases iff the index increases
-            if (m <= last_index if num == last_num
-                    else n and seq.compare(last_num, last_index, num, m) < 0):
-                raise CoverageError(f"diameters not non-increasing at index {n}")
-            last_num, last_index = num, m
-            add_index(m)
-            add_code(code)
+        r = bisect.bisect_left(red_at, start)
+        n = start
+        while n <= end:
+            j = red_at[r] if r < len(red_at) and red_at[r] <= end else end + 1
+            for part in blues(j - n):
+                place(n, 0, part, label, shift)
+                n += len(part)
+            if j <= end:
+                n_a = rows[r].n_a
+                place(j, 1, range(n_a, n_a + 1), label, shift)
+                r, n = r + 1, j + 1
         entries.segments.extend(itertools.repeat(SEGMENTS.index(label), end + 1 - start))
 
     def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
@@ -463,7 +512,7 @@ def closedform_diameters(
     # across the end: the first band term and the first off-band term past
     # the table do not beat d_(count-1), and the fill listed exactly the
     # off-band indices below the next one
-    m = next(blues)
+    [m] = next(blues(1))
     if (
         seq.compare(last_num, last_index, red_num, rows[-1].n_a) < 0
         or seq.compare(last_num, last_index, blue_num, m) < 0

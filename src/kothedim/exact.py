@@ -10,7 +10,9 @@ cross-multiplies scaled values for the other kinds.  :func:`logterm_cmp`
 calls it with the two coefficients over one denominator (the delta probe's
 sup); the closed form, the sandwich bounds, edd-tail and the CLI's
 ``values_equal`` call it on a pair's two coefficients as numerators over
-``pq`` (``kothe.ratio_numerators``), and the regularity checks on integer
+``pq`` (``kothe.ratio_numerators``), and only where the two coefficients
+differ: two values with one negative coefficient are ordered by their
+indices, alpha being strictly increasing.  The regularity checks call it on integer
 multipliers (:func:`scaled_numerator`); the (d2) and nuclearity checks use
 ``ExponentSequence.compare_to``.  A ratio of two alpha values is
 ``ExponentSequence.quotient`` and an exact exponent ``coeff * alpha_m`` is

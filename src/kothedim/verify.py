@@ -66,22 +66,34 @@ def verify_sandwich(
     """Exact scan of both bounds over the certified range (n >= 1).
 
     An entry's coefficient is read by its code as a numerator over pq
-    (:func:`~kothedim.kothe.ratio_numerators`), and each bound is one
-    ``seq.compare``.  A table of another pair raises ``ValueError``.
+    (:func:`~kothedim.kothe.ratio_numerators`).  An off-band entry (code 0)
+    shares the bounds' coefficient c_pq < 0, and alpha strictly increases,
+    so its index decides: at (n, m) it breaks the upper bound iff m < n
+    and the lower one iff m > 4n.  Only a band entry (code 1) has the
+    other coefficient, and each of its bounds is one ``seq.compare``.  A
+    ``file`` alpha is first checked to hold every value the bounds name,
+    so a short prefix raises ``PrefixExhaustedError`` as a compare would.
+    A table of another pair raises ``ValueError``.
     """
     _check_pair(p, q, table)
     seq = family.seq
-    nums = ratio_numerators(p, q)
-    c_num = nums[0]
+    c_num, red_num = ratio_numerators(p, q)
     horizon = table.certified_horizon
+    if seq.kind == "file":
+        seq.prefill(max(4 * horizon, max(table.entries.alpha_index[1 : horizon + 1], default=0)))
     upper_violations: list[int] = []
     lower_violations: list[int] = []
     for n, code, m in table.entries.rows(1, horizon + 1):
-        num = nums[code]
-        if seq.compare(num, m, c_num, n) > 0:
-            upper_violations.append(n)
-        if seq.compare(num, m, c_num, 4 * n) < 0:
-            lower_violations.append(n)
+        if code:
+            if seq.compare(red_num, m, c_num, n) > 0:
+                upper_violations.append(n)
+            if seq.compare(red_num, m, c_num, 4 * n) < 0:
+                lower_violations.append(n)
+        else:
+            if m < n:
+                upper_violations.append(n)
+            if m > 4 * n:
+                lower_violations.append(n)
     n_found = lower_violations[-1] + 1 if lower_violations else 1
     if n_found > horizon:
         n_found = None
@@ -224,8 +236,12 @@ def edd_tail_check(
 ) -> CheckReport:
     """Past the tail threshold the ratio sequence itself is descending and
     d_n is literally its (n+1)-th term; both checked exactly over the whole
-    certified table on numerators over pq (another pair's table raises).  An
-    entry with ratio term n + 1's index and numerator matches, else compared.
+    certified table on numerators over pq (another pair's table raises).  Two
+    consecutive ratio terms with one numerator are in order by their
+    indices; the kernel orders the others.  An entry with ratio term n + 1's
+    index and numerator matches, else compared.  A ``file`` alpha too short
+    for alpha_(horizon+1) raises ``PrefixExhaustedError`` unless a ratio
+    term out of order is found first.
     """
     _check_pair(p, q, table)
     params = {"p": p, "q": q, "alpha": family.seq.name}
@@ -246,9 +262,13 @@ def edd_tail_check(
     ratio = {m: nums[in_band(p, q, m)] for m in range(threshold + 1, horizon + 2)}
     witnesses = []
     for m in range(threshold + 1, horizon + 1):
-        if seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:
+        # one negative numerator: alpha_m < alpha_(m+1) orders the pair
+        if ratio[m] != ratio[m + 1] and seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
+    else:
+        if threshold < horizon:  # the skipped compares would have read up to alpha_(horizon+1)
+            seq.prefill(horizon + 1)
     for n, code, m in table.entries.rows(threshold, horizon + 1):
         num, r = nums[code], ratio[n + 1]
         if (m != n + 1 or num != r) and seq.compare(num, m, r, n + 1) != 0:

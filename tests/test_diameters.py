@@ -584,6 +584,18 @@ def test_marker_index_off_by_one_at_k_0_raises_coverage_error(monkeypatch):
         closedform_diameters(family("linear"), 1, 2, 40)
 
 
+@pytest.mark.parametrize("p, q, t", [(1, 2, 4), (1, 2, 7), (2, 5, 2), (2, 5, 10)])
+def test_marker_one_too_large_between_rows_raises_at_its_shift(monkeypatch, p, q, t):
+    """marker(t) one too large, at a K boundary that no plan row's k_a + 1
+    names: s_t grows by one with it, so the piece ends where it did but its
+    shift is one too large.  The fill still lists the right values; only the
+    shift check of the off-band run can tell."""
+    marker = BandIndexing.marker
+    monkeypatch.setattr(BandIndexing, "marker", lambda self, k: marker(self, k) + (k == t))
+    with pytest.raises(CoverageError, match="segment K expects alpha index"):
+        closedform_diameters(family("linear"), p, q, 200)
+
+
 def test_plan_one_row_short_raises_coverage_error(monkeypatch):
     """Without its last row the plan stops before the table is full."""
     build_plan = dm._build_plan
@@ -659,6 +671,47 @@ def test_faulted_band_elements_raise_or_match_the_oracle(monkeypatch):
     """n_t one too large, t = 1..4, feeds both the plan's band terms and the
     fill's off-band runs: the same sweep as for the other faults."""
     test_faulted_tables_raise_or_match_the_oracle(monkeypatch, "element")
+
+
+def matches_values(table, oracle, oracle_values, seq) -> bool:
+    """Value by value: an entry with the oracle's code and alpha index at its
+    position matches; any other is compared by its exact log value."""
+    theirs = oracle.entries
+    return all(
+        (code, m) == (theirs.codes[n], theirs.alpha_index[n])
+        or table.entries[n].log_value(seq) == oracle_values[n]
+        for n, code, m in table.entries.rows()
+    )
+
+
+SWEEP_COUNTS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 600)
+
+
+@pytest.mark.parametrize("kind", ["contains", "element", "s_k", "find_i"])
+def test_faulted_tables_at_count_600_raise_or_match_the_oracle(monkeypatch, kind):
+    """The sweep of the faults above, wider: t = 1..20 on three kinds, so
+    that long L, K and M runs and the tail's band terms are faulted too.
+    Each table is built at the counts of SWEEP_COUNTS and around the
+    faulted term's unfaulted place j_t (the check across the end), and
+    either raises CoverageError or lists the oracle's values."""
+    for spec in ("linear", "factorial", "superproduct"):
+        fam = family(spec)
+        for p, q in [(1, 2), (1, 3), (2, 5)]:
+            oracle = oracle_diameters(fam, p, q, 600)
+            oracle_values = log_values(oracle, fam.seq)
+            plan = closedform_diameters(fam, p, q, 600).plan
+            for t in range(1, 21):
+                near = range(plan[t - 1].j_a - 1, plan[t - 1].j_a + 3) if t <= len(plan) else ()
+                counts = sorted({c for c in (*SWEEP_COUNTS, *near) if 1 <= c <= 600})
+                with monkeypatch.context() as patched:
+                    patched.setattr(*fault(kind, t))
+                    for count in counts:
+                        try:
+                            table = closedform_diameters(fam, p, q, count)
+                        except CoverageError:
+                            continue
+                        assert matches_values(table, oracle, oracle_values, fam.seq), (
+                            spec, p, q, t, count)
 
 
 @pytest.mark.parametrize("p, q, t", [(1, 2, 2), (2, 5, 1), (2, 5, 3)])

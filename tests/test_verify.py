@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from kothedim.diameters import closedform_diameters
 from kothedim.grid import in_band
 from kothedim.kothe import KotheFamily, c_pq, ratio_numerators
-from kothedim.sequences import UNSPECIFIED, ExponentSequence
+from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
 from kothedim.verify import (
     aa_statistic,
     delta_membership_probe,
@@ -95,6 +96,91 @@ def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
     report = verify_sandwich(fam, 2, 5, table)
     assert report.upper_violations and report.lower_violations
     assert (report.upper_violations, report.lower_violations) == sandwich_reference(fam, 2, 5, table)
+
+
+def sandwich_by_kernel(fam, p, q, table):
+    """Both bound scans entry by entry, each bound one ``seq.compare``."""
+    seq, nums = fam.seq, ratio_numerators(p, q)
+    upper, lower = [], []
+    for n, code, m in table.entries.rows(1, table.certified_horizon + 1):
+        if seq.compare(nums[code], m, nums[0], n) > 0:
+            upper.append(n)
+        if seq.compare(nums[code], m, nums[0], 4 * n) < 0:
+            lower.append(n)
+    return upper, lower
+
+
+def shifted(table, step, shifts):
+    """The table with every ``step``-th entry's alpha index moved by the next
+    shift of ``shifts`` (at least 1), band and off-band entries alike."""
+    entries = list(table.entries)
+    for k, n in enumerate(range(1, len(entries), step)):
+        e = entries[n]
+        entries[n] = dataclasses.replace(
+            e, alpha_index=max(1, e.alpha_index + shifts[k % len(shifts)]))
+    return dataclasses.replace(table, entries=entries)
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+def test_sandwich_matches_the_entry_wise_kernel_reference(spec):
+    """Alpha indices moved down past n and up past 4n on both codes: the
+    index rule off the band gives the kernel's violation lists."""
+    fam = family(spec)
+    for p, q in [(1, 2), (2, 5), (1, 9)]:
+        table = table_for(fam, p, q, 300)
+        for step, shifts in [(1, (0,)), (3, (-7, 1)), (5, (2, -1, 9)), (4, (-60, 700, 3))]:
+            moved = shifted(table, step, shifts)
+            assert {0, 1} <= set(moved.entries.codes[1:])
+            report = verify_sandwich(fam, p, q, moved)
+            assert (report.upper_violations, report.lower_violations) == sandwich_by_kernel(
+                fam, p, q, moved), (spec, p, q, step, shifts)
+    assert report.upper_violations and report.lower_violations
+
+
+def test_sandwich_on_a_file_alpha_raises_where_the_kernel_reference_does(tmp_path):
+    """alpha_n = n from a file of 1000 values: a table reads alpha up to 4 *
+    its horizon and its largest alpha index.  Both scans raise the same
+    PrefixExhaustedError once either passes the prefix, and agree inside it."""
+    path = tmp_path / "linear.txt"
+    path.write_text("\n".join(map(str, range(1, 1001))) + "\n")
+    fam = KotheFamily(ExponentSequence.from_file(path))
+    tables = {count: table_for(family("linear"), 2, 5, count) for count in (200, 251, 252, 300)}
+    for code in (0, 1):  # d_199 moved past the prefix, off the band and on it
+        moved = dataclasses.replace(tables[200].entries[199], alpha_index=1001,
+                                    coeff=tables[200].entries.coeffs[code])
+        tables["moved", code] = dataclasses.replace(tables[200], entries=tables[200].entries[:199] + [moved])
+    outcomes = {}
+    for key, table in tables.items():
+        for scan in (verify_sandwich, sandwich_by_kernel):
+            try:
+                report = scan(fam, 2, 5, table)
+            except PrefixExhaustedError as exc:
+                outcomes.setdefault(key, []).append(str(exc))
+            else:
+                lists = (report if scan is sandwich_by_kernel else
+                         (report.upper_violations, report.lower_violations))
+                outcomes.setdefault(key, []).append(lists)
+        assert outcomes[key][0] == outcomes[key][1], key
+    assert all(isinstance(outcomes[key][0], tuple) for key in (200, 251))
+    assert all(outcomes[key][0] == "file:{}: prefix of length 1000 exhausted at n=1001".format(
+        path) for key in (252, 300, ("moved", 0), ("moved", 1)))
+
+
+def test_sandwich_calls_the_kernel_twice_per_band_entry(monkeypatch):
+    """Off the band the indices decide both bounds; each band entry costs two
+    ``seq.compare`` calls.  The closed form's own count does not change."""
+    for spec, count, closed_calls, sandwich_calls in [
+        ("linear", 16000, 6172, 510), ("superproduct", 4000, 440, 522)
+    ]:
+        fam = family(spec)
+        calls = []
+        compare = fam.seq.compare
+        monkeypatch.setattr(fam.seq, "compare", lambda *args: calls.append(1) or compare(*args))
+        table = table_for(fam, 2, 5, count)
+        assert len(calls) == closed_calls
+        del calls[:]
+        verify_sandwich(fam, 2, 5, table)
+        assert len(calls) == sandwich_calls == 2 * sum(table.entries.codes[1:])
 
 
 def test_sandwich_rejects_a_coefficient_off_pq():
@@ -277,6 +363,36 @@ def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, shift):
     report = edd_tail_check(fam, 1, 2, dataclasses.replace(table, entries=entries))
     assert report.verdict == "fail"
     assert report.witnesses == [{"type": "value", "n": n}]
+
+
+def test_edd_tail_on_a_file_of_factorials_reads_alpha_to_horizon_plus_one(tmp_path):
+    """A file of the first 300 factorials has the factorial tail.  With
+    alpha_(horizon+1) inside the prefix the report is factorial's own; one
+    past it raises PrefixExhaustedError, as when every ratio pair was
+    compared, although pairs with one numerator are no longer compared."""
+    path = tmp_path / "factorials.txt"
+    path.write_text("\n".join(str(math.factorial(n)) for n in range(1, 301)) + "\n")
+    fam = KotheFamily(ExponentSequence.from_file(path))
+    generated = family("factorial")
+    for p, q in [(1, 2), (2, 5)]:
+        inside = table_for(generated, p, q, 300)
+        report = edd_tail_check(fam, p, q, inside)
+        assert report.verdict == "pass"
+        assert report.details == edd_tail_check(generated, p, q, inside).details
+        with pytest.raises(PrefixExhaustedError, match="prefix of length 300 exhausted"):
+            edd_tail_check(fam, p, q, table_for(generated, p, q, 301))
+
+
+def test_edd_tail_ratio_witness_comes_before_a_short_prefix(tmp_path):
+    """On alpha_n = n the ratio terms of 1:2 are out of order at m = 2; with
+    the threshold moved to 0 that witness is found, and the short prefix
+    never read, as before."""
+    path = tmp_path / "linear.txt"
+    path.write_text("\n".join(map(str, range(1, 51))) + "\n")
+    fam = KotheFamily(ExponentSequence.from_file(path))
+    table = dataclasses.replace(table_for(family("linear"), 1, 2, 100), tail_start=0)
+    report = edd_tail_check(fam, 1, 2, table)
+    assert report.witnesses[0] == {"type": "ratio-order", "m": 2}
 
 
 def test_edd_tail_linear_inconclusive():
