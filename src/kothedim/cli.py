@@ -30,6 +30,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from decimal import Decimal
 from fractions import Fraction
 
 import click
@@ -413,6 +414,25 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
 # -- plot-data -----------------------------------------------------------------
 
 
+def _cells(x: Fraction) -> tuple[str, str]:
+    """The display double and the exact text of a rational."""
+    return _float_text(x), format_rational(x)
+
+
+def _quotient_cells(k: int, a: int, digits: Decimal, den: int) -> tuple[str, str]:
+    """:func:`_cells` of ``k * a / den`` for positive ints, ``digits`` being
+    a as an exact Decimal: the gcd takes ``a % den`` alone, and the
+    numerator's digits come from the Decimal, in time linear in their
+    number, where ``str`` of an int takes quadratic time."""
+    g = math.gcd(k * (a % den), den)
+    try:
+        approx = repr(k * a / den)  # correctly rounded, as float() of the Fraction
+    except OverflowError:  # past the double range, clamped as fraction_to_float does
+        approx = "inf"
+    top = str(sq.EXACT_DECIMAL.divide_int(sq.EXACT_DECIMAL.multiply(digits, k), g))
+    return approx, top if den == g else f"{top}/{den // g}"
+
+
 @main.command("plot-data")
 @click.option("--alpha", "alpha_spec", required=True)
 @click.option("--p", type=int, required=True)
@@ -420,24 +440,36 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
 @click.option("--count", type=POSITIVE, default=200, show_default=True)
 @click.option("--out", type=str, default=None)
 def plot_data_cmd(alpha_spec, p, q, count, out):
-    """CSV companion for plots: n, -log d_n, alpha_{n+1} and their ratio."""
+    """CSV companion for plots: n, -log d_n, alpha_{n+1} and their ratio.
+
+    The rows walk alpha in order: row n takes ``alpha_(n+1) * scale`` from
+    ``scaled_values`` and as a Decimal from ``scaled_decimals``, one ratio
+    step each on a ratio kind.  Where d_n's alpha index m is n + 1, as on
+    every tail entry, -log d_n is ``-coeff * alpha_(n+1)``, the ratio is
+    ``-coeff`` itself, and the row builds no Fraction; the other rows take
+    the exact ``exponent`` and ``quotient`` route.
+    """
     if not q > p >= 1:
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     entries = dm.closedform_diameters(family, p, q, count).entries
     negated = [-coeff for coeff in entries.coeffs]  # once per coefficient
+    ratio_cells = [_cells(neg) for neg in negated]
 
     def rows() -> Iterator[str]:
-        for n, code, m in entries.rows():
+        scale = seq.scale
+        # row n reads alpha_(n+1): row 0 alpha_1
+        values = zip(entries.rows(), seq.scaled_values(), seq.scaled_decimals())
+        for (n, code, m), a, digits in values:
             neg = negated[code]
-            eps_value = seq.exponent(neg, m)
-            alpha_next = seq.stored(n + 1)  # an int on the generated kinds
-            # at m = n + 1, as on every tail entry, the ratio is -coeff itself
-            ratio = neg if m == n + 1 else neg * seq.quotient(m, n + 1)
-            yield (f"{n},{_float_text(eps_value)},{_float_text(alpha_next)},{_float_text(ratio)},"
-                   f"{format_rational(eps_value)},{format_rational(alpha_next)},"
-                   f"{format_rational(ratio)}\n")
+            if m == n + 1:
+                eps = _quotient_cells(neg.numerator, a, digits, neg.denominator * scale)
+                ratio = ratio_cells[code]
+            else:
+                eps, ratio = _cells(seq.exponent(neg, m)), _cells(neg * seq.quotient(m, n + 1))
+            alpha = _quotient_cells(1, a, digits, scale)
+            yield f"{n},{eps[0]},{alpha[0]},{ratio[0]},{eps[1]},{alpha[1]},{ratio[1]}\n"
 
     header = "n,neg_log_dn,alpha_next,ratio,neg_log_dn_exact,alpha_next_exact,ratio_exact"
     _emit(_csv(header, rows()), out)

@@ -19,6 +19,7 @@ element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from array import array
@@ -131,17 +132,23 @@ class DiameterEntries(Sequence):
         return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
                              SEGMENTS[self.segments[n]], bool(self.certified[n]))
 
+    @functools.cached_property
+    def _codes_by_terms(self) -> dict[tuple[int, int], int]:
+        """Each code by its coefficient's numerator and denominator: two
+        rationals in lowest terms are equal iff these are."""
+        return {(c.numerator, c.denominator): code for code, c in enumerate(self.coeffs)}
+
     def _fields(self, n: int, entry: DiameterEntry) -> tuple[int, int, int, bool]:
         """(code, alpha index, segment code, certified) of ``entry`` at
         position n; ValueError if it belongs elsewhere or has neither of
         the pair's coefficients."""
         if entry.n != n:
             raise ValueError(f"entry d_{entry.n} cannot sit at position {n}")
-        try:
-            code = self.coeffs.index(entry.coeff)
-        except ValueError:
-            raise ValueError("coefficient {} is neither {} nor {}".format(
-                entry.coeff, *self.coeffs)) from None
+        c = entry.coeff
+        code = self._codes_by_terms.get((getattr(c, "numerator", None),
+                                         getattr(c, "denominator", None)))
+        if code is None:
+            raise ValueError("coefficient {} is neither {} nor {}".format(c, *self.coeffs))
         return code, entry.alpha_index, SEGMENTS.index(entry.segment), entry.certified
 
     def __setitem__(self, key: int, entry: DiameterEntry) -> None:

@@ -7,10 +7,12 @@ classification routines only verify necessary conditions, reporting
 """
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from pathlib import Path
@@ -23,6 +25,13 @@ UNSPECIFIED = "unspecified"
 
 # the unstable kinds, whose successive ratios alpha_i / alpha_{i-1} are ints
 _RATIO_KINDS = ("factorial", "superproduct")
+
+# integer arithmetic on Decimals is exact here: no precision or exponent
+# bound binds, and a result that would round raises instead
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
 
 
 class SequenceError(ValueError):
@@ -55,7 +64,8 @@ class ExponentSequence:
     small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
     the same ones the cursor steps by), never reading a value; for the
     closed forms it cross-multiplies ``m**d``, for a ``file`` :meth:`scaled`.
-    :meth:`scaled_values` reads alpha in order without the cursor, and
+    :meth:`scaled_values` reads alpha in order without the cursor
+    (:meth:`scaled_decimals` as exact Decimals, for printing), and
     :meth:`quotient` gives the exact ``alpha_m / alpha_n`` (ratio steps or
     :meth:`scaled`).  :meth:`compare_to` decides ``a * alpha_m`` against a
     constant, :meth:`exponent` gives the exact ``coeff * alpha_m`` and
@@ -206,6 +216,17 @@ class ExponentSequence:
         if self.kind in _RATIO_KINDS:
             return accumulate(map(self._ratio, count(2)), operator.mul, initial=1)
         return map(pow, count(1), repeat(e)) if (e := self.degree) else map(self.scaled, count(1))
+
+    def scaled_decimals(self) -> Iterator[Decimal]:
+        """:meth:`scaled_values` as exact Decimals, for printing: ``str`` of
+        a Decimal is linear in its digits, of an int quadratic on CPython
+        3.11.  A ratio kind takes each :meth:`_ratio` step on the Decimal
+        itself (:data:`EXACT_DECIMAL`, one short multiplication); the other
+        kinds convert each value, which is small unless a ``file`` holds it."""
+        if self.kind in _RATIO_KINDS:
+            return accumulate(map(self._ratio, count(2)), EXACT_DECIMAL.multiply,
+                              initial=Decimal(1))
+        return map(Decimal, self.scaled_values())
 
     def compare(self, a: int, m: int, b: int, n: int) -> int:
         """The sign (-1, 0 or 1) of ``a * alpha_m - b * alpha_n``, exactly.

@@ -9,6 +9,7 @@ Absence of a threshold within the certified horizon is reported as
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .diameters import DiameterTable, PlanRow
 from .exact import LogTerm, Rational, fraction_to_float, logterm_cmp
-from .grid import in_band
+from .grid import BandIndexing
 from .kothe import KotheFamily, c_pq, ratio_numerators
 from .report import FAIL, INCONCLUSIVE, PASS, CheckReport
 from .sequences import UNSTABLE
@@ -238,8 +239,10 @@ def edd_tail_check(
     d_n is literally its (n+1)-th term; both checked exactly over the whole
     certified table on numerators over pq (another pair's table raises).  Two
     consecutive ratio terms with one numerator are in order by their
-    indices; the kernel orders the others.  An entry with ratio term n + 1's
-    index and numerator matches, else compared.  A ``file`` alpha too short
+    indices, so only the terms next to a band element (read from
+    ``BandIndexing.element``) can be out of order; the kernel orders
+    those.  An entry with ratio term n + 1's index and numerator matches,
+    else compared.  A ``file`` alpha too short
     for alpha_(horizon+1) raises ``PrefixExhaustedError`` unless a ratio
     term out of order is found first.
     """
@@ -258,19 +261,24 @@ def edd_tail_check(
     seq = family.seq
     horizon = table.certified_horizon
     threshold = table.tail_start
-    nums = ratio_numerators(p, q)  # by code, and by in_band for ratio term m
-    ratio = {m: nums[in_band(p, q, m)] for m in range(threshold + 1, horizon + 2)}
+    nums = ratio_numerators(p, q)  # by code, and by band membership for ratio term m
+    # the band elements from threshold + 1 to horizon + 1
+    bnd = BandIndexing(p=p, q=q)
+    elements = map(bnd.element, itertools.count(bnd.count_below(threshold + 1) + 1))
+    band = set(itertools.takewhile(lambda e: e <= horizon + 1, elements))
     witnesses = []
-    for m in range(threshold + 1, horizon + 1):
-        # one negative numerator: alpha_m < alpha_(m+1) orders the pair
-        if ratio[m] != ratio[m + 1] and seq.compare(ratio[m], m, ratio[m + 1], m + 1) < 0:
+    # one negative numerator: alpha_m < alpha_(m+1) orders the pair, so only
+    # an m next to a band element can be out of order
+    for m in sorted({m for e in band for m in (e - 1, e) if threshold < m <= horizon}):
+        if (m in band) != (m + 1 in band) and seq.compare(
+                nums[m in band], m, nums[m + 1 in band], m + 1) < 0:
             witnesses.append({"type": "ratio-order", "m": m})
             break
     else:
         if threshold < horizon:  # the skipped compares would have read up to alpha_(horizon+1)
             seq.prefill(horizon + 1)
     for n, code, m in table.entries.rows(threshold, horizon + 1):
-        num, r = nums[code], ratio[n + 1]
+        num, r = nums[code], nums[n + 1 in band]
         if (m != n + 1 or num != r) and seq.compare(num, m, r, n + 1) != 0:
             witnesses.append({"type": "value", "n": n})
             break

@@ -226,8 +226,14 @@ def test_a_clamp_to_infinity_is_written_as_json_does(monkeypatch, tmp_path):
     assert_same_bytes(args, want, tmp_path)
 
 
-@pytest.mark.parametrize("p,q,count", [(1, 2, 1), (2, 5, 60), (1, 2, 200)])
-@pytest.mark.parametrize("alpha", ALPHAS)
+# every alpha on three tables, then band rows (d_n's alpha index not n + 1)
+# with large alpha on the ratio kinds, and deeper into the other kinds
+PLOT_DATA = [(alpha, *table) for alpha in ALPHAS for table in [(1, 2, 1), (2, 5, 60), (1, 2, 200)]]
+PLOT_DATA += [("factorial", 1, 2, 400), ("superproduct", 2, 5, 300), ("poly:2", 2, 5, 300),
+              ("rational", 1, 3, 300)]
+
+
+@pytest.mark.parametrize("alpha,p,q,count", PLOT_DATA)
 def test_plot_data_bytes_match_the_old_renderer(tmp_path, rational_alpha, alpha, p, q, count):
     spec = spec_of(alpha, rational_alpha)
     args = ["plot-data", "--alpha", spec, "--p", str(p), "--q", str(q), "--count", str(count)]
