@@ -3,19 +3,7 @@
 Identical configurations produce byte-identical output (there are no
 timestamps); every exact value is emitted as a "p/q" rational string and
 floats only ever appear next to their exact counterpart, marked
-display-only.  ``diameters --method both`` counts a row's ``values_equal``
-true where both tables hold the same coefficient code at the same alpha
-index and false at another index (one coefficient: the index decides),
-decides the rows of two codes with ``seq.compare`` on the two coefficients'
-numerators over pq (``kothe.ratio_numerators``), and leaves the cell empty
-where the oracle entry is not certified; ``oracle_agrees`` reads the same
-cells.
-
-Rows stream: once the engines have returned, the CSV commands and
-``diameters --output json`` write each row as they render it, in chunks, to
-stdout or to the ``--out`` file, which opens only then, so a failing command
-writes nothing.  Table rows are read from the tables' columns, and each
-coefficient is formatted once.
+display-only.  Rows stream through :func:`_emit` as they are rendered.
 
 Exit codes: 0 success, 2 invalid usage or alpha spec, 3 uncertifiable
 horizon or exhausted sequence prefix, 4 file I/O failure, 5 internal
@@ -80,14 +68,26 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-_CHUNK_LINES = 1024  # lines per write; a plot-data row can hold every digit of alpha
+_CHUNK_CHARS = 1 << 16  # text per write: a plot-data row can hold every digit of alpha
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` joined into chunks of at least _CHUNK_CHARS characters but
+    the last."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line)
+        if (size := size + len(line)) >= _CHUNK_CHARS:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    yield "".join(chunk)
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    """Write ``lines`` to stdout or to the ``--out`` file, joined into
-    chunks of _CHUNK_LINES; the file is created here, after the engines."""
-    lines = iter(lines)
-    chunks = iter(lambda: "".join(itertools.islice(lines, _CHUNK_LINES)), "")
+    """Write ``lines`` to stdout or to the ``--out`` file in chunks; the
+    file is created here, after the engines, so a failing command writes
+    nothing."""
+    chunks = _chunks(lines)
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
@@ -109,10 +109,6 @@ def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
 def _json_text(payload: dict) -> str:
     payload = {"schema": SCHEMA_VERSION, **payload}
     return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _float_text(x: Fraction | int) -> str:
-    return repr(fraction_to_float(x)[0])
 
 
 def _rational_option(name: str, text: str) -> Fraction:
@@ -416,7 +412,7 @@ def verify_cmd(what, alpha_spec, pairs, count, theta, tail_window, out):
 
 def _cells(x: Fraction) -> tuple[str, str]:
     """The display double and the exact text of a rational."""
-    return _float_text(x), format_rational(x)
+    return repr(fraction_to_float(x)[0]), format_rational(x)
 
 
 def _quotient_cells(k: int, a: int, digits: Decimal, den: int) -> tuple[str, str]:

@@ -1,10 +1,7 @@
 """Kolmogorov diameter sequences by two independent routes.
 
 Route one (the oracle) merges the exact ratio terms ``a_{p,n}/a_{q,n}``
-into descending order and reads the (n+1)-th term: it walks the diagonals
-of the grid for each index's column, so the off-band terms e^(c alpha_m)
-and the band terms e^((c-1) alpha_n) form two strictly decreasing runs,
-and a two-way merge of them is final entry by entry.  It shares no band
+into descending order and reads the (n+1)-th term.  It shares no band
 index code with route two.  Route two never merges: it places each on-band
 term by an index formula (how many off-band terms beat it) and fills the
 remaining positions with the off-band terms in increasing order,
@@ -24,7 +21,7 @@ import itertools
 import operator
 from array import array
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
 from .exact import LogTerm, Rational
@@ -52,8 +49,7 @@ class UncertifiableError(ValueError):
 @dataclass(frozen=True, slots=True, init=False)
 class DiameterEntry(LogTerm):
     """One diameter d_n = e^(coeff * alpha_{alpha_index}).  Tables build
-    entries on demand, so the ``__init__`` stores each slot, as
-    :class:`LogTerm`'s does, at about half the generated one's cost."""
+    entries on demand, with an ``__init__`` written as :class:`LogTerm`'s."""
 
     n: int
     segment: str
@@ -82,9 +78,8 @@ class DiameterEntries(Sequence):
     it (code 1), and per entry its code, alpha index, code into
     :data:`SEGMENTS` and certified flag.  Readers that scan a table read the
     columns (:meth:`rows`).  Otherwise it works as a list of
-    :class:`DiameterEntry`, each built on demand (iteration maps over the
-    columns at C level); an assigned entry with any other coefficient
-    raises ValueError.
+    :class:`DiameterEntry`, each built on demand; an assigned entry with any
+    other coefficient raises ValueError.
     """
 
     coeffs: tuple[Rational, Rational]
@@ -94,9 +89,9 @@ class DiameterEntries(Sequence):
     certified: bytearray = field(default_factory=bytearray)
 
     @classmethod
-    def for_pair(cls, p: int, q: int, *columns) -> DiameterEntries:
-        """The columns given, empty by default, with the pair (p, q)'s coefficients."""
-        return cls(tuple(Rational(num, p * q) for num in ratio_numerators(p, q)), *columns)
+    def for_pair(cls, p: int, q: int) -> DiameterEntries:
+        """Empty columns with the pair (p, q)'s coefficients."""
+        return cls(tuple(Rational(num, p * q) for num in ratio_numerators(p, q)))
 
     @classmethod
     def of(cls, p: int, q: int, entries: list[DiameterEntry]) -> DiameterEntries:
@@ -271,9 +266,7 @@ def oracle_diameters(
     e^(c_pq alpha_{H+1}), which dominates every unseen term; ties with that
     bound stay uncertified because an unseen term could equal them, and a
     prefix that certifies nothing raises UncertifiableError.
-    ``oracle_prefix`` is the largest ratio index the merge read: ``count``
-    plus the terms it read but did not list, about ``count`` on the ratio
-    kinds.
+    ``oracle_prefix`` is ``count`` plus the terms read but not listed.
     """
     bound = None
     if horizon is not None:
@@ -362,26 +355,12 @@ def closedform_diameters(
     Band terms are placed by the plan; off-band terms fill the remaining
     positions in increasing order of their ratio index, read as the runs
     between consecutive band elements n_i, each n_i checked to lie on the
-    band (CoverageError if not).  One rule labels
-    the stretch after row a's band term (a virtual row 0 ends with the
-    head): it is cut before marker k + 1 for k = k_a..k_(a+1), each piece
-    ending at marker(k+1) - s_(k+1) + a - 1 (the last one just before band
-    term a+1) with shift s_(k+1) - a, and labelled L first, K between and
-    M last; next to a miss the stretch is one unshifted M.  The last row
-    with a qualifying i_a ends in its L piece alone, and the tail (shift 1)
-    follows.  A piece is listed run by run: each band term placed in it
-    (only the tail's interleave), and between them the off-band terms, one
-    contiguous slice lo..hi of an off-band run at a time, put in with one
-    ``extend``.  The shift is checked at each run's first index (and so
-    for all of it: the slice is contiguous) and at each band term.  Inside
-    a run the values strictly decrease (one negative coefficient, rising
-    indices), so monotonicity is checked only where a run meets the entry
-    before it: an int test of the indices when the coefficient is the
-    same, ``seq.compare`` only when it differs.  A piece that does not
-    start at the next index, a value mismatch, an increase, a table short
-    of ``count`` entries, or a next band or off-band term that beats
-    d_(count-1) or an off-band index skipped by the fill raises
-    CoverageError.
+    band (CoverageError if not).  After the head, each plan row's stretch
+    (L, K and M pieces) precedes its band term (J), and the tail follows
+    the last row with a qualifying i_a.  A piece that does not start at the
+    next index, a wrong shift, an increase, a table short of ``count``
+    entries, or a next band or off-band term that beats d_(count-1) or an
+    off-band index skipped by the fill raises CoverageError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -403,8 +382,6 @@ def closedform_diameters(
     else:
         tail_start = 0 if a0 == 1 else rows[a0 - 2].j_a + 1
 
-    # values: reds by plan position, blues run by run; a coefficient is kept
-    # as its integer numerator over pq
     def off_band_runs() -> Iterator[range]:
         n_prev = 0
         for i in itertools.count(1):
@@ -445,7 +422,6 @@ def closedform_diameters(
                 f"segment {label} expects alpha index {n + shift} at "
                 f"diameter index {n}, fill has {m}"
             )
-        # one negative coefficient: the value decreases iff the index increases
         if (m <= last_index if num == last_num
                 else n and seq.compare(last_num, last_index, num, m) < 0):
             raise CoverageError(f"diameters not non-increasing at index {n}")

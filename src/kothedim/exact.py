@@ -2,26 +2,10 @@
 
 Every comparison made anywhere in this package is exact.  A plain
 coefficient is a :class:`fractions.Fraction`; a value ``e^(coeff *
-alpha_n)`` is a :class:`LogTerm`, ordered by its exponent.  One integer
-kernel decides that order: ``ExponentSequence.compare(a, m, b, n)``, the
-sign of ``a * alpha_m - b * alpha_n``, walks the small integer ratios
-``alpha_i / alpha_{i-1}`` of ``factorial`` and ``superproduct`` and
-cross-multiplies scaled values for the other kinds.  :func:`logterm_cmp`
-calls it with the two coefficients over one denominator (the delta probe's
-sup); the closed form, the sandwich bounds, edd-tail and the CLI's
-``values_equal`` call it on a pair's two coefficients as numerators over
-``pq`` (``kothe.ratio_numerators``), and only where the two coefficients
-differ: two values with one negative coefficient are ordered by their
-indices, alpha being strictly increasing.  The regularity checks call it on integer
-multipliers (:func:`scaled_numerator`); the (d2) and nuclearity checks use
-``ExponentSequence.compare_to``.  A ratio of two alpha values is
-``ExponentSequence.quotient`` and an exact exponent ``coeff * alpha_m`` is
-``ExponentSequence.exponent``.  The oracle, the independent reference,
-walks the diagonals of the grid for each ratio index's column and merges
-its two strictly decreasing runs by big-integer keys, the coefficient's
-numerator over ``pq`` times ``ExponentSequence.scaled_values``.  Floats
-appear only in display/export paths, through ``ExponentSequence.exp_float``,
-and are flagged as non-authoritative there.
+alpha_n)`` is a :class:`LogTerm`, ordered by its exponent, which the
+sequence's integer kernel ``ExponentSequence.compare`` decides.  Floats
+appear only in display/export paths and are flagged as non-authoritative
+there.
 """
 from __future__ import annotations
 
@@ -76,9 +60,7 @@ class LogTerm:
         _set_alpha_index(self, alpha_index)
 
     def log_value(self, seq: "ExponentSequence") -> Rational:
-        """Exact exponent ``coeff * alpha_{alpha_index}``, a Fraction in
-        lowest terms: ``ExponentSequence.exponent``, which on a ratio kind
-        passes over the big alpha once."""
+        """Exact exponent ``coeff * alpha_{alpha_index}``: ``ExponentSequence.exponent``."""
         return seq.exponent(self.coeff, self.alpha_index)
 
 

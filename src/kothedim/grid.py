@@ -5,9 +5,7 @@ anti-diagonal (each diagonal x+y = t is the contiguous block of t+1
 integers ending at the triangular number T_{t+1}).  Column s holds the
 points with x = s-1; the band of a pair (p, q) is the union of columns
 p..q-1.  Every band index (``element``, ``s_k``, ``locate_k``) is a closed
-form; :func:`gallop` is the one monotone index search of the package, and
-serves the two searches over alpha (the placement search and the (d2)
-witness).
+form; :func:`gallop` is the one monotone index search of the package.
 """
 from __future__ import annotations
 
@@ -75,8 +73,7 @@ class BandIndexing:
 
     n_i is the i-th smallest band element.  ``s_k`` is the i with n_i the
     column-p element on the diagonal x+y = q+k-2; markers exist from k_min
-    = p-q+1 (truncated diagonals) and satisfy s_{k+1} - s_k = q-p for
-    k >= 0.  Every index is a closed form in (p, q); nothing is stored.
+    = p-q+1 (truncated diagonals) and satisfy s_{k+1} - s_k = q-p for k >= 0.
     """
 
     p: int

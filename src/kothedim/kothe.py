@@ -5,15 +5,7 @@ Matrix entries live entirely in the exponent: entry (k, n) is
 coeff = -1/k + 1 below (n in column s).  Because every exponent is a
 rational multiple of the same alpha_n, each per-n inequality in the
 nuclearity/DN/Omega checks divides through by alpha_n > 0 and becomes a
-pure rational inequality, decided exactly.  It depends on n only through
-n's column region, so these checks decide each region once, and DN and
-Omega count its failures up to the horizon in closed form.  The checks
-that do depend on alpha read it only through the sequence's integer
-kernel: the (d2) witness search and nuclearity's index domination compare
-``a * alpha_n`` with a constant through ``ExponentSequence.compare_to``,
-the nuclearity display terms come from ``ExponentSequence.exp_float``, and
-the regularity criterion and the matrix definition compare ``a * alpha_n``
-with ``b * alpha_{n+1}`` through ``ExponentSequence.compare``.
+pure rational inequality, decided exactly.
 """
 from __future__ import annotations
 
@@ -47,9 +39,7 @@ def c_pq(p: int, q: int) -> Rational:
 
 def a_pq(p: int, q: int) -> Rational:
     """The comparison threshold multiplier 1 + pq/(q-p)."""
-    if not q > p >= 1:
-        raise ValueError("need q > p >= 1")
-    return 1 + Fraction(p * q, q - p)
+    return 1 - Fraction(p * q, ratio_numerators(p, q)[0])
 
 
 def dn_lambda_bound(p: int) -> Rational:
@@ -95,12 +85,8 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     The exact part is the coefficient inequality for every n <= horizon.  A
     float partial sum and, when alpha_n >= n holds over the prefix, the
     geometric tail bound r^(horizon+1)/(1-r) with r = e^(-1/(k(k+1))) are
-    reported for display.
-
-    The inequality depends on n only through its column region, so each
-    region is decided once.  The display sum stops at the first n from
-    which no term can change the float, so neither part reads alpha up to
-    the horizon: the cost does not grow with it.
+    reported for display.  Neither part reads alpha up to the horizon, so
+    the cost does not grow with it.
     """
     seq = family.seq
     bound = Fraction(-1, k) + Fraction(1, k + 1)
@@ -207,10 +193,8 @@ def check_dn(
 
     Two layers: the symbolic case verdicts with the proof's worst-case
     entries (cases p <= s and s < p), and the inequality with the actual
-    coefficients of each column region (s >= p+1, s = p, s < p).  The
-    inequality depends on n only through its region, so each region is
-    decided once and its failures among n <= horizon are counted in closed
-    form: the cost does not grow with the horizon.
+    coefficients of each column region (s >= p+1, s = p, s < p), each
+    decided once by :func:`_check_regions`.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:

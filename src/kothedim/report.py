@@ -1,7 +1,7 @@
 """Structured pass/fail reports shared by the criterion checks."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .exact import format_rational
@@ -39,11 +39,4 @@ class CheckReport:
         return self.verdict == PASS
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "criterion": self.criterion,
-            "params": jsonable(self.params),
-            "verdict": self.verdict,
-            "witnesses": jsonable(self.witnesses),
-            "details": jsonable(self.details),
-        }
+        return {"schema": SCHEMA_VERSION, **jsonable(asdict(self))}

@@ -50,26 +50,13 @@ class ExponentSequence:
     stored rationals; it never grows.  ``linear`` and ``poly:d`` are the
     closed forms n and n**d (``degree`` is 1 for ``linear``).  ``factorial``
     and ``superproduct`` read alpha_n from one cursor ``_last = (i,
-    alpha_i)``, as ints, at one :meth:`_ratio` step per index between i and
-    n, or between 1 and n when alpha_1 is nearer.  The cursor is one tuple,
-    replaced in a single assignment, and a read works from the snapshot it
-    took, so a sequence shared between threads stays correct.
+    alpha_i)``.  The cursor is one tuple, replaced in a single assignment,
+    and a read works from the snapshot it took, so a sequence shared
+    between threads stays correct.
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
     least common denominator of the stored prefix for ``file`` alphas.
-
-    :meth:`compare` decides ``a * alpha_m`` against ``b * alpha_n`` for
-    integers a and b: for ``factorial`` and ``superproduct`` it walks the
-    small successive ratios ``r_i = alpha_i / alpha_{i-1}`` (:meth:`_ratio`,
-    the same ones the cursor steps by), never reading a value; for the
-    closed forms it cross-multiplies ``m**d``, for a ``file`` :meth:`scaled`.
-    :meth:`scaled_values` reads alpha in order without the cursor
-    (:meth:`scaled_decimals` as exact Decimals, for printing), and
-    :meth:`quotient` gives the exact ``alpha_m / alpha_n`` (ratio steps or
-    :meth:`scaled`).  :meth:`compare_to` decides ``a * alpha_m`` against a
-    constant, :meth:`exponent` gives the exact ``coeff * alpha_m`` and
-    :meth:`exp_float` the display double of ``e^(coeff * alpha_m)``.
     """
 
     name: str
@@ -209,10 +196,8 @@ class ExponentSequence:
         return v.numerator * (self.scale // v.denominator)
 
     def scaled_values(self) -> Iterator[int]:
-        """:meth:`scaled` at 1, 2, 3, ... in order, never moving the cursor:
-        ``n**d`` for a closed form, the running product of the :meth:`_ratio`
-        steps from alpha_1 = 1 for a ratio kind; a ``file`` alpha raises
-        :class:`PrefixExhaustedError` past its stored prefix."""
+        """:meth:`scaled` at 1, 2, 3, ... in order, never moving the cursor; a
+        ``file`` alpha raises :class:`PrefixExhaustedError` past its prefix."""
         if self.kind in _RATIO_KINDS:
             return accumulate(map(self._ratio, count(2)), operator.mul, initial=1)
         return map(pow, count(1), repeat(e)) if (e := self.degree) else map(self.scaled, count(1))

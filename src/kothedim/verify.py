@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .diameters import DiameterTable, PlanRow
@@ -162,12 +162,7 @@ class AAStatistic:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "tail_window": self.tail_window,
-            "per_pair": self.per_pair,
-            "proxy_inf_sup": self.proxy_inf_sup,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def aa_statistic(
@@ -241,10 +236,10 @@ def edd_tail_check(
     consecutive ratio terms with one numerator are in order by their
     indices, so only the terms next to a band element (read from
     ``BandIndexing.element``) can be out of order; the kernel orders
-    those.  An entry with ratio term n + 1's index and numerator matches,
-    else compared.  A ``file`` alpha too short
-    for alpha_(horizon+1) raises ``PrefixExhaustedError`` unless a ratio
-    term out of order is found first.
+    those.  An entry with ratio term n + 1's index and numerator matches
+    it, others are compared.  A ``file`` alpha too short for
+    alpha_(horizon+1) raises ``PrefixExhaustedError`` unless a ratio term
+    out of order is found first.
     """
     _check_pair(p, q, table)
     params = {"p": p, "q": q, "alpha": family.seq.name}
@@ -267,8 +262,6 @@ def edd_tail_check(
     elements = map(bnd.element, itertools.count(bnd.count_below(threshold + 1) + 1))
     band = set(itertools.takewhile(lambda e: e <= horizon + 1, elements))
     witnesses = []
-    # one negative numerator: alpha_m < alpha_(m+1) orders the pair, so only
-    # an m next to a band element can be out of order
     for m in sorted({m for e in band for m in (e - 1, e) if threshold < m <= horizon}):
         if (m in band) != (m + 1 in band) and seq.compare(
                 nums[m in band], m, nums[m + 1 in band], m + 1) < 0:
@@ -307,15 +300,7 @@ class DeltaProbeReport:
         return self.kothe_member == self.lambda1_member
 
     def to_json(self) -> dict:
-        return {
-            "theta": self.theta,
-            "per_pair": self.per_pair,
-            "kothe_member": self.kothe_member,
-            "kothe_witness_p": self.kothe_witness_p,
-            "lambda1_member": self.lambda1_member,
-            "lambda1_witness_k": self.lambda1_witness_k,
-            "verdicts_coincide": self.verdicts_coincide,
-        }
+        return {**asdict(self), "verdicts_coincide": self.verdicts_coincide}
 
 
 def delta_membership_probe(

@@ -3,6 +3,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -801,6 +802,21 @@ def test_replacing_entries_with_a_list_gives_a_view():
     assert (changed.plan, changed.a0, changed.certified_horizon) == (
         table.plan, table.a0, table.certified_horizon)
     assert dataclasses.replace(table, entries=[]).entries == []
+
+
+def test_readme_library_example_prints_what_it_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "3 -3/2",
+        "1",
+        "True",
+        "200 DiameterEntry(coeff=Fraction(-1, 2), alpha_index=200, n=199, segment='tail',"
+        " certified=True)",
+        "(Fraction(-1, 2), Fraction(-3, 2)) bytearray(b'\\x01\\x00\\x01\\x01')"
+        " array('q', [1, 3, 2, 4])",
+    ]
 
 
 # sha256 of every table of the sweep below, entry by entry, as the engines

@@ -44,7 +44,7 @@ def test_c_and_a_constants():
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 1), (0, 1)])
 def test_ratio_numerators_validate_as_c_pq(p, q):
-    for helper in (ratio_numerators, c_pq):
+    for helper in (ratio_numerators, c_pq, a_pq):
         with pytest.raises(ValueError, match="need q > p >= 1"):
             helper(p, q)
 
