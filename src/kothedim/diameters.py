@@ -16,8 +16,8 @@ element n_a, and "blue" to a term e^(c alpha_m) with m off the band.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
+import numbers
 import operator
 from array import array
 from collections import deque
@@ -78,8 +78,9 @@ class DiameterEntries(Sequence):
     it (code 1), and per entry its code, alpha index, code into
     :data:`SEGMENTS` and certified flag.  Readers that scan a table read the
     columns (:meth:`rows`).  Otherwise it works as a list of
-    :class:`DiameterEntry`, each built on demand; an assigned entry with any
-    other coefficient raises ValueError.
+    :class:`DiameterEntry`, each built on demand.  Item assignment is the
+    one writer: an entry not at its own position, or with any other
+    coefficient, raises ValueError.
     """
 
     coeffs: tuple[Rational, Rational]
@@ -92,16 +93,6 @@ class DiameterEntries(Sequence):
     def for_pair(cls, p: int, q: int) -> DiameterEntries:
         """Empty columns with the pair (p, q)'s coefficients."""
         return cls(tuple(Rational(num, p * q) for num in ratio_numerators(p, q)))
-
-    @classmethod
-    def of(cls, p: int, q: int, entries: list[DiameterEntry]) -> DiameterEntries:
-        """The columns of ``entries``, each checked as item assignment checks it."""
-        view = cls.for_pair(p, q)
-        fields = zip(*[view._fields(n, entry) for n, entry in enumerate(entries)])
-        for column, values in zip((view.codes, view.alpha_index, view.segments,
-                                   view.certified), fields):
-            column.extend(values)
-        return view
 
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, int, int]]:
         """(n, code, alpha index) at the positions start..stop-1."""
@@ -127,29 +118,16 @@ class DiameterEntries(Sequence):
         return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
                              SEGMENTS[self.segments[n]], bool(self.certified[n]))
 
-    @functools.cached_property
-    def _codes_by_terms(self) -> dict[tuple[int, int], int]:
-        """Each code by its coefficient's numerator and denominator: two
-        rationals in lowest terms are equal iff these are."""
-        return {(c.numerator, c.denominator): code for code, c in enumerate(self.coeffs)}
-
-    def _fields(self, n: int, entry: DiameterEntry) -> tuple[int, int, int, bool]:
-        """(code, alpha index, segment code, certified) of ``entry`` at
-        position n; ValueError if it belongs elsewhere or has neither of
-        the pair's coefficients."""
+    def __setitem__(self, key: int, entry: DiameterEntry) -> None:
+        n = range(len(self))[key]
         if entry.n != n:
             raise ValueError(f"entry d_{entry.n} cannot sit at position {n}")
         c = entry.coeff
-        code = self._codes_by_terms.get((getattr(c, "numerator", None),
-                                         getattr(c, "denominator", None)))
-        if code is None:
+        if not isinstance(c, numbers.Rational) or c not in self.coeffs:
             raise ValueError("coefficient {} is neither {} nor {}".format(c, *self.coeffs))
-        return code, entry.alpha_index, SEGMENTS.index(entry.segment), entry.certified
-
-    def __setitem__(self, key: int, entry: DiameterEntry) -> None:
-        n = range(len(self))[key]
-        (self.codes[n], self.alpha_index[n], self.segments[n],
-         self.certified[n]) = self._fields(n, entry)
+        (self.codes[n], self.alpha_index[n], self.segments[n], self.certified[n]) = (
+            self.coeffs.index(c), entry.alpha_index, SEGMENTS.index(entry.segment),
+            entry.certified)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, DiameterEntries)):
@@ -174,13 +152,13 @@ class PlanRow:
     j_a: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiameterTable:
     """d_0, d_1, ... of one pair (p, q) from one engine, final up to
-    ``certified_horizon``.  ``entries`` is a :class:`DiameterEntries`; a
-    list of entries given in its place, as by ``dataclasses.replace(table,
-    entries=[...])``, is turned into one, and an entry with neither of the
-    pair's coefficients raises ValueError."""
+    ``certified_horizon``.  Only :func:`oracle_diameters` and
+    :func:`closedform_diameters` build one.  ``entries`` is a
+    :class:`DiameterEntries`; anything else, a list of entries too, raises
+    TypeError."""
 
     p: int
     q: int
@@ -194,7 +172,7 @@ class DiameterTable:
 
     def __post_init__(self) -> None:
         if not isinstance(self.entries, DiameterEntries):
-            self.entries = DiameterEntries.of(self.p, self.q, self.entries)
+            raise TypeError(f"entries must be DiameterEntries, not {type(self.entries).__name__}")
 
     def entry(self, n: int) -> DiameterEntry:
         return self.entries[n]
@@ -300,11 +278,11 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
 
     alpha is strictly increasing, so the qualifying set is a prefix, and
     n_a is in it (A_pq > 1).  :func:`~kothedim.grid.gallop` finds its last
-    element from n_a, one ``seq.compare`` per probe.  With ``stop`` at the
-    stored length, a probe never passes the stored values while a stored
-    one can still decide, so a file prefix is read past, raising
-    PrefixExhaustedError, exactly when every stored index from n_a on
-    qualifies.  Then step down over the (at most q-p wide) band block to
+    element from n_a, one ``seq.compare`` per probe.  With ``stop`` at
+    ``len(seq)``, a probe never passes the memo's values while one of them
+    can still decide, so a file prefix is read past, raising
+    PrefixExhaustedError, exactly when every index of the prefix from n_a
+    on qualifies.  Then step down over the (at most q-p wide) band block to
     the nearest off-band index.
     """
     num, den = threshold_mult.numerator, threshold_mult.denominator

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import ExponentSequence
 
-# Rational values are stdlib Fractions: arbitrary precision, stored in lowest
+# Rational values are stdlib Fractions: arbitrary precision, kept in lowest
 # terms with a positive denominator, exact ordering.  The alias keeps call
 # sites honest about which quantities are part of the exact domain.
 Rational = Fraction

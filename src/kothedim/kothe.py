@@ -101,7 +101,7 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
 
     alpha_dominates = True  # strictly increasing integers from alpha_1 >= 1
     if seq.kind == "file":
-        seq.prefill(horizon)  # a horizon past the stored prefix raises
+        seq.prefill(horizon)  # a horizon past the file's prefix raises
         alpha_dominates = all(seq.compare_to(1, n, n) >= 0 for n in range(1, horizon + 1))
     # decided per region: for k >= 1 the differences are bound, bound - 1
     # and bound, so no region breaks the bound
@@ -275,7 +275,7 @@ def check_d2_failure(
     alpha increases along the column, so the elements without a witness
     form a prefix: :func:`~kothedim.grid.gallop` finds the least witness y
     in O(log y) kernel calls and never reads alpha at y >= search_cap.  Its
-    probes never jump over the last stored column element, so a file prefix
+    probes never jump over the prefix's last column element, so a file prefix
     is read past exactly where a one-step scan would read past it.  The
     report counts y + 1 scanned column elements, as that scan would.
     """
@@ -292,8 +292,8 @@ def check_d2_failure(
     def misses(y: int) -> bool:
         return y < search_cap and seq.compare_to(lhs, pair_index(j - 1, y), rhs) <= 0
 
-    # the last stored column element lies on the diagonal of the last
-    # stored index, or on the one before when that index is left of column j
+    # the prefix's last column element lies on the diagonal of its last
+    # index, or on the one before when that index is left of column j
     x, y = unpair(len(seq))
     y = gallop(misses, -1, x + y - (j - 1) - (x < j - 1)) + 1
     if y >= search_cap:

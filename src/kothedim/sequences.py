@@ -39,7 +39,7 @@ class SequenceError(ValueError):
 
 
 class PrefixExhaustedError(SequenceError):
-    """A file-backed sequence was asked beyond its stored prefix."""
+    """A file-backed sequence was asked beyond its prefix."""
 
 
 @dataclass
@@ -47,7 +47,8 @@ class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
     ``memo`` holds alpha_1 = 1 for every generated kind, or a ``file``'s
-    stored rationals; it never grows.  ``linear`` and ``poly:d`` are the
+    prefix, given as rationals and held as the integers ``alpha_n *
+    scale``; it never grows.  ``linear`` and ``poly:d`` are the
     closed forms n and n**d (``degree`` is 1 for ``linear``).  ``factorial``
     and ``superproduct`` read alpha_n from one cursor ``_last = (i,
     alpha_i)``.  The cursor is one tuple, replaced in a single assignment,
@@ -56,7 +57,7 @@ class ExponentSequence:
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
-    least common denominator of the stored prefix for ``file`` alphas.
+    least common denominator of the prefix's rationals for ``file`` alphas.
     """
 
     name: str
@@ -79,6 +80,7 @@ class ExponentSequence:
                 )
         if self.kind == "file":
             self.scale = math.lcm(*(v.denominator for v in self.memo))
+            self.memo = [v.numerator * (self.scale // v.denominator) for v in self.memo]
         elif not self.memo:
             self.memo.append(1)  # alpha_1; a ratio kind's later values come from the cursor
 
@@ -161,11 +163,11 @@ class ExponentSequence:
         ``factorial``, 1 + (i-1)i for ``superproduct``; always >= 2."""
         return i if self.kind == "factorial" else 1 + (i - 1) * i
 
-    def stored(self, n: int) -> int | Rational:
-        """alpha_n (1-based) as stored, an int for the generated kinds and a
-        Fraction for a ``file``: n**d, a ``file``'s memo entry, or for a ratio
-        kind one :meth:`_ratio` step per index from the cursor (forward, or
-        back by exact division), or from alpha_1 when that is nearer."""
+    def scaled(self, n: int) -> int:
+        """The exact integer ``alpha_n * scale`` (1-based): n**d, a
+        ``file``'s memo entry, or for a ratio kind one :meth:`_ratio` step
+        per index from the cursor (forward, or back by exact division), or
+        from alpha_1 when that is nearer."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
         if self.degree is not None:
@@ -185,15 +187,7 @@ class ExponentSequence:
 
     def value(self, n: int) -> Rational:
         """Exact alpha_n (1-based) as a Fraction."""
-        v = self.stored(n)
-        return v if self.kind == "file" else Fraction(v)
-
-    def scaled(self, n: int) -> int:
-        """The exact integer ``alpha_n * scale``."""
-        v = self.stored(n)
-        if self.kind != "file":
-            return v
-        return v.numerator * (self.scale // v.denominator)
+        return Fraction(self.scaled(n), self.scale)
 
     def scaled_values(self) -> Iterator[int]:
         """:meth:`scaled` at 1, 2, 3, ... in order, never moving the cursor; a
@@ -217,19 +211,18 @@ class ExponentSequence:
         """The sign (-1, 0 or 1) of ``a * alpha_m - b * alpha_n``, exactly.
 
         ``a`` and ``b`` are integers, typically coefficient numerators over
-        one shared positive denominator.  After the index check, the closed
-        forms cross-multiply ``m**d`` directly.  For the ratio kinds, once
-        both integers have one sign, the smaller index's alpha divides out
-        and the running product of the ratios between the two indices is
-        compared with the other integer's magnitude; it is at least
-        2**steps, so the walk stops after about log2 of the integers'
+        one shared positive denominator.  After the index check, the other
+        kinds cross-multiply their :meth:`scaled` integers.  For the ratio
+        kinds, once both integers have one sign, the smaller index's alpha
+        divides out and the running product of the ratios between the two
+        indices is compared with the other integer's magnitude; it is at
+        least 2**steps, so the walk stops after about log2 of the integers'
         quotient.  That sign then orients the answer.
         """
         if m < 1 or n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
         if self.kind not in _RATIO_KINDS:
-            x, y = (m**e, n**e) if (e := self.degree) else (self.scaled(m), self.scaled(n))
-            d = a * x - b * y
+            d = a * self.scaled(m) - b * self.scaled(n)
             return (d > 0) - (d < 0)
         sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sa != sb or sa == 0:
@@ -258,24 +251,25 @@ class ExponentSequence:
 
     def compare_to(self, a: int, m: int, c: int) -> int:
         """The sign (-1, 0 or 1) of ``a * alpha_m - c``, exactly, for integers
-        a and c.  A generated kind has alpha_1 = 1, so this is
-        :meth:`compare` against ``c * alpha_1`` and a ratio kind reads no
-        memo; a ``file`` alpha cross-multiplies by ``scale``."""
-        if self.kind != "file":
+        a and c.  A ratio kind has alpha_1 = 1, so this is :meth:`compare`
+        against ``c * alpha_1``, which reads no alpha; the other kinds
+        cross-multiply by ``scale``."""
+        if self.kind in _RATIO_KINDS:
             return self.compare(a, m, c, 1)
         d = a * self.scaled(m) - c * self.scale
         return (d > 0) - (d < 0)
 
     def exponent(self, coeff: Rational, m: int) -> Rational:
-        """The exact ``coeff * alpha_m`` in lowest terms.  A ratio kind's big
-        alpha takes one ``divmod`` by den; a remainder term r/den in lowest
-        terms plus an integer needs no further reduction."""
+        """The exact ``coeff * alpha_m`` in lowest terms.  On ``linear`` and
+        ``poly:d`` it is one Fraction of ``num * m**d``; otherwise ``alpha_m
+        * scale``, big on a ratio kind, takes one ``divmod`` by ``den *
+        scale``, and a remainder term in lowest terms plus an integer needs
+        no further reduction."""
         num, den = coeff.numerator, coeff.denominator
-        v = self.stored(m)
+        v = self.scaled(m)
         if self.degree is not None:
             return Fraction(num * v, den)
-        if self.kind == "file":
-            return coeff * v
+        den *= self.scale
         q, r = divmod(v, den) if den > 1 else (v, 0)  # den 1: no pass, not even a gcd
         return Fraction(num * r, den) + num * q if r else Fraction(num * q)
 
@@ -286,14 +280,15 @@ class ExponentSequence:
         ``poly:d`` each clamp is one int comparison of ``num * m**d``; on
         the other kinds :meth:`compare_to` settles both, so alpha_m is
         materialised only for an unclamped exponent.  The value is then the
-        correctly rounded quotient ``float(coeff * alpha_m)``."""
+        correctly rounded quotient ``num * alpha_m * scale / (den * scale)``."""
         num, den = coeff.numerator, coeff.denominator
         if self.degree is None:  # alpha_m > 0: the sign of coeff leaves at most one clamp
             if num > 0 and self.compare_to(num, m, 710 * den) >= 0:
                 return math.inf, True
             if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
                 return 0.0, True
-        x = num * self.stored(m)  # exact; on the closed forms the int that settles both clamps
+        x = num * self.scaled(m)  # exact; on the closed forms the int that settles both clamps
+        den *= self.scale
         if not -746 * den < x < 710 * den:
             return (math.inf if x > 0 else 0.0), True
         try:
@@ -304,12 +299,12 @@ class ExponentSequence:
     def prefill(self, n: int) -> None:
         """Check that alpha_1..alpha_n can be read: a ``file`` prefix shorter
         than n raises :class:`PrefixExhaustedError`; a no-op for the generated
-        kinds, which store only alpha_1 and read at the cost :meth:`stored` gives."""
+        kinds, which store only alpha_1 and read at the cost :meth:`scaled` gives."""
         if self.kind == "file" and (m := len(self.memo)) < n:
             raise PrefixExhaustedError(f"{self.name}: prefix of length {m} exhausted at n={m + 1}")
 
     def __len__(self) -> int:
-        """The number of stored values: a ``file``'s prefix length, else 1
+        """The number of values in ``memo``: a ``file``'s prefix length, else 1
         (alpha_1); a generated kind's reads store only the cursor."""
         return len(self.memo)
 

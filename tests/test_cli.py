@@ -279,12 +279,12 @@ def test_values_equal_is_false_where_the_engines_disagree(runner, monkeypatch, c
 
     def moved(*args):
         table = closed(*args)
-        entries = list(table.entries)
-        e, coeffs = entries[20], table.entries.coeffs
+        entries = table.entries
+        e, coeffs = entries[20], entries.coeffs
         entries[20] = dataclasses.replace(
             e, alpha_index=e.alpha_index + change.get("alpha_index", 0),
             coeff=coeffs[(coeffs.index(e.coeff) + change.get("code", 0)) % 2])
-        return dataclasses.replace(table, entries=entries)
+        return table
 
     monkeypatch.setattr(dm, "closedform_diameters", moved)
     args = ["diameters", "--alpha", "linear", "--p", "2", "--q", "5", "--count", "40"]
@@ -842,3 +842,43 @@ def test_regularity_report_bytes_are_unchanged(runner, spec, horizon):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert digest == REGULARITY_REPORT_DIGESTS[(spec, horizon)]
+
+
+# -- golden digests of a rational ``file:`` alpha --------------------------------
+
+# alpha_n = n + (n % 7)/(8 + n % 5), n <= 400: denominators 1 to 12, scale 3960
+FILE_ALPHA = ["--alpha", "file:alpha.txt"]
+# (exit code, stdout sha256) of each command before the file memo held scaled ints
+FILE_ALPHA_DIGESTS = {
+    ("diameters", *FILE_ALPHA, "--p", "2", "--q", "5", "--count", "150", "--method", "both"):
+        (0, "9f719fb4fb4aaf7dbb5431685f19c3bb23a221eadc86b14dc2d84bee997bec68"),
+    ("diameters", *FILE_ALPHA, "--p", "1", "--q", "3", "--count", "150", "--method", "both",
+     "--output", "json"):
+        (0, "1b70ad71fe5884035801b450a22b55c4dfefa170daa2bb4639fb05b846253e57"),
+    ("plot-data", *FILE_ALPHA, "--p", "2", "--q", "5", "--count", "150"):
+        (0, "78ac367c3bb26ccaca827260a5217ddc3f0f544698dca2e3189e930260aea057"),
+    ("gen-matrix", *FILE_ALPHA, "--k-max", "6", "--n-max", "30"):
+        (0, "64684049875039ef5251afac1d14af17388b2ed83aaf92095c02ddb5bc11d807"),
+    ("check", "--criterion", "d2", *FILE_ALPHA, "--j", "2", "--B", "50"):
+        (0, "ec32f0c7c2249b0043d20445c4c5fe58a94e9aef8749121e4d995c0c6a5cc67f"),
+    ("check", "--criterion", "nuclearity", *FILE_ALPHA, "--k", "3", "--N", "300"):
+        (0, "76742936e1c67a06421d6cad894c2d4e2be00f15e38dee26e9ff73989ae960cf"),
+    ("check", "--criterion", "regularity", *FILE_ALPHA, "--N", "300"):
+        (0, "ed110312926094bc3d6ba54425260f8bdf30b2b48d98d7b3ffc5aa2a08bee89c"),
+    ("verify", "--what", "sandwich", *FILE_ALPHA, "--pairs", "1:2,2:5", "--count", "60"):
+        (0, "473bf4d2b10b297eb8a76038e43e4f86092ec22a2b04370aae499b7b06cf5e99"),
+    ("verify", "--what", "delta-probe", *FILE_ALPHA, "--pairs", "1:2,2:5", "--count", "150",
+     "--theta", "1/3"):
+        (0, "3082d6ccb908d1800d3c64e4b55b741d9f4d18a25582207c1967948d98123b9e"),
+}
+
+
+@pytest.mark.parametrize("args", list(FILE_ALPHA_DIGESTS),
+                         ids=lambda args: " ".join(a for a in args if a not in FILE_ALPHA))
+def test_file_alpha_output_bytes_are_unchanged(runner, tmp_path, monkeypatch, args):
+    (tmp_path / "alpha.txt").write_text("# alpha_n = n + (n % 7)/(8 + n % 5)\n" + "".join(
+        f"{n + Fraction(n % 7, 8 + n % 5)}\n" for n in range(1, 401)))
+    monkeypatch.chdir(tmp_path)
+    result = invoke(runner, list(args))
+    assert (result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest()) == \
+        FILE_ALPHA_DIGESTS[args]

@@ -108,11 +108,11 @@ SIGN_PAIRS = [(-6, -6), (-7, -3), (-1, -40), (-5, 4), (4, -5), (0, 3), (0, -3),
 @pytest.mark.parametrize("spec", RATIO_SPECS)
 @pytest.mark.parametrize("a,b", SIGN_PAIRS)
 def test_ratio_compare_every_sign_pair_matches_stored(spec, a, b):
-    """m below, equal to and above n, against the product of ``stored``
+    """m below, equal to and above n, against the product of ``scaled``
     values (the cursor's route, not the ratio walk)."""
     seq = make_seq(spec)
     for m, n in [(2, 5), (4, 4), (6, 3), (1, 2), (3, 1)]:
-        want = sign(a * seq.stored(m) - b * seq.stored(n))
+        want = sign(a * seq.scaled(m) - b * seq.scaled(n))
         assert seq.compare(a, m, b, n) == want, (m, n)
 
 
@@ -252,3 +252,57 @@ def test_regularity_check_keeps_the_superproduct_memo_small():
     family = KotheFamily(ExponentSequence.superproduct())
     assert check_regularity(family, 5000).passed
     assert len(family.seq) == 1
+
+
+# -- drawn file prefixes -------------------------------------------------------
+
+# strictly increasing rationals with denominators 1 to 12
+file_prefixes = st.sets(
+    st.builds(Fraction, st.integers(1, 10**5), st.integers(1, 12)), min_size=1, max_size=40
+).map(sorted)
+# exponents at and next to both clamps of exp_float, and the double range's end
+CLAMP_EXPONENTS = [Fraction(e) + d for e in (710, -746, 709, -745)
+                   for d in (0, Fraction(1, 10**9), Fraction(-1, 10**9))]
+
+
+def exp_reference(x):
+    """``exp_float`` of the exact exponent x, from its Fraction."""
+    if x >= 710:
+        return math.inf, True
+    if x <= -746:
+        return 0.0, True
+    try:
+        return math.exp(float(x)), False
+    except OverflowError:
+        return math.inf, True
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=file_prefixes, data=st.data())
+def test_file_prefix_reads_match_the_fraction_reference(values, data):
+    seq = ExponentSequence(name="drawn", kind="file", declared_class=UNSPECIFIED,
+                           memo=list(values))
+    assert all(type(v) is int for v in seq.memo) and len(seq) == len(values)
+    index = st.integers(1, len(values))
+    m, n = data.draw(index), data.draw(index)
+    a, b, c = data.draw(coefficients), data.draw(coefficients), data.draw(coefficients)
+    coeff = data.draw(st.one_of(
+        st.fractions(-1000, 1000, max_denominator=60),
+        st.sampled_from(CLAMP_EXPONENTS).map(lambda e: e / values[m - 1]),
+    ))
+    want = coeff * values[m - 1]
+    got = seq.exponent(coeff, m)
+    assert type(got) is Fraction and (got.numerator, got.denominator) == (
+        want.numerator, want.denominator)
+    assert seq.value(m) == values[m - 1]
+    assert seq.exp_float(coeff, m) == exp_reference(want)
+    assert seq.compare(a, m, b, n) == sign(a * values[m - 1] - b * values[n - 1])
+    assert seq.compare_to(a, m, c) == sign(a * values[m - 1] - c)
+    assert seq.quotient(m, n) == values[m - 1] / values[n - 1]
+    past = len(values) + 1
+    for read in (lambda: seq.exponent(coeff, past), lambda: seq.exp_float(coeff, past),
+                 lambda: seq.compare(a, past, b, n), lambda: seq.compare(a, m, b, past),
+                 lambda: seq.compare_to(a, past, c), lambda: seq.quotient(past, n),
+                 lambda: seq.value(past)):
+        with pytest.raises(PrefixExhaustedError, match=f"exhausted at n={past}"):
+            read()

@@ -421,7 +421,7 @@ def test_generated_memo_equals_the_recurrence(spec):
     # prefill and read in uneven steps, as callers do
     for n in (1, 2, 7, 8, 150, 600):
         seq.prefill(n)
-        assert seq.stored(n) == want[n - 1]
+        assert seq.scaled(n) == want[n - 1]
     values = [seq.scaled(n) for n in range(1, 601)]
     assert values == want
     assert all(type(v) is int for v in values)
@@ -433,9 +433,14 @@ def test_generated_memo_equals_the_recurrence(spec):
 
 
 def test_file_memo_stays_rational_and_bounded():
+    """The rationals are stored once, as the integers ``alpha_n * scale``;
+    ``value`` gives each one back exactly."""
     seq = make_seq("rational")
-    assert seq.value(3) is seq.memo[2]
-    assert seq.scaled(3) == seq.value(3) * seq.scale
+    assert seq.scale == 27720 and len(seq) == 800
+    assert all(type(v) is int for v in seq.memo)
+    assert seq.memo == [v * seq.scale for v in RATIONAL_VALUES]
+    assert seq.scaled(3) is seq.memo[2]
+    assert [seq.value(n) for n in range(1, 801)] == RATIONAL_VALUES
     with pytest.raises(PrefixExhaustedError) as info:
         seq.value(801)
     assert str(info.value) == "rational: prefix of length 800 exhausted at n=801"

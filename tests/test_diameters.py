@@ -791,17 +791,18 @@ def test_entries_view_item_assignment():
         entries[40] = dataclasses.replace(before[0], n=40)
 
 
-def test_replacing_entries_with_a_list_gives_a_view():
-    fam = family("factorial")
-    table = closedform_diameters(fam, 1, 2, 30)
-    listed = list(table.entries)
-    listed[12] = dataclasses.replace(listed[12], alpha_index=listed[12].alpha_index + 1)
-    changed = dataclasses.replace(table, entries=listed)
-    assert isinstance(changed.entries, dm.DiameterEntries)
-    assert changed.entries == listed and changed.entries != table.entries
-    assert (changed.plan, changed.a0, changed.certified_horizon) == (
-        table.plan, table.a0, table.certified_horizon)
-    assert dataclasses.replace(table, entries=[]).entries == []
+def test_replacing_entries_with_a_list_raises():
+    """The engines are a table's only builders, and item assignment on its
+    entries the one writer: a list in their place raises TypeError, and no
+    field of a table can be assigned."""
+    table = closedform_diameters(family("factorial"), 1, 2, 30)
+    for listed in (list(table.entries), []):
+        with pytest.raises(TypeError, match="entries must be DiameterEntries, not list"):
+            dataclasses.replace(table, entries=listed)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.entries = table.entries
+    changed = dataclasses.replace(table, tail_start=0)
+    assert changed.entries is table.entries and changed.tail_start == 0
 
 
 def test_readme_library_example_prints_what_it_says(capsys):
@@ -864,3 +865,19 @@ def test_closed_form_table_at_count_100000_holds_columns_not_entries():
     assert len(table.entries) == 10**5
     # at most 30 bytes an entry; one DiameterEntry object each took about 145
     assert peak < 30 * 10**5
+
+
+def test_closed_form_needs_a_positive_count():
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        closedform_diameters(family("linear"), 1, 2, 0)
+
+
+def test_a_tail_handover_off_its_marker_raises(monkeypatch):
+    """superproduct 2:5 enters the tail at a0 = 1, so the plan reads no
+    marker; the handover's marker index then is s_(k_min) = 1."""
+    fam = family("superproduct")
+    assert closedform_diameters(fam, 2, 5, 60).a0 == 1
+    s_k = BandIndexing.s_k
+    monkeypatch.setattr(BandIndexing, "s_k", lambda self, k: s_k(self, k) + 1)
+    with pytest.raises(CoverageError, match="tail handover expects marker index 1, got 2"):
+        closedform_diameters(fam, 2, 5, 60)

@@ -19,6 +19,7 @@ from kothedim.exact import (
     fraction_to_float,
     logterm_cmp,
     parse_rational,
+    scaled_numerator,
 )
 from kothedim.kothe import KotheFamily
 from kothedim.sequences import UNSPECIFIED, ExponentSequence
@@ -314,3 +315,9 @@ def test_exponent_at_large_indices_is_the_fraction_product(spec, coeff, want_den
     assert value == want and value.denominator == want_den
     assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
     assert len(seq) == len(make())  # 1 on the ratio kinds: no memo grew
+
+
+def test_scaled_numerator_needs_a_dividing_denominator():
+    assert scaled_numerator(Fraction(-3, 4), 12) == -9
+    with pytest.raises(ValueError, match="coefficient -3/4 has no denominator dividing 6"):
+        scaled_numerator(Fraction(-3, 4), 6)

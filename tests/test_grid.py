@@ -208,3 +208,21 @@ def test_gallop_matches_a_linear_scan(lo, length, stop):
         # a probe past stop comes only after stop itself was probed
         past = [i for i, x in enumerate(calls) if x > stop]
         assert not past or stop in calls[: past[0]]
+
+
+def test_grid_and_band_inputs_are_checked():
+    with pytest.raises(ValueError, match="grid coordinates must be non-negative"):
+        pair_index(-1, 0)
+    with pytest.raises(ValueError, match="grid positions are 1-based"):
+        unpair(0)
+    with pytest.raises(ValueError, match=r"band requires q > p >= 1"):
+        BandIndexing(2, 2)
+    bnd = BandIndexing(2, 5)
+    assert bnd.k_min == -2
+    with pytest.raises(ValueError, match="diagonal marker k=-3 below k_min=-2"):
+        bnd.marker(-3)
+    first = bnd.marker(bnd.k_min)
+    for m in (1, first - 1):
+        assert not bnd.contains(m)
+        with pytest.raises(ValueError, match=f"{m} precedes the first column-2 marker"):
+            bnd.locate_k(m)

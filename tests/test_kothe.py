@@ -298,3 +298,13 @@ def test_regularity_definition_witness_under_a_lying_kernel(spec):
         assert report.details["definition_agrees_with_criterion"] == (want is None)
         witnesses.add(None if want is None else tuple(want.values()))
     assert len(witnesses) > 5  # the lies reach the window
+
+
+def test_matrix_and_criterion_inputs_are_checked(linear_family):
+    with pytest.raises(ValueError, match="matrix indices are 1-based"):
+        linear_family.entry_coeff(0, 1)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="omega check needs k > p"):
+            check_omega(linear_family, 2, k, Fraction(5), 10)
+    with pytest.raises(ValueError, match="need j >= 1"):
+        check_d2_failure(linear_family, 0, Fraction(10))

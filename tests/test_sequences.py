@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -63,7 +64,7 @@ def test_stored_reads_the_cursor_in_any_order(spec):
     }
     for name, order in orders.items():
         for n in order:
-            assert seq.stored(n) == want[n - 1], (name, n)
+            assert seq.scaled(n) == want[n - 1], (name, n)
     assert seq.memo == [1] and len(seq) == 1
 
 
@@ -71,14 +72,14 @@ def test_stored_reads_the_cursor_in_any_order(spec):
 def test_stored_steps_from_the_nearer_of_the_cursor_and_alpha_1(spec, monkeypatch):
     want = ratio_recurrence(spec, 400)
     seq = ExponentSequence.from_spec(spec)
-    assert seq.stored(400) == want[399]
+    assert seq.scaled(400) == want[399]
     steps: list[int] = []
     ratio = seq._ratio
     monkeypatch.setattr(seq, "_ratio", lambda i: steps.append(i) or ratio(i))
     reads = [(3, [2, 3]), (2, [3]), (5, [3, 4, 5]), (300, list(range(6, 301))), (299, [300])]
     for n, walked in reads:
         steps.clear()
-        assert seq.stored(n) == want[n - 1]
+        assert seq.scaled(n) == want[n - 1]
         assert steps == walked, n
 
 
@@ -92,7 +93,7 @@ def test_threads_sharing_one_sequence_read_the_recurrence(spec):
 
     def reader(seed: int) -> None:
         for n in random.Random(seed).choices(range(1, 41), k=20000):
-            if seq.stored(n) != want[n - 1]:
+            if seq.scaled(n) != want[n - 1]:
                 wrong.append((seed, n))
 
     interval = sys.getswitchinterval()
@@ -241,7 +242,7 @@ def compare_to_exp_float(seq, coeff, m):
     if num < 0 and seq.compare_to(num, m, -746 * den) <= 0:
         return 0.0, True
     try:
-        return math.exp(num * seq.stored(m) / den), False
+        return math.exp(num * seq.scaled(m) / den), False
     except OverflowError:
         return math.inf, True
 
@@ -251,7 +252,7 @@ def test_closed_form_exp_float_matches_the_compare_to_route(spec):
     seq = ExponentSequence.from_spec(spec)
     tiny = Fraction(1, 10**12)
     for m in (1, 2, 3, 7, 40, 1000):
-        alpha = seq.stored(m)
+        alpha = seq.scaled(m)
         # exponents 709, 710, -745 and -746, each exactly (a tie with the
         # clamp where there is one) and a hair to either side
         for exponent in (709, 710, -745, -746, Fraction(70978, 100), 0):
@@ -266,3 +267,56 @@ def test_closed_form_exp_float_matches_the_compare_to_route(spec):
     for coeff in (Fraction(1), Fraction(0), Fraction(-1)):
         with pytest.raises(SequenceError, match="got 0"):
             seq.exp_float(coeff, 0)
+
+
+# -- input checks -----------------------------------------------------------
+
+
+def file_cases(tmp_path):
+    """(path, message pattern) of each alpha file that cannot be loaded."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1\n# a comment\n2/3x\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only a comment\n\n")
+    cases = [
+        (tmp_path / "missing.txt", "cannot read alpha file {}: .*No such file"),
+        (tmp_path, "cannot read alpha file {}: .*Is a directory"),
+        (bad, "{}:3: bad rational '2/3x'"),
+        (empty, "{}: empty sequence"),
+    ]
+    return [(path, message.format(re.escape(str(path)))) for path, message in cases]
+
+
+def test_from_file_rejects_unreadable_bad_and_empty_files(tmp_path):
+    for path, message in file_cases(tmp_path):
+        with pytest.raises(SequenceError, match=message):
+            ExponentSequence.from_file(path)
+
+
+def test_unreadable_bad_and_empty_files_exit_2_through_the_cli(tmp_path):
+    from click.testing import CliRunner
+
+    from kothedim.cli import main
+
+    for path, message in file_cases(tmp_path):
+        args = ["gen-matrix", "--alpha", f"file:{path}"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert re.match(f"error: {message}", result.output), result.output
+        assert result.output.count("\n") == 1 and "Traceback" not in result.output
+
+
+def test_unknown_declared_class_is_rejected():
+    with pytest.raises(SequenceError, match="unknown declared class 'tame'"):
+        ExponentSequence(name="x", kind="file", declared_class="tame", memo=[Fraction(1)])
+
+
+def test_classification_and_probe_horizons_have_a_floor():
+    seq = ExponentSequence.linear()
+    with pytest.raises(SequenceError, match="classification horizon must be >= 4"):
+        classify_prefix(seq, 3)
+    assert classify_prefix(seq, 4).horizon == 4
+    with pytest.raises(SequenceError, match="probe horizon must be >= 10"):
+        finitely_nuclear_probe(seq, 9)
+    assert finitely_nuclear_probe(seq, 10).horizon == 10

@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
-from kothedim.diameters import closedform_diameters
+from kothedim.diameters import closedform_diameters, oracle_diameters
 from kothedim.grid import in_band
 from kothedim.kothe import KotheFamily, c_pq, ratio_numerators
 from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
@@ -80,7 +81,9 @@ def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
     Fraction reference scans them; a third coefficient is refused."""
     fam = family("linear")
     table = table_for(fam, 2, 5, 200)
-    coeffs, entries = table.entries.coeffs, list(table.entries)
+    coeffs, entries = table.entries.coeffs, table.entries
+    with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
+        entries[3] = dataclasses.replace(entries[3], coeff=Fraction(-1, 10))
     for n in range(3, 200, 7):
         e = entries[n]
         if n % 2:
@@ -88,10 +91,6 @@ def test_sandwich_numerators_per_coefficient_match_the_fraction_reference():
         else:
             coeff = Fraction(e.coeff.numerator, e.coeff.denominator)
             entries[n] = dataclasses.replace(e, coeff=coeff, alpha_index=max(1, e.alpha_index - 5))
-    third = entries[:3] + [dataclasses.replace(entries[3], coeff=Fraction(-1, 10))]
-    with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
-        dataclasses.replace(table, entries=third)
-    table = dataclasses.replace(table, entries=entries)
     assert table.entries.coeffs == coeffs
     report = verify_sandwich(fam, 2, 5, table)
     assert report.upper_violations and report.lower_violations
@@ -113,12 +112,13 @@ def sandwich_by_kernel(fam, p, q, table):
 def shifted(table, step, shifts):
     """The table with every ``step``-th entry's alpha index moved by the next
     shift of ``shifts`` (at least 1), band and off-band entries alike."""
-    entries = list(table.entries)
+    moved = copy.deepcopy(table)
+    entries = moved.entries
     for k, n in enumerate(range(1, len(entries), step)):
         e = entries[n]
         entries[n] = dataclasses.replace(
             e, alpha_index=max(1, e.alpha_index + shifts[k % len(shifts)]))
-    return dataclasses.replace(table, entries=entries)
+    return moved
 
 
 @pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
@@ -146,9 +146,9 @@ def test_sandwich_on_a_file_alpha_raises_where_the_kernel_reference_does(tmp_pat
     fam = KotheFamily(ExponentSequence.from_file(path))
     tables = {count: table_for(family("linear"), 2, 5, count) for count in (200, 251, 252, 300)}
     for code in (0, 1):  # d_199 moved past the prefix, off the band and on it
-        moved = dataclasses.replace(tables[200].entries[199], alpha_index=1001,
-                                    coeff=tables[200].entries.coeffs[code])
-        tables["moved", code] = dataclasses.replace(tables[200], entries=tables[200].entries[:199] + [moved])
+        moved = tables["moved", code] = copy.deepcopy(tables[200])
+        moved.entries[199] = dataclasses.replace(moved.entries[199], alpha_index=1001,
+                                                 coeff=moved.entries.coeffs[code])
     outcomes = {}
     for key, table in tables.items():
         for scan in (verify_sandwich, sandwich_by_kernel):
@@ -186,10 +186,9 @@ def test_sandwich_calls_the_kernel_twice_per_band_entry(monkeypatch):
 def test_sandwich_rejects_a_coefficient_off_pq():
     fam = family("linear")
     table = table_for(fam, 1, 2, 50)
-    entries = list(table.entries)
-    entries[30] = dataclasses.replace(entries[30], coeff=Fraction(-1, 7))
+    entries = table.entries
     with pytest.raises(ValueError, match="-1/7 is neither -1/2 nor -3/2"):
-        dataclasses.replace(table, entries=entries)
+        entries[30] = dataclasses.replace(entries[30], coeff=Fraction(-1, 7))
 
 
 def test_sandwich_rejects_a_table_of_another_pair():
@@ -358,9 +357,9 @@ def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, shift):
     table = table_for(fam, 1, 2, 200)
     assert edd_tail_check(fam, 1, 2, table).verdict == "pass"
     n = (table.tail_start + table.certified_horizon) // 2
-    entries = list(table.entries)
+    entries = table.entries
     entries[n] = dataclasses.replace(entries[n], alpha_index=entries[n].alpha_index + shift)
-    report = edd_tail_check(fam, 1, 2, dataclasses.replace(table, entries=entries))
+    report = edd_tail_check(fam, 1, 2, table)
     assert report.verdict == "fail"
     assert report.witnesses == [{"type": "value", "n": n}]
 
@@ -466,3 +465,15 @@ def test_delta_probe_empirical_sup_matches_the_fraction_reference(spec, theta):
         )
         assert record["mode"] == "empirical-prefix"
         assert record["prefix_sup_exponent"] == want
+
+
+def test_eadd_and_aa_inputs_are_checked():
+    fam = family("factorial")
+    with pytest.raises(ValueError, match="eadd_ratio needs a closed-form table with a plan"):
+        eadd_ratio(fam, 1, 2, oracle_diameters(fam, 1, 2, 40))
+    short = table_for(fam, 2, 3, 5)
+    assert short.a0 is None and table_for(fam, 2, 3, 6).a0 is not None
+    with pytest.raises(ValueError, match="table never enters the tail regime"):
+        eadd_ratio(fam, 2, 3, short)
+    with pytest.raises(ValueError, match="tail window must be >= 0"):
+        aa_statistic(fam, {(1, 2): table_for(fam, 1, 2, 40)}, -1)
