@@ -417,15 +417,17 @@ def _cells(x: Fraction) -> tuple[str, str]:
 
 def _quotient_cells(k: int, a: int, digits: Decimal, den: int) -> tuple[str, str]:
     """:func:`_cells` of ``k * a / den`` for positive ints, ``digits`` being
-    a as an exact Decimal: the gcd takes ``a % den`` alone, and the
-    numerator's digits come from the Decimal, in time linear in their
-    number, where ``str`` of an int takes quadratic time."""
-    g = math.gcd(k * (a % den), den)
+    a as an exact Decimal: the gcd takes ``a mod den`` alone, a mask when
+    den is a power of two, and the numerator's digits come from the
+    Decimal, in time linear in their number, where ``str`` of an int takes
+    quadratic time; k = 1 and g = 1 take no Decimal pass."""
+    g = math.gcd(k * (a % den if den & (den - 1) else a & (den - 1)), den)
     try:
         approx = repr(k * a / den)  # correctly rounded, as float() of the Fraction
     except OverflowError:  # past the double range, clamped as fraction_to_float does
         approx = "inf"
-    top = str(sq.EXACT_DECIMAL.divide_int(sq.EXACT_DECIMAL.multiply(digits, k), g))
+    top = digits if k == 1 else sq.EXACT_DECIMAL.multiply(digits, k)
+    top = str(top if g == 1 else sq.EXACT_DECIMAL.divide_int(top, g))
     return approx, top if den == g else f"{top}/{den // g}"
 
 

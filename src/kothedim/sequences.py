@@ -47,17 +47,19 @@ class ExponentSequence:
     """The parameter sequence alpha: exact, positive, strictly increasing.
 
     ``memo`` holds alpha_1 = 1 for every generated kind, or a ``file``'s
-    prefix, given as rationals and held as the integers ``alpha_n *
-    scale``; it never grows.  ``linear`` and ``poly:d`` are the
-    closed forms n and n**d (``degree`` is 1 for ``linear``).  ``factorial``
-    and ``superproduct`` read alpha_n from one cursor ``_last = (i,
-    alpha_i)``.  The cursor is one tuple, replaced in a single assignment,
-    and a read works from the snapshot it took, so a sequence shared
-    between threads stays correct.
+    prefix as the integers ``alpha_n * scale``; it never grows.  ``linear``
+    and ``poly:d`` are the closed forms n and n**d (``degree`` is 1 for
+    ``linear``).  ``factorial`` and ``superproduct`` read alpha_n from one
+    cursor ``_last = (i, alpha_i)``.  The cursor is one tuple, replaced in a
+    single assignment, and a read works from the snapshot it took, so a
+    sequence shared between threads stays correct.
 
     ``scale`` is a positive integer with ``alpha_n * scale`` an integer for
     every n: 1 for the generated kinds, whose values are integers, and the
     least common denominator of the prefix's rationals for ``file`` alphas.
+    A ``file`` memo is given as rationals ``alpha_n * scale`` (scale 1 by
+    default); ``__post_init__`` folds their denominators into ``scale``, so
+    ``dataclasses.replace`` of a sequence gives an equal one back.
     """
 
     name: str
@@ -65,22 +67,27 @@ class ExponentSequence:
     declared_class: str
     degree: int | None = None
     memo: list[int | Rational] = field(default_factory=list)
-    scale: int = field(init=False, default=1)
+    scale: int = 1
     _last: tuple[int, int] = field(init=False, default=(1, 1), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.declared_class not in (STABLE, UNSTABLE, UNSPECIFIED):
             raise SequenceError(f"unknown declared class {self.declared_class!r}")
+        if type(self.scale) is not int or self.scale < 1 or self.scale > 1 and self.kind != "file":
+            raise SequenceError(f"{self.name}: scale must be a positive int, 1 off a file alpha")
         for i, v in enumerate(self.memo):
             prev = self.memo[i - 1] if i else Fraction(0)
             if v <= prev:
                 raise SequenceError(
-                    f"{self.name}: alpha_{i + 1}={format_rational(v)} breaks "
-                    "strict positive increase"
+                    f"{self.name}: alpha_{i + 1}={format_rational(Fraction(v, self.scale))} "
+                    "breaks strict positive increase"
                 )
-        if self.kind == "file":
-            self.scale = math.lcm(*(v.denominator for v in self.memo))
-            self.memo = [v.numerator * (self.scale // v.denominator) for v in self.memo]
+        if self.kind == "file":  # least scale: fold the denominators in, cancel a common factor
+            lcd = math.lcm(*(v.denominator for v in self.memo))
+            memo = [v.numerator * (lcd // v.denominator) for v in self.memo]
+            g = math.gcd(self.scale * lcd, *memo)
+            self.scale = self.scale * lcd // g
+            self.memo = [v // g for v in memo] if g > 1 else memo
         elif not self.memo:
             self.memo.append(1)  # alpha_1; a ratio kind's later values come from the cursor
 
@@ -262,15 +269,19 @@ class ExponentSequence:
     def exponent(self, coeff: Rational, m: int) -> Rational:
         """The exact ``coeff * alpha_m`` in lowest terms.  On ``linear`` and
         ``poly:d`` it is one Fraction of ``num * m**d``; otherwise ``alpha_m
-        * scale``, big on a ratio kind, takes one ``divmod`` by ``den *
-        scale``, and a remainder term in lowest terms plus an integer needs
-        no further reduction."""
+        * scale``, big on a ratio kind, is reduced once by ``den * scale``:
+        a power of two (1 included) takes a shift and a mask, any other
+        divisor one ``divmod``.  A remainder term in lowest terms plus an
+        integer needs no further reduction."""
         num, den = coeff.numerator, coeff.denominator
         v = self.scaled(m)
         if self.degree is not None:
             return Fraction(num * v, den)
         den *= self.scale
-        q, r = divmod(v, den) if den > 1 else (v, 0)  # den 1: no pass, not even a gcd
+        if den & (den - 1):
+            q, r = divmod(v, den)
+        else:  # den = 2**k: a shift is about a fifth of a divmod pass
+            q, r = v >> (den.bit_length() - 1), v & (den - 1)
         return Fraction(num * r, den) + num * q if r else Fraction(num * q)
 
     def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:

@@ -715,20 +715,36 @@ def test_values_equal_matches_fraction_reference(
     assert payload["oracle_agrees"] is ("False" not in want)
 
 
+def assert_plot_data_matches_the_fraction_reference(runner, spec, p, q, count):
+    family = KotheFamily(ExponentSequence.from_spec(spec))
+    seq = family.seq
+    closed = dm.closedform_diameters(family, p, q, count)
+    want = []
+    for n, e in enumerate(closed.entries):
+        neg_log_dn, alpha_next = -e.log_value(seq), seq.value(n + 1)
+        want.append([neg_log_dn, alpha_next, neg_log_dn / alpha_next])
+    args = ["plot-data", "--alpha", spec, "--p", str(p), "--q", str(q), "--count", str(count)]
+    lines = invoke(runner, args).output.splitlines()
+    assert lines[1].split(",")[4:] == ["neg_log_dn_exact", "alpha_next_exact", "ratio_exact"]
+    assert [[Fraction(x) for x in line.split(",")[4:]] for line in lines[2:]] == want, spec
+
+
 def test_plot_data_exact_columns_match_the_fraction_reference(runner, long_file_alpha):
-    p, q, count = 2, 5, 80
     for spec in ("factorial", "superproduct", long_file_alpha):
-        family = KotheFamily(ExponentSequence.from_spec(spec))
-        seq = family.seq
-        closed = dm.closedform_diameters(family, p, q, count)
-        want = []
-        for n, e in enumerate(closed.entries):
-            neg_log_dn, alpha_next = -e.log_value(seq), seq.value(n + 1)
-            want.append([neg_log_dn, alpha_next, neg_log_dn / alpha_next])
-        args = ["plot-data", "--alpha", spec, "--p", str(p), "--q", str(q), "--count", str(count)]
-        lines = invoke(runner, args).output.splitlines()
-        assert lines[1].split(",")[4:] == ["neg_log_dn_exact", "alpha_next_exact", "ratio_exact"]
-        assert [[Fraction(x) for x in line.split(",")[4:]] for line in lines[2:]] == want, spec
+        assert_plot_data_matches_the_fraction_reference(runner, spec, 2, 5, 80)
+
+
+@pytest.mark.parametrize("alpha", ["factorial", "superproduct", "quarters"])
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 4)])
+def test_plot_data_exact_columns_on_power_of_two_denominators(runner, tmp_path, alpha, p, q):
+    """Divisors ``den * scale`` of 2 to 16: the mask route of the plot-data
+    cells, on the ratio kinds and on the dyadic alpha (4n - 1)/4 (scale 4)."""
+    spec = alpha
+    if alpha == "quarters":
+        path = tmp_path / "quarters.txt"
+        path.write_text("".join(f"{Fraction(4 * n - 1, 4)}\n" for n in range(1, 2001)))
+        spec = f"file:{path}"
+    assert_plot_data_matches_the_fraction_reference(runner, spec, p, q, 200)
 
 
 # -- every subcommand, generated arguments ---------------------------------

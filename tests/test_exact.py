@@ -290,6 +290,12 @@ def halves():
     return ExponentSequence(name="halves", kind="file", declared_class=UNSPECIFIED, memo=memo)
 
 
+def quarters():
+    """A dyadic ``file`` alpha, (4n - 1)/4, held with scale 4."""
+    memo = [Fraction(4 * n - 1, 4) for n in range(1, 4001)]
+    return ExponentSequence(name="quarters", kind="file", declared_class=UNSPECIFIED, memo=memo)
+
+
 @pytest.mark.parametrize("m", [2000, 3999])
 @pytest.mark.parametrize(
     "spec, coeff, want_den",
@@ -302,12 +308,21 @@ def halves():
         ("superproduct", Fraction(-3, 10), 10),
         ("halves", Fraction(-3, 7), 14),
         ("halves", Fraction(-3), 2),
+        # power-of-two divisors above 2 take the shift and the mask
+        ("factorial", Fraction(-3, 4), 1),  # 4 divides alpha_m: remainder 0
+        ("superproduct", Fraction(-3, 4), 4),  # alpha_m odd: remainder 1 or 3
+        ("factorial", Fraction(-1, 8), 1),
+        ("superproduct", Fraction(-1, 8), 8),
+        ("quarters", Fraction(-1, 2), 8),  # den * scale = 8
+        ("quarters", Fraction(-3, 4), 16),  # den * scale = 16
+        ("quarters", Fraction(-4), 1),  # den * scale = 4, remainder 3: integral
     ],
 )
 def test_exponent_at_large_indices_is_the_fraction_product(spec, coeff, want_den, m):
     """Every branch of ``exponent`` on values of 20k-90k bits, checked
     against the product of two Fractions, alpha read from a fresh sequence."""
-    make = halves if spec == "halves" else lambda: ExponentSequence.from_spec(spec)
+    files = {"halves": halves, "quarters": quarters}
+    make = files.get(spec, lambda: ExponentSequence.from_spec(spec))
     seq = make()
     value = seq.exponent(coeff, m)
     want = coeff * make().value(m)

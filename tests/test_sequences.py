@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -181,6 +182,44 @@ def test_file_sequence_rejects_non_increasing(tmp_path):
     path.write_text("1\n1\n2\n")
     with pytest.raises(SequenceError):
         ExponentSequence.from_spec(f"file:{path}")
+
+
+def file_alpha(memo, scale=1):
+    return ExponentSequence(name="f", kind="file", declared_class="unspecified",
+                            memo=memo, scale=scale)
+
+
+def test_replacing_a_file_sequence_gives_an_equal_one():
+    seq = file_alpha([Fraction(1, 2), Fraction(3, 2), Fraction(7, 3), Fraction(11, 4), 4])
+    assert seq.scale == 12
+    copy = dataclasses.replace(seq)
+    assert copy == seq and copy.scale == 12 and copy.memo == seq.memo
+    indices = range(1, len(seq.memo) + 1)
+    assert [copy.value(n) for n in indices] == [seq.value(n) for n in indices]
+    assert copy.value(1) == Fraction(1, 2)
+    for coeff in (Fraction(-1, 2), Fraction(-3, 4), Fraction(-3, 10), Fraction(5)):
+        for n in indices:
+            assert copy.exponent(coeff, n) == seq.exponent(coeff, n) == coeff * seq.value(n)
+    pairs = itertools.product(indices, repeat=2)
+    assert all(copy.compare(3, m, 2, n) == seq.compare(3, m, 2, n) for m, n in pairs)
+    with pytest.raises(PrefixExhaustedError):
+        copy.value(len(seq.memo) + 1)
+
+
+def test_a_file_memo_over_a_scale_folds_to_the_least_scale():
+    # memo / scale is alpha: [2, 4, 7] / 4 is [1/2, 1, 7/4]; [1/3, 2] / 2 is [1/6, 1]
+    assert file_alpha([2, 4, 7], scale=4) == file_alpha([Fraction(1, 2), 1, Fraction(7, 4)])
+    assert file_alpha([2, 4], scale=4) == file_alpha([1, 2], scale=2)
+    assert (seq := file_alpha([Fraction(1, 3), 2], scale=2)).scale == 6 and seq.memo == [1, 6]
+    with pytest.raises(SequenceError, match=r"alpha_2=1/2 breaks strict positive increase"):
+        file_alpha([3, 2], scale=4)
+
+
+@pytest.mark.parametrize("kind, scale", [("file", 0), ("file", -2), ("file", 1.5),
+                                         ("file", True), ("factorial", 2), ("linear", 3)])
+def test_a_scale_is_a_positive_int_and_1_off_a_file(kind, scale):
+    with pytest.raises(SequenceError, match="scale must be a positive int, 1 off a file alpha"):
+        ExponentSequence(name="x", kind=kind, declared_class="unspecified", memo=[1], scale=scale)
 
 
 def test_classify_linear_doubling_exactly_two():
