@@ -27,7 +27,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import format_rational, fraction_to_float, parse_rational
+from .exact import cancel, format_rational, fraction_to_float, parse_rational
 from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -417,11 +417,11 @@ def _cells(x: Fraction) -> tuple[str, str]:
 
 def _quotient_cells(k: int, a: int, digits: Decimal, den: int) -> tuple[str, str]:
     """:func:`_cells` of ``k * a / den`` for positive ints, ``digits`` being
-    a as an exact Decimal: the gcd takes ``a mod den`` alone, a mask when
-    den is a power of two, and the numerator's digits come from the
+    a as an exact Decimal: the common factor g is :func:`cancel`'s, which
+    reads ``a mod den`` alone, and the numerator's digits come from the
     Decimal, in time linear in their number, where ``str`` of an int takes
     quadratic time; k = 1 and g = 1 take no Decimal pass."""
-    g = math.gcd(k * (a % den if den & (den - 1) else a & (den - 1)), den)
+    g = cancel(k, a, den)[0]
     try:
         approx = repr(k * a / den)  # correctly rounded, as float() of the Fraction
     except OverflowError:  # past the double range, clamped as fraction_to_float does

@@ -93,6 +93,19 @@ def scaled_numerator(coeff: Rational, denom: int) -> int:
     return numerator
 
 
+def cancel(k: int, v: int, d: int) -> tuple[int, int | None, int]:
+    """``(g, q, r)`` for ints k, v and d >= 1: ``g = gcd(k * v, d)``, the
+    factor that cancels from ``k * v / d``, is ``gcd(k * r, d)`` on small
+    ints, with ``r = v mod d``.  A power-of-two d, 1 included, takes a mask
+    and leaves the quotient ``q`` None; any other d takes one ``divmod``
+    pass over v, which yields ``q = v // d`` as well."""
+    if d & (d - 1):
+        q, r = divmod(v, d)
+    else:
+        q, r = None, v & (d - 1)
+    return math.gcd(k * r, d), q, r
+
+
 def fraction_to_float(x: Rational) -> tuple[float, bool]:
     """Double conversion with overflow clamped to +-inf; flag set when clamped."""
     try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from pathlib import Path
 
-from .exact import Rational, format_rational, fraction_to_float, parse_rational
+from .exact import Rational, cancel, format_rational, fraction_to_float, parse_rational
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -40,6 +41,21 @@ class SequenceError(ValueError):
 
 class PrefixExhaustedError(SequenceError):
     """A file-backed sequence was asked beyond its prefix."""
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already in lowest terms.  It
+    is registered as a :class:`numbers.Rational`, so the one-argument
+    ``Fraction(x)`` copies both as they are, with no gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
 
 
 @dataclass
@@ -121,6 +137,8 @@ class ExponentSequence:
     def from_file(cls, path: str | Path) -> "ExponentSequence":
         """Load one rational per line ("p/q" or integer); '#' starts a comment."""
         values: list[Rational] = []
+        if not path:  # Path("") is the directory "."
+            raise SequenceError("alpha file path is empty")
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -268,21 +286,31 @@ class ExponentSequence:
 
     def exponent(self, coeff: Rational, m: int) -> Rational:
         """The exact ``coeff * alpha_m`` in lowest terms.  On ``linear`` and
-        ``poly:d`` it is one Fraction of ``num * m**d``; otherwise ``alpha_m
-        * scale``, big on a ratio kind, is reduced once by ``den * scale``:
-        a power of two (1 included) takes a shift and a mask, any other
-        divisor one ``divmod``.  A remainder term in lowest terms plus an
-        integer needs no further reduction."""
+        ``poly:d`` it is one Fraction of ``num * m**d``.  Otherwise, with
+        ``v = alpha_m * scale`` and ``D = den * scale``, :func:`cancel` reads
+        ``r = v mod D`` (by a mask when D is a power of two, else by one
+        ``divmod`` pass over the big v, which yields ``q = v // D`` too) and
+        the common factor ``g = gcd(num * r, D)`` on small ints.  The
+        coprime pair ``(num * v // g, D // g)`` then takes one big product:
+        ``num * v`` when g is 1; that product shifted when D is a power of
+        two; else ``q * (num * D // g)``, plus the small ``num * r // g``
+        when r is not 0."""
         num, den = coeff.numerator, coeff.denominator
         v = self.scaled(m)
         if self.degree is not None:
             return Fraction(num * v, den)
         den *= self.scale
-        if den & (den - 1):
-            q, r = divmod(v, den)
-        else:  # den = 2**k: a shift is about a fifth of a divmod pass
-            q, r = v >> (den.bit_length() - 1), v & (den - 1)
-        return Fraction(num * r, den) + num * q if r else Fraction(num * q)
+        g, q, r = cancel(num, v, den)
+        if g == 1:
+            top = num * v
+        elif q is None:  # g divides the power of two den
+            top = (num * v) >> (g.bit_length() - 1)
+        else:  # num * v // g = q * (num * den // g) + num * r // g, both terms exact
+            top = q * (num * den // g)
+            if r:
+                top += num * r // g
+        # the one-argument Fraction takes an int directly, ahead of its slower Rational check
+        return Fraction(top) if g == den else Fraction(_LowestTerms(top, den // g))
 
     def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:
         """Best-effort ``e^(coeff * alpha_m)`` as a double, display-only;

@@ -154,8 +154,24 @@ def test_scale_is_the_prefix_lcd():
     assert ExponentSequence.factorial().scaled(6) == 720
 
 
+def halves():
+    """A ``file`` alpha of halves, long enough for the large indices below."""
+    memo = [Fraction(2 * n - 1, 2) for n in range(1, 4001)]
+    return ExponentSequence(name="halves", kind="file", declared_class=UNSPECIFIED, memo=memo)
+
+
+def quarters():
+    """A dyadic ``file`` alpha, (4n - 1)/4, held with scale 4."""
+    memo = [Fraction(4 * n - 1, 4) for n in range(1, 4001)]
+    return ExponentSequence(name="quarters", kind="file", declared_class=UNSPECIFIED, memo=memo)
+
+
+# file alphas are never written after construction, so one instance serves every example
+FILE_ALPHAS = {"rational": RATIONAL_FILE, "halves": halves(), "quarters": quarters()}
+
+
 def make_seq(spec):
-    return RATIONAL_FILE if spec == "rational" else ExponentSequence.from_spec(spec)
+    return FILE_ALPHAS[spec] if spec in FILE_ALPHAS else ExponentSequence.from_spec(spec)
 
 
 # coefficients drawn one by one, so their denominators share no pq
@@ -267,7 +283,8 @@ def test_hand_written_init_builds_what_the_generated_one_builds(cls, reference, 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    spec=st.sampled_from(["linear", "poly:2", "poly:3", "factorial", "superproduct", "rational"]),
+    spec=st.sampled_from(["linear", "poly:2", "poly:3", "factorial", "superproduct", "rational",
+                          "halves", "quarters"]),
     num=st.integers(min_value=-10**12, max_value=10**12),
     den=st.integers(min_value=1, max_value=10**12),
     m=indices,
@@ -282,18 +299,6 @@ def test_log_value_is_the_exact_exponent_in_lowest_terms(spec, num, den, m):
     assert value == coeff * make_seq(spec).value(m)
     assert type(value) is Fraction
     assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
-
-
-def halves():
-    """A ``file`` alpha of halves, long enough for the large indices below."""
-    memo = [Fraction(2 * n - 1, 2) for n in range(1, 4001)]
-    return ExponentSequence(name="halves", kind="file", declared_class=UNSPECIFIED, memo=memo)
-
-
-def quarters():
-    """A dyadic ``file`` alpha, (4n - 1)/4, held with scale 4."""
-    memo = [Fraction(4 * n - 1, 4) for n in range(1, 4001)]
-    return ExponentSequence(name="quarters", kind="file", declared_class=UNSPECIFIED, memo=memo)
 
 
 @pytest.mark.parametrize("m", [2000, 3999])
@@ -316,6 +321,11 @@ def quarters():
         ("quarters", Fraction(-1, 2), 8),  # den * scale = 8
         ("quarters", Fraction(-3, 4), 16),  # den * scale = 16
         ("quarters", Fraction(-4), 1),  # den * scale = 4, remainder 3: integral
+        # num shares a factor with the scale (4 or 2), which r alone does not show
+        ("quarters", Fraction(-2, 3), 6),  # den * scale = 12, common factor 2
+        ("quarters", Fraction(-2), 2),  # den * scale = 4, common factor 2
+        ("quarters", Fraction(-6, 11), 22),  # den * scale = 44, common factor 2
+        ("halves", Fraction(-4, 5), 5),  # den * scale = 10, common factor 2
     ],
 )
 def test_exponent_at_large_indices_is_the_fraction_product(spec, coeff, want_den, m):

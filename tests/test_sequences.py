@@ -322,6 +322,7 @@ def file_cases(tmp_path):
         (tmp_path, "cannot read alpha file {}: .*Is a directory"),
         (bad, "{}:3: bad rational '2/3x'"),
         (empty, "{}: empty sequence"),
+        ("", "alpha file path is empty"),  # not the directory "."
     ]
     return [(path, message.format(re.escape(str(path)))) for path, message in cases]
 
