@@ -206,9 +206,9 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     def rows() -> Iterator[str]:
         for k in range(1, k_max + 1):
             for n in range(1, n_max + 1):
-                term = family.log_entry(k, n)
-                approx, _ = family.seq.exp_float(term.coeff, term.alpha_index)
-                yield f"{k},{n},{column_of(n)},{format_rational(term.coeff)},{approx!r}\n"
+                coeff = family.entry_coeff(k, n)
+                approx, _ = family.seq.exp_float(coeff, n)
+                yield f"{k},{n},{column_of(n)},{format_rational(coeff)},{approx!r}\n"
 
     _emit(_csv("k,n,column,coeff,approx", rows()), out)
 
@@ -225,9 +225,9 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
     "--horizon",
     type=click.IntRange(min=2),
     default=None,
-    help="Merge only the ratio terms up to this index in the oracle and "
-    "certify the entries above the next one (default: merge them all, "
-    "every entry final); must be >= count and >= 2.",
+    help="Merge only the ratio terms up to this index in the oracle (--method "
+    "oracle or both) and certify the entries above the next one (default: "
+    "merge them all, every entry final); must be >= count and >= 2.",
 )
 @click.option(
     "--method",
@@ -246,6 +246,8 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     """Compute d_n(U_q, U_p) for n < count."""
     if not q > p >= 1:
         _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
+    if horizon is not None and method == "closed":
+        _fail(EXIT_BAD_CONFIG, "--horizon sets the oracle's prefix; use --method oracle or both")
     if horizon is not None and horizon < count:
         _fail(EXIT_BAD_CONFIG, "--horizon must be at least --count")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
@@ -254,27 +256,28 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     primary = oracle if method == "oracle" else dm.closedform_diameters(family, p, q, count)
     both = method == "both"
     entries = primary.entries
-    # both engines list count entries; one table is paired with itself
+    # both engines list count entries, the closed form's all final; one table
+    # is paired with itself, so a row is final in both when n < other.certified
     other = oracle.entries if both else entries
     # both tables hold the pair's two coefficients, by the same codes
     texts = [format_rational(c) for c in entries.coeffs]
     nums = km.ratio_numerators(p, q)
-    # n, code, alpha index, segment code, flag; then the other table's code, index, flag
+    # n, code, alpha index, segment code; then the other table's code and index
     columns = zip(itertools.count(), entries.codes, entries.alpha_index, entries.segments,
-                  entries.certified, other.codes, other.alpha_index, other.certified)
+                  other.codes, other.alpha_index)
 
-    def equal(code: int, m: int, o_code: int, o_m: int, o_cert: int) -> bool | str:
+    def equal(n: int, code: int, m: int, o_code: int, o_m: int) -> bool | str:
         # only where the oracle's entry is final; with the same code the
         # index decides, and the kernel decides the rest on numerators over pq
-        return "" if not o_cert else m == o_m if code == o_code else seq.compare(
+        return "" if n >= other.certified else m == o_m if code == o_code else seq.compare(
             nums[o_code], o_m, nums[code], m) == 0
 
     def csv_rows() -> Iterator[str]:
-        for n, code, m, seg, cert, o_code, o_m, o_cert in columns:
+        for n, code, m, seg, o_code, o_m in columns:
             approx = seq.exp_float(entries.coeffs[code], m)[0]
-            row = f"{n},{texts[code]},{m},{dm.SEGMENTS[seg]},{approx!r}"
-            yield (f"{row},{bool(cert and o_cert)},{texts[o_code]},{o_m},"
-                   f"{equal(code, m, o_code, o_m, o_cert)}\n" if both else f"{row},{bool(cert)}\n")
+            row = f"{n},{texts[code]},{m},{dm.SEGMENTS[seg]},{approx!r},{n < other.certified}"
+            yield (f"{row},{texts[o_code]},{o_m},{equal(n, code, m, o_code, o_m)}\n"
+                   if both else f"{row}\n")
 
     def json_document() -> Iterator[str]:
         """Byte for byte ``_json_text``'s document, one entry at a time with
@@ -282,15 +285,15 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         is decided along the way."""
         yield f'{{\n  "alpha": {json.dumps(seq.name)},\n  "entries": [\n'
         agree, sep = True, ""
-        for n, code, m, seg, cert, o_code, o_m, o_cert in columns:
+        for n, code, m, seg, o_code, o_m in columns:
             value, clamped = seq.exp_float(entries.coeffs[code], m)
-            agree = agree and (not both or equal(code, m, o_code, o_m, o_cert) is not False)
+            agree = agree and (not both or equal(n, code, m, o_code, o_m) is not False)
             clamp = '      "approx_clamped": true,\n' if clamped else ""
             yield (
                 f'{sep}    {{\n'
                 f'      "alpha_index": {m},\n{clamp}'
                 f'      "approx_value": {"Infinity" if value == math.inf else repr(value)},\n'
-                f'      "certified": {"true" if cert else "false"},\n'
+                f'      "certified": {"true" if n < entries.certified else "false"},\n'
                 f'      "coeff": "{texts[code]}",\n'
                 f'      "n": {n},\n'
                 f'      "segment": "{dm.SEGMENTS[seg]}",\n'

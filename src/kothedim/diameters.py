@@ -75,19 +75,21 @@ _set_coeff, _set_alpha_index, _set_n, _set_segment, _set_certified = (
 class DiameterEntries(Sequence):
     """A table's entries as columns, entry n at position n: the pair's two
     coefficients in ``coeffs``, c_pq off the band (code 0) and c_pq - 1 on
-    it (code 1), and per entry its code, alpha index, code into
-    :data:`SEGMENTS` and certified flag.  Readers that scan a table read the
-    columns (:meth:`rows`).  Otherwise it works as a list of
+    it (code 1), and per entry its code, alpha index and code into
+    :data:`SEGMENTS`.  ``certified`` is the length of the certified prefix:
+    d_n is final exactly when n < ``certified``.  Readers that scan a table
+    read the columns (:meth:`rows`).  Otherwise it works as a list of
     :class:`DiameterEntry`, each built on demand.  Item assignment is the
-    one writer: an entry not at its own position, or with any other
-    coefficient, raises ValueError.
+    one writer: an entry not at its own position, with any other
+    coefficient, or with a certified flag that disagrees with its position
+    raises ValueError.
     """
 
     coeffs: tuple[Rational, Rational]
     alpha_index: array = field(default_factory=lambda: array("q"))
     codes: bytearray = field(default_factory=bytearray)
     segments: bytearray = field(default_factory=bytearray)
-    certified: bytearray = field(default_factory=bytearray)
+    certified: int = 0
 
     @classmethod
     def for_pair(cls, p: int, q: int) -> DiameterEntries:
@@ -101,22 +103,17 @@ class DiameterEntries(Sequence):
     def __len__(self) -> int:
         return len(self.alpha_index)
 
-    def _build(self, codes, alpha_index, ns, segments, certified) -> Iterator[DiameterEntry]:
-        """Entries from (slices of) the columns, built at C level."""
-        return map(DiameterEntry, map(self.coeffs.__getitem__, codes), alpha_index, ns,
-                   map(SEGMENTS.__getitem__, segments), map(bool, certified))
-
     def __iter__(self) -> Iterator[DiameterEntry]:
-        return self._build(self.codes, self.alpha_index, itertools.count(), self.segments,
-                           self.certified)
+        return map(DiameterEntry, map(self.coeffs.__getitem__, self.codes), self.alpha_index,
+                   itertools.count(), map(SEGMENTS.__getitem__, self.segments),
+                   map(self.certified.__gt__, itertools.count()))
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return list(self._build(self.codes[key], self.alpha_index[key], range(len(self))[key],
-                                    self.segments[key], self.certified[key]))
+            return [self[n] for n in range(len(self))[key]]
         n = range(len(self))[key]  # an int, negative ones from the end
         return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
-                             SEGMENTS[self.segments[n]], bool(self.certified[n]))
+                             SEGMENTS[self.segments[n]], n < self.certified)
 
     def __setitem__(self, key: int, entry: DiameterEntry) -> None:
         n = range(len(self))[key]
@@ -125,9 +122,11 @@ class DiameterEntries(Sequence):
         c = entry.coeff
         if not isinstance(c, numbers.Rational) or c not in self.coeffs:
             raise ValueError("coefficient {} is neither {} nor {}".format(c, *self.coeffs))
-        (self.codes[n], self.alpha_index[n], self.segments[n], self.certified[n]) = (
-            self.coeffs.index(c), entry.alpha_index, SEGMENTS.index(entry.segment),
-            entry.certified)
+        if entry.certified != (n < self.certified):
+            raise ValueError(f"certified={entry.certified} at d_{n} with a certified prefix of "
+                             f"{self.certified}")
+        self.codes[n], self.alpha_index[n], self.segments[n] = (
+            self.coeffs.index(c), entry.alpha_index, SEGMENTS.index(entry.segment))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, DiameterEntries)):
@@ -164,7 +163,6 @@ class DiameterTable:
     q: int
     method: str
     entries: DiameterEntries
-    certified_horizon: int
     plan: list[PlanRow] | None = None
     a0: int | None = None
     tail_start: int | None = None
@@ -174,8 +172,10 @@ class DiameterTable:
         if not isinstance(self.entries, DiameterEntries):
             raise TypeError(f"entries must be DiameterEntries, not {type(self.entries).__name__}")
 
-    def entry(self, n: int) -> DiameterEntry:
-        return self.entries[n]
+    @property
+    def certified_horizon(self) -> int:
+        """The last n with d_n final: one less than the certified prefix."""
+        return self.entries.certified - 1
 
 
 # -- route one: the merging oracle -------------------------------------------
@@ -185,8 +185,8 @@ def _merged_entries(
     family: KotheFamily, p: int, q: int, indices: Iterator[int], bound: int | None, count: int
 ) -> DiameterEntries:
     """The first ``count`` ratio terms at ``indices`` (1, 2, 3, ...),
-    descending by value, ties by the smaller ratio index m; certified when
-    the key beats ``bound``, always when ``bound`` is None.
+    descending by value, ties by the smaller ratio index m; certified (a
+    prefix) while the key beats ``bound``, always when ``bound`` is None.
 
     Each index's column comes from a walk of the diagonals (1; 1, 2; 1, 2,
     3; ...), so m is on the band when that column s has p <= s < q.  A key
@@ -226,7 +226,7 @@ def _merged_entries(
     for key, m, code in itertools.islice(merged(), count):
         entries.alpha_index.append(m)
         entries.codes.append(code)
-        entries.certified.append(bound is None or key > bound)
+        entries.certified += bound is None or key > bound  # a prefix: the keys decrease
     entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
     return entries
 
@@ -257,12 +257,11 @@ def oracle_diameters(
         bound = ratio_numerators(p, q)[0] * alpha_next
     indices = itertools.count(1)
     entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
-    certified = sum(entries.certified)  # a prefix: the keys decrease
-    if horizon is not None and not certified:
+    if horizon is not None and not entries.certified:
         raise UncertifiableError(
             f"prefix of {horizon} ratio terms certifies no diameter; increase the prefix length"
         )
-    return DiameterTable(p, q, "oracle", entries, certified - 1, oracle_prefix=next(indices) - 1)
+    return DiameterTable(p, q, "oracle", entries, oracle_prefix=next(indices) - 1)
 
 
 # perfbench/ calls the oracle by this name; the alias goes when perfbench/ is
@@ -480,13 +479,12 @@ def closedform_diameters(
         or m - 1 - bnd.count_below(m) != count - (len(rows) - 1)
     ):
         raise CoverageError(f"a term past diameter index {count - 1} is out of place")
-    entries.certified = bytearray(b"\x01") * count
+    entries.certified = count
     return DiameterTable(
         p=p,
         q=q,
         method="closed",
         entries=entries,
-        certified_horizon=count - 1,
         plan=rows,
         a0=a0,
         tail_start=tail_start,

@@ -42,11 +42,6 @@ def column_start(s: int) -> int:
     return pair_index(s - 1, 0)
 
 
-def in_band(p: int, q: int, n: int) -> bool:
-    """Whether n lies in a column s with p <= s < q."""
-    return p <= column_of(n) < q
-
-
 def band_count_below(p: int, q: int, m: int) -> int:
     """Number of band elements strictly below m, in closed form.
 
@@ -104,7 +99,8 @@ class BandIndexing:
         return pair_index(self.p - 1, d) + offset
 
     def contains(self, n: int) -> bool:
-        return in_band(self.p, self.q, n)
+        """Whether n lies in a column s with p <= s < q."""
+        return self.p <= column_of(n) < self.q
 
     def marker(self, k: int) -> int:
         """The element of column p on the diagonal x+y = q+k-2."""

@@ -140,7 +140,7 @@ def eadd_ratio(
             "the tail ratio law is only asserted for unstable alpha; "
             f"{family.seq.name} is declared {family.seq.declared_class}"
         )
-    if table.method != "closed" or table.plan is None:
+    if table.plan is None:
         raise ValueError("eadd_ratio needs a closed-form table with a plan")
     if table.a0 is None:
         raise ValueError(

@@ -58,7 +58,7 @@ def test_criterion_1_oracle_closedform_equivalence(grid_tables):
         seq = family.seq
         assert oracle.certified_horizon >= COUNT - 1
         for n in range(COUNT):
-            if oracle.entry(n).log_value(seq) != closed.entry(n).log_value(seq):
+            if oracle.entries[n].log_value(seq) != closed.entries[n].log_value(seq):
                 mismatches += 1
                 break
     ok = mismatches == 0 and elapsed < 60
@@ -81,7 +81,7 @@ def test_criterion_2_regular_case_law(grid_tables):
         seq = fam.seq
         for n in range(closed.certified_horizon + 1):
             want = ratio_coeff(p, q, n + 1) * seq.value(n + 1)
-            if closed.entry(n).log_value(seq) != want:
+            if closed.entries[n].log_value(seq) != want:
                 shifted = False
                 break
     ok = regularity.passed and shifted

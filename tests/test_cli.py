@@ -56,6 +56,19 @@ def test_grid_band_enumeration(runner):
     assert [r[4] for r in rows] == ["0", "1", "2", "3", "4", "5"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--p", "1"], "give both --p and --q or neither"),
+    (["--q", "2"], "give both --p and --q or neither"),
+    (["--p", "2", "--q", "1"], "need q > p >= 1"),
+    (["--p", "0", "--q", "1"], "need q > p >= 1"),
+])
+def test_grid_band_options_exit_2(runner, args, message):
+    result = runner.invoke(main, ["grid", *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"error: {message}" in result.output
+
+
 def test_gen_matrix_past_the_double_range_prints_inf(runner):
     # row 71 on column 3 (n = 6): e^((70/71) * 6!), an exponent of about
     # 709.86, past the largest double but below the 710 clamp
@@ -547,6 +560,17 @@ def test_diameters_horizon_below_count_exits_2(runner):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "error: --horizon must be at least --count" in result.output
+
+
+def test_diameters_horizon_with_closed_method_exits_2(runner):
+    """--horizon only sets the oracle's prefix: the closed form alone
+    refuses it, writing nothing."""
+    args = ["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "10",
+            "--horizon", "20", "--method", "closed"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "error: --horizon sets the oracle's prefix; use --method oracle or both" in result.output
 
 
 def test_oracle_prefix_certifying_nothing_exits_3(runner):

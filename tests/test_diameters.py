@@ -18,7 +18,7 @@ from kothedim.diameters import (
     closedform_diameters,
     oracle_diameters,
 )
-from kothedim.grid import BandIndexing, in_band
+from kothedim.grid import BandIndexing
 from kothedim.kothe import KotheFamily, a_pq, c_pq
 from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
 
@@ -116,7 +116,7 @@ def test_unstable_tail_values_factorial_1_2():
     c = c_pq(1, 2)
     for row in table.plan:
         if row.a >= table.a0 and row.n_a - 1 < 60:
-            entry = table.entry(row.n_a - 1)
+            entry = table.entries[row.n_a - 1]
             assert entry.coeff == c - 1
             assert entry.alpha_index == row.n_a
 
@@ -137,7 +137,7 @@ def test_regular_case_diameters_are_shifted_ratios():
         table = closedform_diameters(fam, p, q, 120)
         for n in range(120):
             want = ratio_coeff(p, q, n + 1) * seq.value(n + 1)
-            assert table.entry(n).log_value(seq) == want
+            assert table.entries[n].log_value(seq) == want
 
 
 def test_oracle_certification_bound_is_strict():
@@ -361,7 +361,7 @@ def test_terzioglu_bracket():
     }
     rng = random.Random(11)
     for n in range(0, 40):
-        d_n = table.entry(n).log_value(seq)
+        d_n = table.entries[n].log_value(seq)
         subset = rng.sample(range(1, prefix + 1), n + 1)
         assert min(ratios[m] for m in subset) <= d_n
         excluded = set(rng.sample(range(1, prefix + 1), n))
@@ -437,18 +437,18 @@ def tied_rational_alpha(p: int, q: int, length: int, rng: random.Random) -> list
     """Rational alpha in which about half the off-band alpha_m are A_pq
     alpha_n for an earlier band index n, so e^(c_pq alpha_m) ties
     e^((c_pq - 1) alpha_n) exactly."""
-    mult = a_pq(p, q)
+    mult, bnd = a_pq(p, q), BandIndexing(p=p, q=q)
     values: list[Fraction] = []
     targets: list[Fraction] = []  # A_pq alpha_n of the band indices n so far
     for m in range(1, length + 1):
         prev = values[-1] if values else Fraction(0)
         ahead = [t for t in targets if t > prev]
-        if not in_band(p, q, m) and ahead and rng.random() < 0.5:
+        if not bnd.contains(m) and ahead and rng.random() < 0.5:
             value = min(ahead)
         else:
             value = prev + Fraction(rng.randint(1, 5), rng.randint(1, 4))
         values.append(value)
-        if in_band(p, q, m):
+        if bnd.contains(m):
             targets.append(mult * value)
     return values
 
@@ -735,7 +735,7 @@ def test_entries_view_reads_like_a_list_of_entries():
     assert len(entries) == len(listed) == 30
     assert all(type(e) is DiameterEntry for e in listed)
     assert [e.n for e in listed] == list(range(30))
-    assert listed == [entries[n] for n in range(30)] == [table.entry(n) for n in range(30)]
+    assert listed == [entries[n] for n in range(30)]
     assert entries[-1] == listed[29] and entries[-30] == listed[0]
     for n in (30, -31):
         with pytest.raises(IndexError):
@@ -747,7 +747,14 @@ def test_entries_view_reads_like_a_list_of_entries():
     assert [entries.coeffs[c] for c in entries.codes] == [e.coeff for e in listed]
     assert list(entries.alpha_index) == [e.alpha_index for e in listed]
     assert [dm.SEGMENTS[s] for s in entries.segments] == [e.segment for e in listed]
-    assert list(map(bool, entries.certified)) == [e.certified for e in listed]
+    assert entries.certified == 30 == table.certified_horizon + 1
+    assert all(e.certified for e in listed)
+    # the oracle at a horizon certifies a prefix: its entries read the flags from its length
+    oracle = oracle_diameters(fam, 2, 5, 30, horizon=30)
+    assert 0 < oracle.entries.certified < 30
+    assert [e.certified for e in oracle.entries] == [
+        n < oracle.entries.certified for n in range(30)] == [
+        oracle.entries[n].certified for n in range(30)]
 
 
 def test_entries_view_equality():
@@ -778,15 +785,25 @@ def test_entries_view_item_assignment():
                                                                 before[5].coeff.denominator))
     assert entries[5] == before[5]
     other = entries.coeffs[1 - entries.codes[6]]
-    entries[6] = dataclasses.replace(entries[6], coeff=other, segment="tail", certified=False)
+    entries[6] = dataclasses.replace(entries[6], coeff=other, segment="tail")
     assert entries.codes[6] == 1 - entries.coeffs.index(before[6].coeff)
-    assert entries[6] == DiameterEntry(other, before[6].alpha_index, 6, "tail", False)
+    assert entries[6] == DiameterEntry(other, before[6].alpha_index, 6, "tail", True)
     assert list(entries)[6] == entries[6]
     with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
         entries[7] = dataclasses.replace(entries[7], coeff=Fraction(-1, 10))
     assert entries.coeffs == (Fraction(-3, 10), Fraction(-13, 10)) and entries[7] == before[7]
     with pytest.raises(ValueError, match="position 7"):
         entries[7] = entries[8]
+    # a certified flag must agree with the entry's position in the certified prefix
+    with pytest.raises(ValueError, match="certified=False at d_7 with a certified prefix of 40"):
+        entries[7] = dataclasses.replace(entries[7], certified=False)
+    assert entries[7] == before[7] and entries.certified == 40
+    oracle = oracle_diameters(fam, 2, 5, 30, horizon=30).entries
+    last = oracle[-1]
+    assert not last.certified
+    with pytest.raises(ValueError, match="certified=True at d_29 with a certified prefix of "):
+        oracle[-1] = dataclasses.replace(last, certified=True)
+    assert oracle[-1] == last
     with pytest.raises(IndexError):
         entries[40] = dataclasses.replace(before[0], n=40)
 
@@ -850,7 +867,7 @@ def test_both_engines_match_the_per_entry_reference(spec):
                         digest.update(f"{e.coeff} {e.alpha_index} {e.n} {e.segment} "
                                       f"{e.certified}\n".encode())
                     if count in (1, 7, 60):
-                        assert listed == [table.entry(n) for n in range(count)] == table.entries[:]
+                        assert listed == [table.entries[n] for n in range(count)] == table.entries[:]
     assert digest.hexdigest() == ENTRY_DIGESTS[spec]
 
 

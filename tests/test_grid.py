@@ -8,7 +8,6 @@ from kothedim.grid import (
     column_of,
     column_start,
     gallop,
-    in_band,
     pair_index,
     unpair,
 )
@@ -75,7 +74,7 @@ def test_column_start_triangular():
 
 def band_reference(p, q, below):
     """The band elements below ``below``, by scanning every grid position."""
-    return [n for n in range(1, below) if in_band(p, q, n)]
+    return [n for n in range(1, below) if p <= column_of(n) < q]
 
 
 def test_band_prefix_column_one():
@@ -134,8 +133,10 @@ def test_band_count_below_matches_enumeration():
 
 
 def test_in_band_matches_columns():
-    for n in range(1, 500):
-        assert in_band(2, 5, n) == (2 <= column_of(n) < 5)
+    for p, q in [(1, 2), (2, 5), (3, 7)]:
+        bnd = BandIndexing(p=p, q=q)
+        for n in range(1, 500):
+            assert bnd.contains(n) == (p <= column_of(n) < q)
 
 
 def test_locate_k_brackets():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kothedim.diameters import closedform_diameters, oracle_diameters
-from kothedim.grid import in_band
+from kothedim.grid import BandIndexing
 from kothedim.kothe import KotheFamily, c_pq, ratio_numerators
 from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
 from kothedim.verify import (
@@ -59,7 +59,7 @@ def test_sandwich_threshold_reported_when_early_violations():
         seq = fam.seq
         c = c_pq(1, 9)
         for n in range(n0, table.certified_horizon + 1):
-            assert table.entry(n).log_value(seq) >= c * seq.value(4 * n)
+            assert table.entries[n].log_value(seq) >= c * seq.value(4 * n)
 
 
 def sandwich_reference(fam, p, q, table):
@@ -67,7 +67,7 @@ def sandwich_reference(fam, p, q, table):
     seq, c = fam.seq, c_pq(p, q)
     upper, lower = [], []
     for n in range(1, table.certified_horizon + 1):
-        log_d = table.entry(n).log_value(seq)
+        log_d = table.entries[n].log_value(seq)
         if log_d > c * seq.value(n):
             upper.append(n)
         if log_d < c * seq.value(4 * n):
@@ -275,7 +275,7 @@ def family_of(spec: str) -> KotheFamily:
 
 def fraction_decay_ratio(seq, table, n):
     """Reference -log(d_n) / alpha_{n+1}, dividing two alpha Fractions."""
-    return -table.entry(n).log_value(seq) / seq.value(n + 1)
+    return -table.entries[n].log_value(seq) / seq.value(n + 1)
 
 
 # superproduct is left to the count-20000 test below: each of its d_n has
@@ -335,8 +335,9 @@ def test_edd_tail_ratio_numerator_is_ratio_coeff_over_pq(pq):
     p, q = pq
     nums = ratio_numerators(p, q)
     assert Fraction(nums[0], p * q) == c_pq(p, q) and nums[1] == nums[0] - p * q
+    bnd = BandIndexing(p=p, q=q)
     for m in range(1, 501):
-        assert Fraction(nums[in_band(p, q, m)], p * q) == ratio_coeff(p, q, m)
+        assert Fraction(nums[bnd.contains(m)], p * q) == ratio_coeff(p, q, m)
 
 
 def test_edd_tail_reports_a_ratio_sequence_out_of_order():
@@ -351,14 +352,22 @@ def test_edd_tail_reports_a_ratio_sequence_out_of_order():
 
 
 @pytest.mark.parametrize("spec", ["factorial", "superproduct"])
-@pytest.mark.parametrize("shift", [-1, 1])
-def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, shift):
+@pytest.mark.parametrize("fault", [-1, 1, "code"])
+def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, fault):
+    """A tail entry moved one alpha index either way, or kept at its alpha
+    index n + 1 with the pair's other coefficient, is a value witness."""
     fam = family(spec)
     table = table_for(fam, 1, 2, 200)
     assert edd_tail_check(fam, 1, 2, table).verdict == "pass"
     n = (table.tail_start + table.certified_horizon) // 2
     entries = table.entries
-    entries[n] = dataclasses.replace(entries[n], alpha_index=entries[n].alpha_index + shift)
+    e = entries[n]
+    assert e.alpha_index == n + 1
+    if fault == "code":
+        e = dataclasses.replace(e, coeff=entries.coeffs[1 - entries.codes[n]])
+    else:
+        e = dataclasses.replace(e, alpha_index=e.alpha_index + fault)
+    entries[n] = e
     report = edd_tail_check(fam, 1, 2, table)
     assert report.verdict == "fail"
     assert report.witnesses == [{"type": "value", "n": n}]
@@ -460,7 +469,7 @@ def test_delta_probe_empirical_sup_matches_the_fraction_reference(spec, theta):
     for record in probe.per_pair:
         table = tables[(record["p"], record["q"])]
         want = max(
-            theta * seq.value(n + 1) + table.entry(n).log_value(seq)
+            theta * seq.value(n + 1) + table.entries[n].log_value(seq)
             for n in range(table.certified_horizon + 1)
         )
         assert record["mode"] == "empirical-prefix"
