@@ -44,9 +44,8 @@ _CSV_HEADER = f"# kothedim schema={SCHEMA_VERSION}"
 POSITIVE = click.IntRange(min=1)
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _WriteError(Exception):
+    """An ``--out`` file could not be written."""
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -59,12 +58,12 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             p_str, q_str = chunk.split(":")
             p, q = int(p_str), int(q_str)
         except ValueError:
-            _fail(EXIT_BAD_CONFIG, f"bad pair {chunk!r}; expected like 1:2")
+            raise ValueError(f"bad pair {chunk!r}; expected like 1:2")
         if not q > p >= 1:
-            _fail(EXIT_BAD_CONFIG, f"pair {chunk!r} must satisfy q > p >= 1")
+            raise ValueError(f"pair {chunk!r} must satisfy q > p >= 1")
         pairs.append((p, q))
     if not pairs:
-        _fail(EXIT_BAD_CONFIG, "no pairs given")
+        raise ValueError("no pairs given")
     return pairs
 
 
@@ -98,7 +97,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         with open(path, "w") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        _fail(EXIT_IO, f"cannot write {path}: {exc}")
+        raise _WriteError(f"cannot write {path}: {exc}") from exc
     click.echo(f"wrote {path}", err=True)
 
 
@@ -112,34 +111,37 @@ def _json_text(payload: dict) -> str:
 
 
 def _rational_option(name: str, text: str) -> Fraction:
-    """Parse a rational option value; an invalid one, empty included, exits 2
-    with a message that names the option."""
+    """Parse a rational option value; an invalid one, empty included, raises
+    a ValueError that names the option."""
     try:
         return parse_rational(text)
     except ValueError as exc:
-        _fail(EXIT_BAD_CONFIG, f"{exc} (option {name})")
+        raise ValueError(f"{exc} (option {name})")
 
 
 # exception -> (exit code, message prefix), first match wins:
-# PrefixExhaustedError (a SequenceError) and UncertifiableError are ValueErrors
+# PrefixExhaustedError (a SequenceError) and UncertifiableError are ValueErrors.
+# No OSError row: a closed stdout pipe ends as click ends it, exit 1, silent
 _EXIT_CODES = (
     (sq.PrefixExhaustedError, EXIT_UNCERTIFIABLE, ""),
     (dm.UncertifiableError, EXIT_UNCERTIFIABLE, ""),
     (km.SearchCapExceeded, EXIT_UNCERTIFIABLE, ""),
     (dm.CoverageError, EXIT_INTERNAL, "segment coverage failure: "),
+    (_WriteError, EXIT_IO, ""),
     (ValueError, EXIT_BAD_CONFIG, ""),
 )
 
 
 class _Group(click.Group):
-    """Maps the errors of every subcommand to exit codes through _EXIT_CODES."""
+    """The one exit route of every subcommand's errors, through _EXIT_CODES."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
             code, prefix = next((c, pre) for kind, c, pre in _EXIT_CODES if isinstance(exc, kind))
-            _fail(code, f"{prefix}{exc}")
+            click.echo(f"error: {prefix}{exc}", err=True)
+            sys.exit(code)
 
 
 @click.group(cls=_Group)
@@ -162,10 +164,8 @@ def main() -> None:
 def grid_cmd(max_n: int, p: int | None, q: int | None, count: int, out: str | None):
     """Print the pairing table, or a band enumeration when --p/--q are given."""
     if (p is None) != (q is None):
-        _fail(EXIT_BAD_CONFIG, "give both --p and --q or neither")
+        raise ValueError("give both --p and --q or neither")
     if p is not None:
-        if not q > p >= 1:
-            _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
         b = BandIndexing(p=p, q=q)
         markers = {}
         for k in itertools.count(b.k_min):
@@ -244,12 +244,10 @@ def gen_matrix_cmd(alpha_spec: str, k_max: int, n_max: int, out: str | None):
 @click.option("--out", type=str, default=None)
 def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     """Compute d_n(U_q, U_p) for n < count."""
-    if not q > p >= 1:
-        _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     if horizon is not None and method == "closed":
-        _fail(EXIT_BAD_CONFIG, "--horizon sets the oracle's prefix; use --method oracle or both")
+        raise ValueError("--horizon sets the oracle's prefix; use --method oracle or both")
     if horizon is not None and horizon < count:
-        _fail(EXIT_BAD_CONFIG, "--horizon must be at least --count")
+        raise ValueError("--horizon must be at least --count")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     oracle = dm.oracle_diameters(family, p, q, count, horizon) if method != "closed" else None
@@ -356,9 +354,9 @@ def check_cmd(criterion, alpha_spec, p, k, j_value, lambda_value, horizon, bound
         try:
             jj = int(j_value) if j_value is not None else 1
         except ValueError:
-            _fail(EXIT_BAD_CONFIG, f"--j must be an integer column index for d2, got {j_value!r}")
+            raise ValueError(f"--j must be an integer column index for d2, got {j_value!r}")
         if jj < 1:
-            _fail(EXIT_BAD_CONFIG, f"--j must be at least 1 for d2, got {jj}")
+            raise ValueError(f"--j must be at least 1 for d2, got {jj}")
         report = km.check_d2_failure(family, jj, _rational_option("--B", bound), search_cap)
     else:
         report = km.check_regularity(family, horizon)
@@ -450,8 +448,6 @@ def plot_data_cmd(alpha_spec, p, q, count, out):
     ``-coeff`` itself, and the row builds no Fraction; the other rows take
     the exact ``exponent`` and ``quotient`` route.
     """
-    if not q > p >= 1:
-        _fail(EXIT_BAD_CONFIG, "need q > p >= 1")
     family = km.KotheFamily(sq.ExponentSequence.from_spec(alpha_spec))
     seq = family.seq
     entries = dm.closedform_diameters(family, p, q, count).entries

@@ -246,15 +246,14 @@ def oracle_diameters(
     prefix that certifies nothing raises UncertifiableError.
     ``oracle_prefix`` is ``count`` plus the terms read but not listed.
     """
-    bound = None
+    blue_num, bound = ratio_numerators(p, q)[0], None  # the pair before any alpha
     if horizon is not None:
         if horizon < 2:
             raise ValueError("oracle prefix must have at least 2 terms")
         if horizon < count:
             raise ValueError("oracle prefix must hold at least count terms")
         # alpha_{H+1} from a pass of its own, so that no key is kept
-        alpha_next = next(itertools.islice(family.seq.scaled_values(), horizon, None))
-        bound = ratio_numerators(p, q)[0] * alpha_next
+        bound = blue_num * next(itertools.islice(family.seq.scaled_values(), horizon, None))
     indices = itertools.count(1)
     entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
     if horizon is not None and not entries.certified:

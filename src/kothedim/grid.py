@@ -76,7 +76,7 @@ class BandIndexing:
 
     def __post_init__(self) -> None:
         if not (self.q > self.p >= 1):
-            raise ValueError("band requires q > p >= 1")
+            raise ValueError("need q > p >= 1")
 
     @property
     def k_min(self) -> int:

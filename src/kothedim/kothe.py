@@ -93,12 +93,6 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     # the difference depends on n only through its column region: s < k,
     # s = k or s > k
     diffs = [_column_coeff(k, s) - _column_coeff(k + 1, s) for s in (k - 1, k, k + 1)]
-    at_bound = [diff == bound for diff in diffs]
-
-    def region(n: int) -> int:
-        s = column_of(n)
-        return (s >= k) + (s > k)
-
     alpha_dominates = True  # strictly increasing integers from alpha_1 >= 1
     if seq.kind == "file":
         seq.prefill(horizon)  # a horizon past the file's prefix raises
@@ -112,13 +106,18 @@ def check_nuclearity(family: KotheFamily, k: int, horizon: int) -> CheckReport:
     # float e^(bound * alpha_n) bounds term n and every later term.  Once
     # twice it is below the ulp of the sum, each of those terms rounds away
     # and the sum can no longer change: it stops there with the same bits.
+    # Off column k each term is that float itself; a pointer walks column k,
+    # whose elements follow each other at gaps k, k + 1, ...
     partial_sum = 0.0
+    on_column, gap = column_start(k), k
     for n in range(1, horizon + 1):
         top, _ = seq.exp_float(bound, n)
         if 2 * top < math.ulp(partial_sum):
             break
-        r = region(n)
-        partial_sum += top if at_bound[r] else seq.exp_float(diffs[r], n)[0]
+        if n == on_column:
+            top = seq.exp_float(diffs[1], n)[0]
+            on_column, gap = n + gap, gap + 1
+        partial_sum += top
     details: dict = {
         "partial_sum_float": partial_sum,
         "alpha_dominates_index": alpha_dominates,

@@ -187,31 +187,20 @@ def aa_statistic(
     for (p, q), table in sorted(tables.items()):
         horizon = table.certified_horizon
         lo = max(0, horizon - tail_window + 1)
-        sup: Rational | None = None
-        red_sup: Rational | None = None
-        red_points = 0
-        red_positions = {row.n_a - 1 for row in _tail_band(table)}
-        window = range(lo, horizon + 1)
-        for n, ratio in zip(window, _decay_ratios(seq, table, window)):
-            if sup is None or ratio > sup:
-                sup = ratio
-            if n in red_positions:
-                red_points += 1
-                if red_sup is None or ratio > red_sup:
-                    red_sup = ratio
-        record = {
+        sup = max(_decay_ratios(seq, table, range(lo, horizon + 1)), default=None)
+        # the tail band terms land at n_a - 1 <= horizon
+        red = [row.n_a - 1 for row in _tail_band(table) if row.n_a - 1 >= lo]
+        stat.per_pair.append({
             "p": p,
             "q": q,
             "window": [lo, horizon],
             "sup_ratio": sup,
             "sup_ratio_approx": fraction_to_float(sup)[0] if sup is not None else None,
-            "band_subsequence_sup": red_sup,
-            "band_points_in_window": red_points,
-        }
-        stat.per_pair.append(record)
+            "band_subsequence_sup": max(_decay_ratios(seq, table, red), default=None),
+            "band_points_in_window": len(red),
+        })
         if sup is not None:
-            cur = by_p.get(p)
-            by_p[p] = sup if cur is None or sup > cur else cur
+            by_p[p] = max(by_p.get(p, sup), sup)
     if by_p:
         stat.proxy_inf_sup = min(by_p.values())
     if seq.declared_class == UNSTABLE:

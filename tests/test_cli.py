@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kothedim
 from kothedim import diameters as dm
 from kothedim.cli import main
 from kothedim.kothe import KotheFamily, c_pq
@@ -240,6 +243,35 @@ def test_bad_alpha_exits_2(runner):
 def test_bad_pair_exits_2(runner):
     result = runner.invoke(main, ["verify", "--what", "sandwich", "--alpha", "linear", "--pairs", "2:2"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["diameters", "--alpha", "linear", "--p", "2", "--q", "1"], "need q > p >= 1"),
+    (["plot-data", "--alpha", "linear", "--p", "2", "--q", "1"], "need q > p >= 1"),
+    (["verify", "--what", "sandwich", "--alpha", "linear", "--pairs", "2:1"],
+     "pair '2:1' must satisfy q > p >= 1"),
+], ids=["diameters", "plot-data", "verify"])
+def test_a_pair_off_the_rule_exits_2_with_one_error_line(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_a_closed_stdout_pipe_exits_1_silently():
+    """A reader that stops early ends the run as click ends it: exit 1 and
+    nothing on stderr, not an I/O error."""
+    src = Path(kothedim.__file__).resolve().parents[1]
+    args = ["diameters", "--alpha", "linear", "--p", "2", "--q", "5", "--count", "20000",
+            "--method", "closed"]  # about 600 kB of rows, past any pipe buffer
+    with subprocess.Popen([sys.executable, "-m", "kothedim.cli", *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        proc.stdout.read(100)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
 
 
 @pytest.mark.parametrize("pairs,message", [

@@ -610,14 +610,17 @@ def test_plan_one_row_short_raises_coverage_error(monkeypatch):
 
 def fault(kind: str, t: int):
     """(owner, name, replacement) for one fault at n_t or at s_t: n_t read
-    as off-band, n_t one too large, s_t one too large, or i_a one off-band
-    index too far."""
+    as off-band, n_t one too large, n_(t+1) read as n_t again, s_t one too
+    large, or i_a one off-band index too far."""
     if kind == "contains":
         contains = BandIndexing.contains
         return BandIndexing, "contains", lambda self, n: n != self.element(t) and contains(self, n)
     if kind == "element":
         element = BandIndexing.element
         return BandIndexing, "element", lambda self, i: element(self, i) + (i == t)
+    if kind == "repeat":
+        element = BandIndexing.element
+        return BandIndexing, "element", lambda self, i: element(self, i - (i == t + 1))
     if kind == "s_k":
         s_k = BandIndexing.s_k
         return BandIndexing, "s_k", lambda self, k: s_k(self, k) + (k == t)
@@ -646,6 +649,17 @@ def test_term_out_of_place_past_the_table_raises_coverage_error(monkeypatch, kin
     monkeypatch.setattr(*fault(kind, t))
     with pytest.raises(CoverageError):
         closedform_diameters(family(spec), 1, 2, count)
+
+
+@pytest.mark.parametrize("t, count", [(2, 4), (3, 7)])
+def test_a_repeated_band_term_raises_at_its_second_place(monkeypatch, t, count):
+    """n_(t+1) read as n_t on poly:2 1:2 lists n_t twice in a row, and at
+    these counts every shift and the check across the end hold: only the
+    same-code order check, a run starting at an index already listed, sees
+    it."""
+    monkeypatch.setattr(*fault("repeat", t))
+    with pytest.raises(CoverageError, match="diameters not non-increasing"):
+        closedform_diameters(family("poly:2"), 1, 2, count)
 
 
 @pytest.mark.parametrize("kind", ["contains", "s_k", "find_i"])

@@ -216,7 +216,7 @@ def test_grid_and_band_inputs_are_checked():
         pair_index(-1, 0)
     with pytest.raises(ValueError, match="grid positions are 1-based"):
         unpair(0)
-    with pytest.raises(ValueError, match=r"band requires q > p >= 1"):
+    with pytest.raises(ValueError, match=r"need q > p >= 1"):
         BandIndexing(2, 2)
     bnd = BandIndexing(2, 5)
     assert bnd.k_min == -2
