@@ -82,6 +82,13 @@ def _chunks(lines: Iterable[str]) -> Iterator[str]:
     yield "".join(chunk)
 
 
+def _echo(text: str, name: str = "stdout", nl: bool = True) -> None:
+    """``click.echo`` to the stream it picks by default, fetched anew: its
+    cache of that stream, keyed by ``sys.stdout`` or ``sys.stderr``, keeps
+    every stream it saw alive, and with it each in-process run's output."""
+    click.echo(text, file=click.get_text_stream(name, errors=None), nl=nl)
+
+
 def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write ``lines`` to stdout or to the ``--out`` file in chunks; the
     file is created here, after the engines, so a failing command writes
@@ -89,7 +96,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     chunks = _chunks(lines)
     if out is None:
         for chunk in chunks:
-            click.echo(chunk, nl=False)
+            _echo(chunk, nl=False)
         return
     base = os.environ.get(OUT_DIR_ENV)
     path = os.path.join(base, out) if base and not os.path.isabs(out) else out
@@ -98,7 +105,7 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc}") from exc
-    click.echo(f"wrote {path}", err=True)
+    _echo(f"wrote {path}", "stderr")
 
 
 def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
@@ -140,7 +147,7 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
             code, prefix = next((c, pre) for kind, c, pre in _EXIT_CODES if isinstance(exc, kind))
-            click.echo(f"error: {prefix}{exc}", err=True)
+            _echo(f"error: {prefix}{exc}", "stderr")
             sys.exit(code)
 
 

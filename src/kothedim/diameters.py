@@ -276,15 +276,30 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
 
     alpha is strictly increasing, so the qualifying set is a prefix, and
     n_a is in it (A_pq > 1).  :func:`~kothedim.grid.gallop` finds its last
-    element from n_a, one ``seq.compare`` per probe.  With ``stop`` at
-    ``len(seq)``, a probe never passes the memo's values while one of them
-    can still decide, so a file prefix is read past, raising
-    PrefixExhaustedError, exactly when every index of the prefix from n_a
-    on qualifies.  Then step down over the (at most q-p wide) band block to
+    element from n_a, one ``seq.compare`` per probe.  Every generated kind
+    has alpha_m / alpha_n >= m / n for m >= n (a ratio kind's steps are at
+    least 2), so no m past A_pq n_a qualifies: ``stop`` is one past that
+    bound, no probe passes it, and a probe there that qualifies is a kernel
+    fault (CoverageError).  A file prefix is bounded by its length instead:
+    with ``stop`` at ``len(seq)``, a probe never passes the memo's values
+    while one of them can still decide, so the prefix is read past, raising
+    PrefixExhaustedError, exactly when every index of it from n_a on
+    qualifies.  Then step down over the (at most q-p wide) band block to
     the nearest off-band index.
     """
     num, den = threshold_mult.numerator, threshold_mult.denominator
-    m = gallop(lambda x: seq.compare(den, x, num, n_a) <= 0, n_a, len(seq))
+    cap = None if seq.kind == "file" else num * n_a // den + 1
+
+    def qualifies(x: int) -> bool:
+        if seq.compare(den, x, num, n_a) > 0:
+            return False
+        if x == cap:
+            raise CoverageError(
+                f"alpha_{x} <= A_pq alpha_{n_a} past the bound floor(A_pq n_a) = {cap - 1}"
+            )
+        return True
+
+    m = gallop(qualifies, n_a, len(seq) if cap is None else cap)
     while m > n_a and bnd.contains(m):
         m -= 1
     return m if m > n_a else None

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -274,6 +276,65 @@ def test_a_closed_stdout_pipe_exits_1_silently():
     assert stderr == b""
 
 
+def run_cli(args, **env):
+    """One real process of the CLI: its exit code, stdout bytes and stderr bytes."""
+    src = Path(kothedim.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "kothedim.cli", *args], capture_output=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src), **env})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    (["diameters", "--alpha", "linear", "--p", "1", "--q", "2", "--count", "20", "--output", "json"],
+     0),
+    (["diameters", "--alpha", "linear", "--p", "2", "--q", "1"], 2),
+], ids=["json", "bad-pair"])
+def test_an_ascii_locale_writes_the_same_bytes(args, code):
+    """Under an ASCII stdio encoding click writes through a UTF-8 wrapper of
+    its own, fetched for each write: stdout, stderr and the exit code stay
+    as they are under UTF-8."""
+    utf8 = run_cli(args, PYTHONIOENCODING="utf-8")
+    assert run_cli(args, PYTHONIOENCODING="ascii") == utf8
+    returncode, stdout, stderr = utf8
+    assert returncode == code
+    if code:
+        assert (stdout, stderr) == (b"", b"error: need q > p >= 1\n")
+    else:
+        assert stdout.startswith(b'{\n  "alpha": "linear",') and stderr == b""
+
+
+def readme_cli_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.removeprefix("kothedim ") for line in block.splitlines()
+            if line.startswith("kothedim ")]
+
+
+@pytest.mark.parametrize("command", [
+    *readme_cli_commands(),
+    "diameters --alpha linear --p 2 --q 1",  # exit 2
+    "grid --out {missing}/grid.csv",  # exit 4
+])
+def test_an_in_process_run_keeps_nothing_once_it_returns(runner, tmp_path, command):
+    """click.echo's default stream is cached by the current sys.stdout or
+    sys.stderr, and that cache keeps alive every stream it saw; CliRunner
+    gives each run its own, so a default-stream write would keep each run's
+    streams and output for the rest of the process."""
+    args = shlex.split(command.format(missing=tmp_path / "missing"))
+    code = runner.invoke(main, args).exit_code  # warm-up: imports, caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            assert runner.invoke(main, args).exit_code == code
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 10 * 4096, f"{grown / 10:.0f} bytes kept a run"
+
+
 @pytest.mark.parametrize("pairs,message", [
     (",", "no pairs given"),
     (" , ,", "no pairs given"),
@@ -360,6 +421,24 @@ def test_coverage_failure_exits_5(runner, monkeypatch, tmp_path, args):
     assert result.exit_code == 5
     assert result.stdout == ""
     assert not (tmp_path / "table.out").exists()
+
+
+def test_a_kernel_answering_0_for_1_exits_5(runner, monkeypatch):
+    """The placement search stops at its bound A_pq n_a, so a kernel fault
+    that makes every probe qualify exits 5 instead of searching on."""
+    compare = ExponentSequence.compare
+
+    def faulty(self, a, m, b, n):
+        assert max(m, n) <= 10**6, f"probe at index {max(m, n)}"
+        return min(compare(self, a, m, b, n), 0)
+
+    monkeypatch.setattr(ExponentSequence, "compare", faulty)
+    result = runner.invoke(main, ["diameters", "--alpha", "linear", "--p", "2", "--q", "5",
+                                  "--method", "closed"])
+    assert result.exit_code == 5, result.output
+    assert result.stdout == ""
+    assert result.stderr == ("error: segment coverage failure: alpha_14 <= A_pq alpha_3 "
+                             "past the bound floor(A_pq n_a) = 13\n")
 
 
 @pytest.mark.parametrize(

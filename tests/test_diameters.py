@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -314,6 +315,34 @@ def test_find_i_on_file_prefixes_around_i_a(pq):
             assert outcomes[0] == outcomes[1]
             if length > last:
                 assert not isinstance(outcomes[0], str)
+
+
+def compare_answering_0_for_1(monkeypatch):
+    """Patch the kernel to answer 0 where it should answer 1, so every probe
+    of _find_i's search qualifies; a probe past 10**6 fails the test rather
+    than letting an unbounded search run on."""
+    compare = ExponentSequence.compare
+
+    def faulty(self, a, m, b, n):
+        assert max(m, n) <= 10**6, f"probe at index {max(m, n)}"
+        return min(compare(self, a, m, b, n), 0)
+
+    monkeypatch.setattr(ExponentSequence, "compare", faulty)
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5)])
+def test_a_kernel_answering_0_for_1_raises_at_the_find_i_bound(monkeypatch, spec, pq):
+    """No m past A_pq n_a qualifies on a generated kind, so the search stops
+    there: the first placement search probes A_pq n_1 + 1 and raises."""
+    p, q = pq
+    fam = family(spec)
+    bound = a_pq(p, q).numerator * BandIndexing(p, q).element(1) // a_pq(p, q).denominator
+    compare_answering_0_for_1(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(CoverageError, match=rf"alpha_{bound + 1} <= .* past the bound .* = {bound}$"):
+        closedform_diameters(fam, p, q, 200)
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=30, deadline=None)
