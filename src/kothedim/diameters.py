@@ -252,8 +252,7 @@ def oracle_diameters(
             raise ValueError("oracle prefix must have at least 2 terms")
         if horizon < count:
             raise ValueError("oracle prefix must hold at least count terms")
-        # alpha_{H+1} from a pass of its own, so that no key is kept
-        bound = blue_num * next(itertools.islice(family.seq.scaled_values(), horizon, None))
+        bound = blue_num * family.seq.scaled(horizon + 1)
     indices = itertools.count(1)
     entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
     if horizon is not None and not entries.certified:
@@ -278,28 +277,29 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
     n_a is in it (A_pq > 1).  :func:`~kothedim.grid.gallop` finds its last
     element from n_a, one ``seq.compare`` per probe.  Every generated kind
     has alpha_m / alpha_n >= m / n for m >= n (a ratio kind's steps are at
-    least 2), so no m past A_pq n_a qualifies: ``stop`` is one past that
-    bound, no probe passes it, and a probe there that qualifies is a kernel
-    fault (CoverageError).  A file prefix is bounded by its length instead:
-    with ``stop`` at ``len(seq)``, a probe never passes the memo's values
-    while one of them can still decide, so the prefix is read past, raising
-    PrefixExhaustedError, exactly when every index of it from n_a on
-    qualifies.  Then step down over the (at most q-p wide) band block to
-    the nearest off-band index.
+    least 2), so no m past A_pq n_a qualifies.  A file's ``alpha_m * scale``
+    are increasing ints, rising by at least 1 per index, so no m past n_a +
+    (A_pq - 1) alpha_{n_a} scale qualifies.  ``stop`` is one past the bound,
+    no probe passes it, and a probe there that qualifies is a kernel fault
+    (CoverageError).  A file prefix that ends first stops the search at its
+    length: a probe never passes the memo's values while one of them can
+    still decide, so the prefix is read past, raising PrefixExhaustedError,
+    exactly when every index of it from n_a on qualifies.  Then step down
+    over the (at most q-p wide) band block to the nearest off-band index.
     """
     num, den = threshold_mult.numerator, threshold_mult.denominator
-    cap = None if seq.kind == "file" else num * n_a // den + 1
+    on_file = seq.kind == "file"
+    bound = n_a + (num - den) * seq.scaled(n_a) // den if on_file else num * n_a // den
+    rule = "n_a + floor((A_pq - 1) alpha_n_a scale)" if on_file else "floor(A_pq n_a)"
 
     def qualifies(x: int) -> bool:
         if seq.compare(den, x, num, n_a) > 0:
             return False
-        if x == cap:
-            raise CoverageError(
-                f"alpha_{x} <= A_pq alpha_{n_a} past the bound floor(A_pq n_a) = {cap - 1}"
-            )
+        if x > bound:
+            raise CoverageError(f"alpha_{x} <= A_pq alpha_{n_a} past the bound {rule} = {bound}")
         return True
 
-    m = gallop(qualifies, n_a, len(seq) if cap is None else cap)
+    m = gallop(qualifies, n_a, min(bound + 1, len(seq)) if on_file else bound + 1)
     while m > n_a and bnd.contains(m):
         m -= 1
     return m if m > n_a else None

@@ -142,8 +142,8 @@ def _check_regions(
     criterion: str,
     params: dict,
     details: dict,
-    cases: list[tuple[str, bool]],
     regions: list[tuple[str, int, int | None, Rational, Rational]],
+    cases: tuple[str, str],
     horizon: int,
 ) -> CheckReport:
     """Decide ``lhs <= rhs`` once per column region and count its failures.
@@ -154,10 +154,12 @@ def _check_regions(
     region.  A failing region fails at each of its n <= horizon, so the
     count comes from ``band_count_below`` and its first witness is
     ``column_start(lo)``; an empty region counts nothing but still reports
-    its verdict.
+    its verdict.  ``cases`` names the two rows that are also the proof's
+    cases p <= s and s < p: their verdicts are ``case_p_le_s`` and
+    ``case_s_lt_p``, and a failing one is a ``case`` witness ahead of the
+    n witnesses.
     """
     horizon = max(horizon, 0)  # a horizon below 1 leaves no n to count
-    witnesses = [{"type": "case", "case": case} for case, ok in cases if not ok]
     region_verdicts = {}
     per_n_failures = 0
     n_witnesses = []
@@ -165,22 +167,23 @@ def _check_regions(
         region_verdicts[name] = ok = lhs <= rhs
         if ok or (hi is not None and hi <= lo):
             continue
-        if hi is None:
-            below = band_count_below(1, lo, horizon + 1) if lo > 1 else 0
-            per_n_failures += horizon - below
+        if hi is None:  # the columns left of lo are the band 1..lo-1, empty at lo = 1
+            per_n_failures += horizon - band_count_below(1, lo, horizon + 1)
         else:
             per_n_failures += band_count_below(lo, hi, horizon + 1)
         n = column_start(lo)
         if n <= horizon:
             n_witnesses.append({"type": "n", "n": n, "region": name})
-    witnesses += sorted(n_witnesses, key=lambda w: w["n"])
-    passed = all(ok for _, ok in cases) and per_n_failures == 0
-    details.update(region_verdicts=region_verdicts, per_n_failures=per_n_failures)
+    case_p_le_s, case_s_lt_p = verdicts = [region_verdicts[name] for name in cases]
+    witnesses = [{"type": "case", "case": case}
+                 for case, ok in zip(("p<=s", "s<p"), verdicts) if not ok]
+    details.update(case_p_le_s=case_p_le_s, case_s_lt_p=case_s_lt_p,
+                   region_verdicts=region_verdicts, per_n_failures=per_n_failures)
     return CheckReport(
         criterion=criterion,
         params=params,
-        verdict=PASS if passed else FAIL,
-        witnesses=witnesses,
+        verdict=PASS if all(verdicts) and per_n_failures == 0 else FAIL,
+        witnesses=witnesses + sorted(n_witnesses, key=lambda w: w["n"]),
         details=details,
     )
 
@@ -190,10 +193,10 @@ def check_dn(
 ) -> CheckReport:
     """a_{p,n} <= (a_{1,n})^lam (a_{p+1,n})^(1-lam) with C = 1, p0 = 1, q = p+1.
 
-    Two layers: the symbolic case verdicts with the proof's worst-case
-    entries (cases p <= s and s < p), and the inequality with the actual
-    coefficients of each column region (s >= p+1, s = p, s < p), each
-    decided once by :func:`_check_regions`.
+    One region table, decided row by row by :func:`_check_regions`: the
+    inequality with the actual coefficients on the columns s >= p+1, s = p
+    and s < p.  Two of its rows are the DN proof's cases with worst-case
+    entries: s >= p+1 is the case p <= s and s < p the case s < p.
     """
     lam = Fraction(lam)
     if not 0 < lam < 1:
@@ -205,21 +208,17 @@ def check_dn(
     def rhs(c1: Rational, cq: Rational) -> Rational:
         return lam * c1 + (1 - lam) * cq
 
-    # symbolic cases, worst-case matrix entries as in the DN proof
-    case_p_le_s = mp <= rhs(m1, mq)
-    case_s_lt_p = mp + 1 <= rhs(m1, mq + 1)
     return _check_regions(
         "dn",
         {"p": p, "p0": 1, "q": p + 1, "C": 1, "lambda": lam, "N": horizon,
          "alpha": family.seq.name},
-        {"lambda_bound": dn_lambda_bound(p), "case_p_le_s": case_p_le_s,
-         "case_s_lt_p": case_s_lt_p},
-        [("p<=s", case_p_le_s), ("s<p", case_s_lt_p)],
+        {"lambda_bound": dn_lambda_bound(p)},
         [
             ("s>=p+1", p + 1, None, mp, rhs(m1, mq)),
             ("s=p", p, p + 1, mp, rhs(m1, mq + 1)),
             ("s<p", 1, p, mp + 1, rhs(m1, mq + 1)),
         ],
+        ("s>=p+1", "s<p"),
         horizon,
     )
 
@@ -229,11 +228,12 @@ def check_omega(
 ) -> CheckReport:
     """(a_{p,n})^j a_{k,n} <= (a_{p+1,n})^(j+1) with C = 1, q = p+1.
 
-    Same two layers as the DN check, over the regions s >= k, p+1 <= s < k,
+    One region table, as for DN, over the columns s >= k, p+1 <= s < k,
     s = p and s < p, each decided once with its failures counted in closed
-    form.  The binding symbolic case (p <= s with worst-case entries) is
-    only realized by an actual column when k >= p+2, so a sub-threshold j
-    can fail symbolically without an n witness.
+    form.  The proof's cases are the rows p+1 <= s < k (case p <= s, with
+    worst-case entries) and s < p.  The first is realized by an actual
+    column only when k >= p+2, so a sub-threshold j can fail its case
+    without an n witness.
     """
     if k <= p:
         raise ValueError("omega check needs k > p")
@@ -241,21 +241,18 @@ def check_omega(
 
     # rows p, k and p+1 on a column s >= the row; a row r > s adds 1
     mp, mk, mq = Fraction(-1, p), Fraction(-1, k), Fraction(-1, p + 1)
-    case_p_le_s = j * mp + (mk + 1) <= (j + 1) * mq
-    case_s_lt_p = j * (mp + 1) + (mk + 1) <= (j + 1) * (mq + 1)
     return _check_regions(
         "omega",
         {"p": p, "q": p + 1, "k": k, "C": 1, "j": j, "N": horizon,
          "alpha": family.seq.name},
-        {"j_bound": omega_j_bound(p, k), "case_p_le_s": case_p_le_s,
-         "case_s_lt_p": case_s_lt_p},
-        [("p<=s", case_p_le_s), ("s<p", case_s_lt_p)],
+        {"j_bound": omega_j_bound(p, k)},
         [
             ("s>=k", k, None, j * mp + mk, (j + 1) * mq),
             ("p+1<=s<k", p + 1, k, j * mp + mk + 1, (j + 1) * mq),
             ("s=p", p, p + 1, j * mp + mk + 1, (j + 1) * (mq + 1)),
             ("s<p", 1, p, j * (mp + 1) + mk + 1, (j + 1) * (mq + 1)),
         ],
+        ("p+1<=s<k", "s<p"),
         horizon,
     )
 
@@ -347,20 +344,17 @@ def check_regularity(family: KotheFamily, horizon: int) -> CheckReport:
     The scan walks the diagonals: on diagonal t, n runs from T_t + 1 to
     T_{t+1} and its column s = n - T_t from 1 to t + 1.  For ``factorial``
     and ``superproduct`` the ratio alpha_{n+1}/alpha_n never decreases, so
-    when the diagonal's first n meets the diagonal's largest requirement,
-    1 + (t+1)(t+2), every n on it passes: one comparison per diagonal.
-    Any other diagonal, and every diagonal of the other kinds, is scanned
-    n by n.
+    when the diagonal's first n meets the criterion of its last column t + 1,
+    the largest requirement on it, every n on it passes: one comparison per
+    diagonal.  Any other diagonal, and every diagonal of the other kinds, is
+    scanned n by n.
     """
     seq = family.seq
     monotone_ratios = seq.kind in _RATIO_KINDS
     witnesses = []
     t = first = 0  # diagonal t starts after first = T_t
     while first < horizon and len(witnesses) < 5:
-        if not (
-            monotone_ratios
-            and seq.compare(1 + (t + 1) * (t + 2), first + 1, 1, first + 2) <= 0
-        ):
+        if not (monotone_ratios and regularity_criterion(family, t + 1, first + 1)):
             for n in range(first + 1, min(first + t + 1, horizon) + 1):
                 s = n - first
                 if not regularity_criterion(family, s, n):

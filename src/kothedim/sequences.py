@@ -91,6 +91,12 @@ class ExponentSequence:
             raise SequenceError(f"unknown declared class {self.declared_class!r}")
         if type(self.scale) is not int or self.scale < 1 or self.scale > 1 and self.kind != "file":
             raise SequenceError(f"{self.name}: scale must be a positive int, 1 off a file alpha")
+        # linear reads n**1 and poly:d n**d; no other kind has a degree
+        closed = self.kind == "linear" and self.degree == 1 or self.kind == "polynomial"
+        if not (type(self.degree) is int and self.degree >= 1 if closed
+                else self.degree is None and self.kind in ("file", *_RATIO_KINDS)):
+            raise SequenceError("polynomial degree must be >= 1" if self.kind == "polynomial" else
+                                f"{self.name}: no {self.kind!r} alpha has degree {self.degree!r}")
         for i, v in enumerate(self.memo):
             prev = self.memo[i - 1] if i else Fraction(0)
             if v <= prev:
@@ -124,8 +130,6 @@ class ExponentSequence:
 
     @classmethod
     def polynomial(cls, degree: int) -> "ExponentSequence":
-        if degree < 1:
-            raise SequenceError("polynomial degree must be >= 1")
         return cls(
             name=f"poly:{degree}",
             kind="polynomial",
@@ -315,18 +319,18 @@ class ExponentSequence:
     def exp_float(self, coeff: Rational, m: int) -> tuple[float, bool]:
         """Best-effort ``e^(coeff * alpha_m)`` as a double, display-only;
         the flag is set when the value clamps to inf (an exponent >= 710, or
-        one past the double range) or to 0.0 (<= -746).  On ``linear`` and
-        ``poly:d`` each clamp is one int comparison of ``num * m**d``; on
-        the other kinds :meth:`compare_to` settles both, so alpha_m is
-        materialised only for an unclamped exponent.  The value is then the
-        correctly rounded quotient ``num * alpha_m * scale / (den * scale)``."""
+        one past the double range) or to 0.0 (<= -746).  On the ratio kinds
+        :meth:`compare_to` settles both, so alpha_m is materialised only for
+        an unclamped exponent; elsewhere each clamp is one int comparison of
+        ``num * alpha_m * scale``.  The value is then the correctly rounded
+        quotient ``num * alpha_m * scale / (den * scale)``."""
         num, den = coeff.numerator, coeff.denominator
-        if self.degree is None:  # alpha_m > 0: the sign of coeff leaves at most one clamp
+        if self.kind in _RATIO_KINDS:  # alpha_m > 0: the sign of coeff leaves at most one clamp
             if num > 0 and self.compare_to(num, m, 710 * den) >= 0:
                 return math.inf, True
             if num < 0 and self.compare_to(num, m, -746 * den) <= 0:
                 return 0.0, True
-        x = num * self.scaled(m)  # exact; on the closed forms the int that settles both clamps
+        x = num * self.scaled(m)  # exact; off the ratio kinds the int that settles both clamps
         den *= self.scale
         if not -746 * den < x < 710 * den:
             return (math.inf if x > 0 else 0.0), True

@@ -330,13 +330,19 @@ def compare_answering_0_for_1(monkeypatch):
     monkeypatch.setattr(ExponentSequence, "compare", faulty)
 
 
-@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct", "file"])
 @pytest.mark.parametrize("pq", [(1, 2), (2, 5)])
 def test_a_kernel_answering_0_for_1_raises_at_the_find_i_bound(monkeypatch, spec, pq):
     """No m past A_pq n_a qualifies on a generated kind, so the search stops
-    there: the first placement search probes A_pq n_1 + 1 and raises."""
+    there: the first placement search probes A_pq n_1 + 1 and raises.  On a
+    file alpha no m past n_a + (A_pq - 1) alpha_(n_a) scale qualifies, which
+    is the same bound on the file 1, 2, ..., 5000, well inside its prefix."""
     p, q = pq
-    fam = family(spec)
+    if spec == "file":
+        fam = KotheFamily(ExponentSequence(name="file", kind="file", declared_class=UNSPECIFIED,
+                                           memo=list(range(1, 5001))))
+    else:
+        fam = family(spec)
     bound = a_pq(p, q).numerator * BandIndexing(p, q).element(1) // a_pq(p, q).denominator
     compare_answering_0_for_1(monkeypatch)
     start = time.perf_counter()

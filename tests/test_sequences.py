@@ -222,6 +222,30 @@ def test_a_scale_is_a_positive_int_and_1_off_a_file(kind, scale):
         ExponentSequence(name="x", kind=kind, declared_class="unspecified", memo=[1], scale=scale)
 
 
+@pytest.mark.parametrize(
+    "kind, degree, message",
+    [
+        ("linear", None, "x: no 'linear' alpha has degree None"),  # read as superproduct
+        ("banana", None, "x: no 'banana' alpha has degree None"),  # read as superproduct
+        ("factorial", 2, "x: no 'factorial' alpha has degree 2"),  # read as n**2
+        ("polynomial", 0, "polynomial degree must be >= 1"),  # constant, compare(1, 3, 1, 2) == 0
+        ("file", 2, "x: no 'file' alpha has degree 2"),  # read as n**2, its memo ignored
+    ],
+)
+def test_an_alpha_shape_that_no_constructor_builds_is_refused(kind, degree, message):
+    memo = [1, 5, 9] if kind == "file" else []
+    with pytest.raises(SequenceError, match=f"^{re.escape(message)}$"):
+        ExponentSequence(name="x", kind=kind, declared_class="stable", degree=degree, memo=memo)
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:1", "poly:3", "factorial", "superproduct"])
+def test_replacing_a_generated_sequence_gives_an_equal_one(spec):
+    seq = ExponentSequence.from_spec(spec)
+    copy = dataclasses.replace(seq)
+    assert copy == seq
+    assert [copy.scaled(n) for n in range(1, 9)] == [seq.scaled(n) for n in range(1, 9)]
+
+
 def test_classify_linear_doubling_exactly_two():
     report = classify_prefix(ExponentSequence.linear(), 1000)
     assert report.max_doubling_ratio == 2
