@@ -22,7 +22,7 @@ from .kothe import (
     omega_j_bound,
     regularity_criterion,
 )
-from .sequences import ExponentSequence, classify_prefix, finitely_nuclear_probe
+from .sequences import ExponentSequence, classify_prefix
 from .verify import (
     aa_statistic,
     delta_membership_probe,
@@ -54,7 +54,6 @@ __all__ = [
     "dn_lambda_bound",
     "eadd_ratio",
     "edd_tail_check",
-    "finitely_nuclear_probe",
     "logterm_cmp",
     "omega_j_bound",
     "oracle_diameters",

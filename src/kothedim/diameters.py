@@ -25,7 +25,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
 from .exact import LogTerm, Rational
-from .grid import BandIndexing, gallop
+from .grid import BandIndexing, column_of, gallop
 from .kothe import KotheFamily, a_pq, ratio_numerators
 
 HEAD = "head"
@@ -39,7 +39,8 @@ SEGMENTS = (HEAD, SEG_J, SEG_K, SEG_L, SEG_M, TAIL, ORACLE)  # a segment code in
 
 
 class CoverageError(RuntimeError):
-    """The closed-form segment families failed to tile the index range."""
+    """An engine's table breaks its construction: the closed-form segment
+    families failed to tile the index range, or the oracle listed too few."""
 
 
 class UncertifiableError(ValueError):
@@ -181,85 +182,77 @@ class DiameterTable:
 # -- route one: the merging oracle -------------------------------------------
 
 
-def _merged_entries(
-    family: KotheFamily, p: int, q: int, indices: Iterator[int], bound: int | None, count: int
-) -> DiameterEntries:
-    """The first ``count`` ratio terms at ``indices`` (1, 2, 3, ...),
-    descending by value, ties by the smaller ratio index m; certified (a
-    prefix) while the key beats ``bound``, always when ``bound`` is None.
-
-    Each index's column comes from a walk of the diagonals (1; 1, 2; 1, 2,
-    3; ...), so m is on the band when that column s has p <= s < q.  A key
-    is the exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off the
-    band (c_pq, code 0) and on it (c_pq - 1, code 1) the coefficient is one
-    negative constant, so each run strictly decreases.  One pass of
-    ``seq.scaled_values()`` reads the indices in order; the band terms read
-    but not yet listed wait in a FIFO.  Before each off-band term it lists
-    every pending band term whose key is at least that term's: on a tie the
-    band term goes first, its index being the smaller.  This orders the
-    terms as sorting them all would: a band term (c - 1) alpha_n lies
-    strictly below c alpha_n, and so below every off-band term c alpha_m
-    with m < n; a band term therefore only ever precedes off-band terms not
-    yet read, and none not yet read reaches the off-band term at hand.  The
-    FIFO is flushed when the indices run out.  It holds the band indices n
-    with A_pq alpha_n > alpha_m for the last m read, O(sqrt(m)) of them on
-    ``linear`` and ``poly:d`` and a few on the ratio kinds.
-    """
-    blue_num, red_num = ratio_numerators(p, q)
-    columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
-
-    def merged() -> Iterator[tuple[int, int, int]]:
-        """(key, m, code) in descending order of the key."""
-        pending: deque[tuple[int, int]] = deque()  # (key, n) of the band terms to list
-        for m, s, alpha in zip(indices, columns, family.seq.scaled_values()):
-            if p <= s < q:
-                pending.append((red_num * alpha, m))
-                continue
-            key = blue_num * alpha
-            while pending and pending[0][0] >= key:
-                yield *pending.popleft(), 1
-            yield key, m, 0
-        for key, n in pending:
-            yield key, n, 1
-
-    entries = DiameterEntries.for_pair(p, q)
-    for key, m, code in itertools.islice(merged(), count):
-        entries.alpha_index.append(m)
-        entries.codes.append(code)
-        entries.certified += bound is None or key > bound  # a prefix: the keys decrease
-    entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
-    return entries
-
-
 def oracle_diameters(
     family: KotheFamily, p: int, q: int, count: int, horizon: int | None = None
 ) -> DiameterTable:
-    """The first ``count`` entries of one merge of the exact ratio terms in
-    descending order: d_n is the (n+1)-th merged term.
+    """The first ``count`` ratio terms in descending order, ties by the
+    smaller ratio index m: d_n is the (n+1)-th of them.
 
-    With ``horizon`` None the merge covers every ratio term and each entry
-    is final: every term not yet listed comes after it (see
-    :func:`_merged_entries`).  With ``horizon`` H it covers m <= H, and an
-    entry is certified final when it is strictly greater than
-    e^(c_pq alpha_{H+1}), which dominates every unseen term; ties with that
-    bound stay uncertified because an unseen term could equal them, and a
-    prefix that certifies nothing raises UncertifiableError.
-    ``oracle_prefix`` is ``count`` plus the terms read but not listed.
+    One pass of ``seq.scaled_values()`` reads the indices 1, 2, 3, ... in
+    order, the column s of each from a walk of the diagonals (1; 1, 2; 1,
+    2, 3; ...), so m is on the band when p <= s < q.  A term's key is its
+    exponent ``coeff * alpha_m`` times ``pq * seq.scale``.  Off the band
+    (c_pq, code 0) and on it (c_pq - 1, code 1) the coefficient is one
+    negative constant, so each run strictly decreases.  A band term waits
+    in a FIFO.  The one listing rule: before it reads index m, the merge
+    lists every waiting band term whose key is at least ``blue_num *
+    alpha_m``, and then m itself if it is off the band.  No term at an
+    index >= m has a larger key (a band term's (c_pq - 1) alpha_n lies
+    below c_pq alpha_n), and on a tie the band term has the smaller index,
+    so this orders the terms as sorting them all would.  The FIFO holds the
+    band indices n with A_pq alpha_n > alpha_m for the last m read,
+    O(sqrt(m)) of them on ``linear`` and ``poly:d`` and a few on the ratio
+    kinds, and the merge stops as soon as ``count`` terms are listed.
+
+    With ``horizon`` None every entry is final.  With ``horizon`` H the
+    merge reads only m <= H and then lists the FIFO; an entry is certified
+    final when it is strictly greater than e^(c_pq alpha_{H+1}), which
+    dominates every unread term.  Ties with that bound stay uncertified,
+    because an unread term could equal them, and a prefix that certifies
+    nothing raises UncertifiableError.  ``oracle_prefix`` is the largest
+    index read.  A merge that lists fewer than ``count`` terms raises
+    CoverageError.
     """
-    blue_num, bound = ratio_numerators(p, q)[0], None  # the pair before any alpha
+    seq = family.seq
+    blue_num, red_num = ratio_numerators(p, q)
+    bound = None
     if horizon is not None:
         if horizon < 2:
             raise ValueError("oracle prefix must have at least 2 terms")
         if horizon < count:
             raise ValueError("oracle prefix must hold at least count terms")
-        bound = blue_num * family.seq.scaled(horizon + 1)
-    indices = itertools.count(1)
-    entries = _merged_entries(family, p, q, itertools.islice(indices, horizon), bound, count)
+        bound = blue_num * seq.scaled(horizon + 1)
+    indices = itertools.count(1) if horizon is None else range(1, horizon + 1)
+    columns = itertools.chain.from_iterable(range(1, t + 1) for t in itertools.count(1))
+
+    def merged() -> Iterator[tuple[int, int, int, int]]:
+        """(key, ratio index, code, largest index read) by descending key."""
+        pending: deque[tuple[int, int]] = deque()  # (key, n) of the band terms to list
+        for m, s, alpha in zip(indices, columns, seq.scaled_values()):
+            key = blue_num * alpha
+            while pending and pending[0][0] >= key:
+                yield *pending.popleft(), 1, m
+            if p <= s < q:
+                pending.append((red_num * alpha, m))
+            else:
+                yield key, m, 0, m
+        for key, n in pending:
+            yield key, n, 1, m
+
+    entries = DiameterEntries.for_pair(p, q)
+    read = 0
+    for key, n, code, read in itertools.islice(merged(), count):
+        entries.alpha_index.append(n)
+        entries.codes.append(code)
+        entries.certified += bound is None or key > bound  # a prefix: the keys decrease
+    if len(entries) < count:
+        raise CoverageError(f"the oracle's merge listed {len(entries)} of {count} terms")
+    entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
     if horizon is not None and not entries.certified:
         raise UncertifiableError(
             f"prefix of {horizon} ratio terms certifies no diameter; increase the prefix length"
         )
-    return DiameterTable(p, q, "oracle", entries, oracle_prefix=next(indices) - 1)
+    return DiameterTable(p, q, "oracle", entries, oracle_prefix=read)
 
 
 # perfbench/ calls the oracle by this name; the alias goes when perfbench/ is
@@ -284,8 +277,11 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
     (CoverageError).  A file prefix that ends first stops the search at its
     length: a probe never passes the memo's values while one of them can
     still decide, so the prefix is read past, raising PrefixExhaustedError,
-    exactly when every index of it from n_a on qualifies.  Then step down
-    over the (at most q-p wide) band block to the nearest off-band index.
+    exactly when every index of it from n_a on qualifies.  A last m on the
+    band steps over its diagonal's band block (columns p..s, s its own) in
+    one move, to column p - 1.  For p = 1 that is the last index of the
+    diagonal before, and None when it is on the band too (every index
+    below it then is).
     """
     num, den = threshold_mult.numerator, threshold_mult.denominator
     on_file = seq.kind == "file"
@@ -300,9 +296,9 @@ def _find_i(seq, bnd: BandIndexing, threshold_mult: Rational, n_a: int) -> int |
         return True
 
     m = gallop(qualifies, n_a, min(bound + 1, len(seq)) if on_file else bound + 1)
-    while m > n_a and bnd.contains(m):
-        m -= 1
-    return m if m > n_a else None
+    if bnd.p <= (s := column_of(m)) < bnd.q:
+        m -= s - bnd.p + 1
+    return m if m > n_a and not bnd.contains(m) else None
 
 
 def _build_plan(
@@ -425,7 +421,9 @@ def closedform_diameters(
         there, and between them the off-band terms, one contiguous slice of
         an off-band run at a time."""
         end = min(end, count - 1)
-        if start <= end and start != len(entries):
+        if start > end:
+            return
+        if start != len(entries):
             raise CoverageError(
                 f"segment {label} starts at diameter index {start}, "
                 f"expected {len(entries)}"
@@ -446,11 +444,14 @@ def closedform_diameters(
     def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
         """The positions from one past ``row``'s band term to ``end``, cut
         before marker k + 1 for k = row.k_a..k_last (L, then K, then
-        ``last``); next to a miss, one ``last`` piece with no shift."""
+        ``last``); next to a miss, one ``last`` piece with no shift.  It
+        stops at the first piece that starts past the table's end."""
         start = row.j_a + 1
         if row.k_a is None or k_last is None:
             return mark(start, end, last, None)
         for k in range(row.k_a, k_last + 1):
+            if start >= count:
+                return
             s_next = bnd.s_k(k + 1)
             stop = end if k == k_last else bnd.marker(k + 1) - s_next + row.a - 1
             label = last if k == k_last else SEG_K if k > row.k_a else SEG_L

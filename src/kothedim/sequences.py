@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from pathlib import Path
 
-from .exact import Rational, cancel, format_rational, fraction_to_float, parse_rational
+from .exact import Rational, cancel, format_rational, parse_rational
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -434,38 +434,4 @@ def classify_prefix(seq: ExponentSequence, horizon: int) -> ClassifyReport:
         min_successive_ratio_tail=min_tail,
         consistent_with_declared=consistent,
         note=note,
-    )
-
-
-@dataclass(frozen=True)
-class NuclearityProbe:
-    """Float samples of ln(n)/alpha_n; display-only, never authoritative."""
-
-    name: str
-    horizon: int
-    samples: list[tuple[int, float]]
-    verdict: str  # "consistent" | "inconsistent"
-
-
-def finitely_nuclear_probe(seq: ExponentSequence, horizon: int) -> NuclearityProbe:
-    """Necessary-condition probe for ln(n)/alpha_n -> 0 on a finite prefix.
-
-    Samples ten points n = horizon/10, 2*horizon/10, ..., horizon and checks
-    the sampled trend is non-increasing.  Uses floats by design; the verdict
-    is explicitly marked non-authoritative.
-    """
-    if horizon < 10:
-        raise SequenceError("probe horizon must be >= 10")
-    points = sorted({max(1, (k * horizon) // 10) for k in range(1, 11)})
-    samples: list[tuple[int, float]] = []
-    for n in points:
-        alpha, _ = fraction_to_float(seq.value(n))
-        ratio = math.log(n) / alpha if math.isfinite(alpha) else 0.0
-        samples.append((n, ratio))
-    trend_ok = all(b[1] <= a[1] * (1 + 1e-12) for a, b in zip(samples, samples[1:]))
-    return NuclearityProbe(
-        name=seq.name,
-        horizon=horizon,
-        samples=samples,
-        verdict="consistent" if trend_ok else "inconsistent",
     )

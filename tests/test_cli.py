@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -691,6 +692,37 @@ def test_oracle_prefix_certifying_nothing_exits_3(runner):
     assert result.exit_code == 3
     assert "error: prefix of 2 ratio terms certifies no diameter" in result.output
     assert "Traceback" not in result.output
+
+
+def test_oracle_lists_final_terms_from_a_prefix_too_short_for_the_next_off_band_index(
+        runner, tmp_path):
+    """On 1:3 the indices 1, 2 and 3 are all on the band.  The band term at
+    index 1 is final once alpha_3 is read (no term at index >= 3 beats it),
+    so a 3-value prefix gives d_0; d_1 needs alpha_4 and exits 3."""
+    path = tmp_path / "short.txt"
+    path.write_text("1\n2\n3\n")
+    args = ["diameters", "--alpha", f"file:{path}", "--p", "1", "--q", "3", "--method", "oracle"]
+    result = runner.invoke(main, [*args, "--count", "1"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[2].startswith("0,-5/3,1,oracle,")
+    result = runner.invoke(main, [*args, "--count", "2"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "prefix of length 3 exhausted at n=4" in result.stderr
+
+
+def test_a_short_oracle_merge_exits_5_writing_nothing(runner, monkeypatch):
+    """An oracle that lists fewer than --count terms is a fault (exit 5),
+    never a short table with "oracle_agrees": true."""
+    values = ExponentSequence.scaled_values
+    monkeypatch.setattr(ExponentSequence, "scaled_values",
+                        lambda self: itertools.islice(values(self), 5))
+    result = runner.invoke(main, ["diameters", "--alpha", "linear", "--p", "2", "--q", "5",
+                                  "--count", "10", "--method", "both", "--output", "json"])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == ("error: segment coverage failure: the oracle's merge listed "
+                             "5 of 10 terms\n")
 
 
 def sorted_terms(seq, p, q, horizon):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from kothedim.diameters import (
 from kothedim.grid import BandIndexing
 from kothedim.kothe import KotheFamily, a_pq, c_pq
 from kothedim.sequences import UNSPECIFIED, ExponentSequence, PrefixExhaustedError
+from kothedim.verify import verify_sandwich
 
 from ratio_terms import ratio_coeff
 
@@ -274,7 +276,7 @@ def linear_scan_find_i(seq, bnd, mult, n_a):
 
 
 @pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
-@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7), (1, 9)])
+@pytest.mark.parametrize("pq", [(1, 2), (2, 5), (3, 7), (1, 9), (1, 50), (4, 60)])
 def test_find_i_matches_linear_scan(spec, pq):
     p, q = pq
     seq = ExponentSequence.from_spec(spec)
@@ -512,25 +514,57 @@ def test_oracle_lists_a_band_term_before_the_off_band_term_it_ties(tmp_path, pq)
             assert (rows[i][0], rows[i + 1][0]) == (c_pq(p, q) - 1, c_pq(p, q))
 
 
-@pytest.mark.parametrize("spec, count, horizon, limit", [
-    ("linear", 20000, None, 800_000),
-    ("linear", 20000, 40000, 800_000),
-    ("superproduct", 3000, None, 350_000),
-])
-def test_oracle_merge_holds_only_the_pending_band_terms(spec, count, horizon, limit):
+@pytest.mark.parametrize("spec, pq, count, horizon, limit", [
+    ("linear", (2, 5), 20000, None, 800_000),
+    ("linear", (2, 5), 20000, 40000, 800_000),
+    ("superproduct", (2, 5), 3000, None, 350_000),
+    ("linear", (1, 3000), 10, None, 50_000),
+], ids=["linear-20000-None-800000", "linear-20000-40000-800000", "superproduct-3000-None-350000",
+        "linear-1:3000-10-None-50000"])
+def test_oracle_merge_holds_only_the_pending_band_terms(spec, pq, count, horizon, limit):
     """The merge keeps the band terms read but not yet listed, not a buffer
     between two runs: a tee of (m, column, alpha) for the two peaked at 2.2
     to 2.3 MB on linear and 0.93 MB on superproduct, the FIFO at 0.25 and
-    0.1 MB, the table's columns included."""
+    0.1 MB, the table's columns included.  On 1:3000 the merge stops after
+    21 indices; listing band terms only before an off-band term read 2.9
+    million of them, past 400 MB."""
     fam = family(spec)
     tracemalloc.start()
     try:
-        table = oracle_diameters(fam, 2, 5, count, horizon=horizon)
+        table = oracle_diameters(fam, *pq, count, horizon=horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(table.entries) == count
     assert peak < limit
+
+
+def test_a_short_merge_raises_coverage_error(monkeypatch):
+    """A merge that runs out of terms before ``count`` raises; it never
+    returns a short table."""
+    values = ExponentSequence.scaled_values
+    monkeypatch.setattr(ExponentSequence, "scaled_values",
+                        lambda self: itertools.islice(values(self), 5))
+    with pytest.raises(CoverageError, match="the oracle's merge listed 5 of 10 terms"):
+        oracle_diameters(family("linear"), 2, 5, 10)
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+@pytest.mark.parametrize("pq", [(1, 50), (1, 400), (100, 101), (30, 300), (1000, 1003),
+                                (100000, 100001)])
+def test_far_pairs_engines_agree_and_the_sandwich_holds(spec, pq):
+    """Pairs far from the diagonal, where the band starts late or covers
+    the first hundreds of diagonals: both engines list the same values and
+    the closed form breaks no upper bound.  On 100000:100001 the band
+    starts near index 5 * 10^9, so the table is all head and the closed
+    form must stop at its end, not walk the markers up to the band."""
+    p, q = pq
+    for count in (1, 7, 200):
+        fam = family(spec)
+        closed = closedform_diameters(fam, p, q, count)
+        assert log_values(oracle_diameters(fam, p, q, count), fam.seq) == log_values(
+            closed, fam.seq)
+        assert verify_sandwich(fam, p, q, closed).upper_violations == []
 
 
 @pytest.mark.parametrize("spec", ["factorial", "superproduct"])

@@ -16,7 +16,6 @@ from kothedim.sequences import (
     PrefixExhaustedError,
     SequenceError,
     classify_prefix,
-    finitely_nuclear_probe,
 )
 
 
@@ -285,18 +284,6 @@ def test_classify_ratio_kinds_match_the_closed_forms_without_a_memo():
         assert len(seq) == 1
 
 
-def test_nuclear_probe_linear_consistent():
-    probe = finitely_nuclear_probe(ExponentSequence.linear(), 10_000)
-    assert probe.verdict == "consistent"
-    values = [v for _, v in probe.samples]
-    assert values[-1] < values[0]
-
-
-def test_nuclear_probe_factorial_consistent():
-    probe = finitely_nuclear_probe(ExponentSequence.factorial(), 100)
-    assert probe.verdict == "consistent"
-
-
 def compare_to_exp_float(seq, coeff, m):
     """Reference: ``exp_float`` with both clamps settled by ``compare_to``."""
     num, den = coeff.numerator, coeff.denominator
@@ -381,6 +368,3 @@ def test_classification_and_probe_horizons_have_a_floor():
     with pytest.raises(SequenceError, match="classification horizon must be >= 4"):
         classify_prefix(seq, 3)
     assert classify_prefix(seq, 4).horizon == 4
-    with pytest.raises(SequenceError, match="probe horizon must be >= 10"):
-        finitely_nuclear_probe(seq, 9)
-    assert finitely_nuclear_probe(seq, 10).horizon == 10
