@@ -312,6 +312,8 @@ def _build_plan(
     while True:
         a += 1
         n_a = bnd.element(a)
+        if not (bnd.contains(n_a) and bnd.count_below(n_a) == a - 1):
+            raise CoverageError(f"band element n_{a} = {n_a} is off the band")
         i_a = _find_i(seq, bnd, mult, n_a)
         if i_a is None:
             k_a = None
@@ -339,15 +341,16 @@ def closedform_diameters(
 ) -> DiameterTable:
     """Diameters d_0..d_{count-1} from the segment index formulas.
 
-    Band terms are placed by the plan; off-band terms fill the remaining
-    positions in increasing order of their ratio index, read as the runs
-    between consecutive band elements n_i, each n_i checked to lie on the
-    band (CoverageError if not).  After the head, each plan row's stretch
-    (L, K and M pieces) precedes its band term (J), and the tail follows
-    the last row with a qualifying i_a.  A piece that does not start at the
-    next index, a wrong shift, an increase, a table short of ``count``
-    entries, or a next band or off-band term that beats d_(count-1) or an
-    off-band index skipped by the fill raises CoverageError.
+    Band terms are placed by the plan, which checks each band element n_a
+    once: on the band, with a - 1 band elements below it.  Off-band terms
+    fill the remaining positions in increasing order of their ratio index,
+    read as one run per diagonal, up to its column-p marker.  After the
+    head, each plan row's stretch (L, K and M pieces) precedes its band term
+    (J), and the tail follows the last row with a qualifying i_a.  A band
+    element that fails its check, a piece that does not start at the next
+    index, a wrong shift, an increase, a table short of ``count`` entries,
+    or a next band or off-band term that beats d_(count-1) or an off-band
+    index skipped by the fill raises CoverageError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -355,7 +358,7 @@ def closedform_diameters(
     nums = blue_num, red_num = ratio_numerators(p, q)
     bnd = BandIndexing(p=p, q=q)
     rows = _build_plan(family, bnd, count)
-    n_1 = bnd.element(1)
+    n_1 = rows[0].n_a
 
     # the tail takes over at a0, the first a of the maximal suffix of rows
     # with no qualifying i_a
@@ -370,19 +373,19 @@ def closedform_diameters(
         tail_start = 0 if a0 == 1 else rows[a0 - 2].j_a + 1
 
     def off_band_runs() -> Iterator[range]:
-        n_prev = 0
-        for i in itertools.count(1):
-            if not bnd.contains(n_i := bnd.element(i)):
-                raise CoverageError(f"band element n_{i} = {n_i} is off the band")
-            yield range(n_prev + 1, n_i)
-            n_prev = n_i
+        """The run before each band block: the one from marker(k) holds its
+        diagonal's q - p + min(k, 0) band elements, in a row."""
+        end = 0
+        for k in itertools.count(bnd.k_min):
+            yield range(end + 1, start := bnd.marker(k))
+            end = start + q - p + min(k, 0) - 1
 
     runs = off_band_runs()
     rest = range(0)  # the off-band indices of the current run not yet listed
 
     def blues(length: int) -> Iterator[range]:
-        """The next ``length`` off-band indices, as slices of the runs; a run
-        is read (and its band element checked) only when a slice needs it."""
+        """The next ``length`` off-band indices, as slices of the runs (one
+        per diagonal, between markers; the plan checks the band elements)."""
         nonlocal rest
         while length:
             while not rest:
@@ -495,13 +498,5 @@ def closedform_diameters(
     ):
         raise CoverageError(f"a term past diameter index {count - 1} is out of place")
     entries.certified = count
-    return DiameterTable(
-        p=p,
-        q=q,
-        method="closed",
-        entries=entries,
-        plan=rows,
-        a0=a0,
-        tail_start=tail_start,
-    )
+    return DiameterTable(p, q, "closed", entries, plan=rows, a0=a0, tail_start=tail_start)
 

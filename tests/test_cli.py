@@ -934,9 +934,18 @@ def options(draw, pairs):
     return args
 
 
+# pairs far from the diagonal: a band over the first thousands of diagonals,
+# or one starting near index p^2 / 2
+far_pairs = st.one_of(st.sampled_from([(1, 300), (1, 3000)]),
+                      st.integers(1, 1000).map(lambda p: (p, p + 1)))
+
+
 @st.composite
 def p_and_q(draw):
-    """``p`` and ``q``, mostly with q > p >= 1."""
+    """``p`` and ``q``, mostly with q > p >= 1, one in five far from the
+    diagonal (the counts drawn with them stay small)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(far_pairs)
     p = draw(st.integers(-1, 4))
     return p, p + draw(st.one_of(st.integers(1, 4), st.integers(-1, 0)))
 

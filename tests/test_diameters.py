@@ -551,13 +551,15 @@ def test_a_short_merge_raises_coverage_error(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
 @pytest.mark.parametrize("pq", [(1, 50), (1, 400), (100, 101), (30, 300), (1000, 1003),
-                                (100000, 100001)])
+                                (100000, 100001), (1, 3000), (1, 100000)])
 def test_far_pairs_engines_agree_and_the_sandwich_holds(spec, pq):
     """Pairs far from the diagonal, where the band starts late or covers
-    the first hundreds of diagonals: both engines list the same values and
+    the first thousands of diagonals: both engines list the same values and
     the closed form breaks no upper bound.  On 100000:100001 the band
     starts near index 5 * 10^9, so the table is all head and the closed
-    form must stop at its end, not walk the markers up to the band."""
+    form must stop at its end, not walk the markers up to the band.  On
+    1:100000 the first off-band index is near 5 * 10^9, so the fill must
+    step over the band one diagonal at a time, not one element."""
     p, q = pq
     for count in (1, 7, 200):
         fam = family(spec)
@@ -722,13 +724,48 @@ def test_term_out_of_place_past_the_table_raises_coverage_error(monkeypatch, kin
 
 @pytest.mark.parametrize("t, count", [(2, 4), (3, 7)])
 def test_a_repeated_band_term_raises_at_its_second_place(monkeypatch, t, count):
-    """n_(t+1) read as n_t on poly:2 1:2 lists n_t twice in a row, and at
-    these counts every shift and the check across the end hold: only the
-    same-code order check, a run starting at an index already listed, sees
-    it."""
+    """n_(t+1) read as n_t on poly:2 1:2 would list n_t twice in a row, and
+    at these counts every shift and the check across the end would hold:
+    the plan sees it where it reads n_(t+1), on the band but with t - 1
+    band elements below it, not t."""
     monkeypatch.setattr(*fault("repeat", t))
+    with pytest.raises(CoverageError, match=f"band element n_{t + 1} = "):
+        closedform_diameters(family("poly:2"), 1, 2, count)
+
+
+@pytest.mark.parametrize("t, count", [(2, 4), (3, 7)])
+def test_a_plan_placing_a_band_term_twice_raises_at_its_second_place(monkeypatch, t, count):
+    """Row t + 1 of the plan replaced by row t one place later, the row a
+    repeated n_t would give: every shift and the check across the end
+    hold, and only the same-code order check, a run starting at an index
+    already listed, sees it."""
+    build_plan = dm._build_plan
+
+    def repeats_row_t(*args):
+        rows = build_plan(*args)
+        rows[t] = dataclasses.replace(rows[t - 1], a=t + 1, j_a=rows[t - 1].j_a + 1)
+        return rows
+
+    monkeypatch.setattr(dm, "_build_plan", repeats_row_t)
     with pytest.raises(CoverageError, match="diameters not non-increasing"):
         closedform_diameters(family("poly:2"), 1, 2, count)
+
+
+@pytest.mark.parametrize("pq", [(2, 5), (1, 3000)])
+def test_the_plan_reads_each_band_element_once(monkeypatch, pq):
+    """The fill reads the off-band runs from the markers, so the plan's rows
+    are the closed form's only reads of a band element."""
+    calls = 0
+    element = BandIndexing.element
+
+    def counted(self, i):
+        nonlocal calls
+        calls += 1
+        return element(self, i)
+
+    monkeypatch.setattr(BandIndexing, "element", counted)
+    table = closedform_diameters(family("linear"), *pq, 200)
+    assert calls == len(table.plan)
 
 
 @pytest.mark.parametrize("kind", ["contains", "s_k", "find_i"])
@@ -800,8 +837,8 @@ def test_faulted_tables_at_count_600_raise_or_match_the_oracle(monkeypatch, kind
 
 @pytest.mark.parametrize("p, q, t", [(1, 2, 2), (2, 5, 1), (2, 5, 3)])
 def test_band_element_off_the_band_raises_at_its_run(monkeypatch, p, q, t):
-    """n_t + 1 is off the band here: the fill checks each band element it
-    reads, so the table raises however the plan places the faulted term."""
+    """n_t + 1 is off the band here: the plan checks each band element it
+    reads, so the table raises however the faulted term would be placed."""
     monkeypatch.setattr(*fault("element", t))
     with pytest.raises(CoverageError, match=f"band element n_{t} "):
         closedform_diameters(family("linear"), p, q, 40)
