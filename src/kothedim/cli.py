@@ -267,9 +267,12 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     # both tables hold the pair's two coefficients, by the same codes
     texts = [format_rational(c) for c in entries.coeffs]
     nums = km.ratio_numerators(p, q)
-    # n, code, alpha index, segment code; then the other table's code and index
-    columns = zip(itertools.count(), entries.codes, entries.alpha_index, entries.segments,
-                  other.codes, other.alpha_index)
+    def columns() -> Iterator[tuple[int, int, int, str, int, int]]:
+        """n, code, alpha index, segment; then the other table's code and index."""
+        segments = itertools.chain.from_iterable(
+            itertools.repeat(dm.SEGMENTS[seg], length) for _, length, _, _, seg in entries.runs())
+        for (n, code, m), seg, (_, o_code, o_m) in zip(entries.rows(), segments, other.rows()):
+            yield n, code, m, seg, o_code, o_m
 
     def equal(n: int, code: int, m: int, o_code: int, o_m: int) -> bool | str:
         # only where the oracle's entry is final; with the same code the
@@ -278,9 +281,9 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
             nums[o_code], o_m, nums[code], m) == 0
 
     def csv_rows() -> Iterator[str]:
-        for n, code, m, seg, o_code, o_m in columns:
+        for n, code, m, seg, o_code, o_m in columns():
             approx = seq.exp_float(entries.coeffs[code], m)[0]
-            row = f"{n},{texts[code]},{m},{dm.SEGMENTS[seg]},{approx!r},{n < other.certified}"
+            row = f"{n},{texts[code]},{m},{seg},{approx!r},{n < other.certified}"
             yield (f"{row},{texts[o_code]},{o_m},{equal(n, code, m, o_code, o_m)}\n"
                    if both else f"{row}\n")
 
@@ -290,7 +293,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
         is decided along the way."""
         yield f'{{\n  "alpha": {json.dumps(seq.name)},\n  "entries": [\n'
         agree, sep = True, ""
-        for n, code, m, seg, o_code, o_m in columns:
+        for n, code, m, seg, o_code, o_m in columns():
             value, clamped = seq.exp_float(entries.coeffs[code], m)
             agree = agree and (not both or equal(n, code, m, o_code, o_m) is not False)
             clamp = '      "approx_clamped": true,\n' if clamped else ""
@@ -301,7 +304,7 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
                 f'      "certified": {"true" if n < entries.certified else "false"},\n'
                 f'      "coeff": "{texts[code]}",\n'
                 f'      "n": {n},\n'
-                f'      "segment": "{dm.SEGMENTS[seg]}",\n'
+                f'      "segment": "{seg}",\n'
                 f'      "source_ratio_index": {m}\n'  # d_n's ratio term: alpha's index
                 f'    }}'
             )
@@ -315,10 +318,17 @@ def diameters_cmd(alpha_spec, p, q, count, horizon, method, output, out):
     if output != "table":
         _emit(json_document() if output == "json" else _csv(header, csv_rows()), out)
         return
-    # a cell holds no comma, so the table splits the CSV rows
-    cells = [header.split(","), *(row[:-1].split(",") for row in csv_rows())]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    _emit(("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in cells), out)
+    # a cell holds no comma, so the table splits the CSV rows: one pass over
+    # them sizes the columns, a second emits them, and no cell is kept
+    def cells() -> Iterator[list[str]]:
+        yield header.split(",")
+        for row in csv_rows():
+            yield row[:-1].split(",")
+
+    widths = [0] * (header.count(",") + 1)
+    for row in cells():
+        widths = list(map(max, widths, map(len, row)))
+    _emit(("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n" for r in cells()), out)
 
 
 # -- check ---------------------------------------------------------------------

@@ -74,47 +74,94 @@ _set_coeff, _set_alpha_index, _set_n, _set_segment, _set_certified = (
 
 @dataclass(eq=False)
 class DiameterEntries(Sequence):
-    """A table's entries as columns, entry n at position n: the pair's two
-    coefficients in ``coeffs``, c_pq off the band (code 0) and c_pq - 1 on
-    it (code 1), and per entry its code, alpha index and code into
-    :data:`SEGMENTS`.  ``certified`` is the length of the certified prefix:
-    d_n is final exactly when n < ``certified``.  Readers that scan a table
-    read the columns (:meth:`rows`).  Otherwise it works as a list of
-    :class:`DiameterEntry`, each built on demand.  Item assignment is the
-    one writer: an entry not at its own position, with any other
-    coefficient, or with a certified flag that disagrees with its position
-    raises ValueError.
+    """A table's entries as runs.  A run is a stretch of entries of one
+    coefficient code and one segment whose alpha indices rise by one with
+    n, so d_n = e^(c alpha_(n + s)) for one coefficient c and one shift s
+    all along it; band terms are the only breaks, and a table of ``count``
+    entries holds O(sqrt(count)) runs.  The pair's two coefficients sit in
+    ``coeffs``, c_pq off the band (code 0) and c_pq - 1 on it (code 1), and
+    each run is one record: its start n, length, code, first alpha index
+    and code into :data:`SEGMENTS`.  ``certified`` is the length of the
+    certified prefix: d_n is final exactly when n < ``certified``.
+
+    The engines write with :meth:`append`.  Readers that work run by run
+    read :meth:`runs`, readers that scan entries :meth:`rows`.  Otherwise
+    it works as a list of :class:`DiameterEntry`, each built on demand, an
+    index found by bisecting the run starts.  Item assignment splits the
+    run it hits into at most three: an entry not at its own position, with
+    any other coefficient, or with a certified flag that disagrees with its
+    position raises ValueError.
     """
 
     coeffs: tuple[Rational, Rational]
-    alpha_index: array = field(default_factory=lambda: array("q"))
-    codes: bytearray = field(default_factory=bytearray)
-    segments: bytearray = field(default_factory=bytearray)
     certified: int = 0
+    # one record per run, over five columns
+    _start: array = field(default_factory=lambda: array("q"))
+    _length: array = field(default_factory=lambda: array("q"))
+    _code: array = field(default_factory=lambda: array("B"))
+    _first: array = field(default_factory=lambda: array("q"))
+    _segment: array = field(default_factory=lambda: array("B"))
 
     @classmethod
     def for_pair(cls, p: int, q: int) -> DiameterEntries:
-        """Empty columns with the pair (p, q)'s coefficients."""
+        """No entries, with the pair (p, q)'s coefficients."""
         return cls(tuple(Rational(num, p * q) for num in ratio_numerators(p, q)))
+
+    def append(self, code: int, first: int, length: int, segment: int) -> None:
+        """List ``length`` entries of one code and segment code after the
+        last, with alpha indices first, first + 1, ...: they extend the last
+        run when they continue it, and start a run otherwise."""
+        if (self._code and self._code[-1] == code and self._segment[-1] == segment
+                and self._first[-1] + self._length[-1] == first):
+            self._length[-1] += length
+            return
+        self._start.append(len(self))
+        self._length.append(length)
+        self._code.append(code)
+        self._first.append(first)
+        self._segment.append(segment)
+
+    def runs(self, start: int = 0, stop: int | None = None
+             ) -> Iterator[tuple[int, int, int, int, int]]:
+        """(start n, length, code, first alpha index, segment code) of each
+        run, cut to the positions start..stop-1."""
+        if start < 0:
+            raise ValueError(f"positions start at 0, not {start}")
+        stop = len(self) if stop is None else min(stop, len(self))
+        r = self._run_at(start)
+        while start < stop:
+            s = self._start[r]
+            end = min(s + self._length[r], stop)
+            yield start, end - start, self._code[r], self._first[r] + start - s, self._segment[r]
+            start, r = end, r + 1
 
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, int, int]]:
         """(n, code, alpha index) at the positions start..stop-1."""
-        return itertools.islice(zip(itertools.count(), self.codes, self.alpha_index), start, stop)
+        return itertools.chain.from_iterable(
+            zip(range(n, n + length), itertools.repeat(code, length), range(m, m + length))
+            for n, length, code, m, _ in self.runs(start, stop))
 
     def __len__(self) -> int:
-        return len(self.alpha_index)
+        return self._start[-1] + self._length[-1] if self._start else 0
 
     def __iter__(self) -> Iterator[DiameterEntry]:
-        return map(DiameterEntry, map(self.coeffs.__getitem__, self.codes), self.alpha_index,
-                   itertools.count(), map(SEGMENTS.__getitem__, self.segments),
-                   map(self.certified.__gt__, itertools.count()))
+        coeffs, final = self.coeffs, self.certified.__gt__
+        return itertools.chain.from_iterable(
+            map(DiameterEntry, itertools.repeat(coeffs[code], length), range(m, m + length),
+                range(n, n + length), itertools.repeat(SEGMENTS[seg], length),
+                map(final, range(n, n + length)))
+            for n, length, code, m, seg in self.runs())
+
+    def _run_at(self, n: int) -> int:
+        return bisect.bisect_right(self._start, n) - 1
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             return [self[n] for n in range(len(self))[key]]
         n = range(len(self))[key]  # an int, negative ones from the end
-        return DiameterEntry(self.coeffs[self.codes[n]], self.alpha_index[n], n,
-                             SEGMENTS[self.segments[n]], n < self.certified)
+        r = self._run_at(n)
+        return DiameterEntry(self.coeffs[self._code[r]], self._first[r] + n - self._start[r], n,
+                             SEGMENTS[self._segment[r]], n < self.certified)
 
     def __setitem__(self, key: int, entry: DiameterEntry) -> None:
         n = range(len(self))[key]
@@ -126,8 +173,17 @@ class DiameterEntries(Sequence):
         if entry.certified != (n < self.certified):
             raise ValueError(f"certified={entry.certified} at d_{n} with a certified prefix of "
                              f"{self.certified}")
-        self.codes[n], self.alpha_index[n], self.segments[n] = (
-            self.coeffs.index(c), entry.alpha_index, SEGMENTS.index(entry.segment))
+        r = self._run_at(n)
+        columns = self._start, self._length, self._code, self._first, self._segment
+        s, length, code, m, seg = (column[r] for column in columns)
+        pieces = [run for run in (
+            (s, n - s, code, m, seg),
+            (n, 1, self.coeffs.index(c), entry.alpha_index, SEGMENTS.index(entry.segment)),
+            (n + 1, s + length - n - 1, code, m + n + 1 - s, seg),
+        ) if run[1]]
+        spliced = [array(column.typecode, values) for column, values in zip(columns, zip(*pieces))]
+        for column, values in zip(columns, spliced):
+            column[r : r + 1] = values
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, DiameterEntries)):
@@ -202,7 +258,10 @@ def oracle_diameters(
     so this orders the terms as sorting them all would.  The FIFO holds the
     band indices n with A_pq alpha_n > alpha_m for the last m read,
     O(sqrt(m)) of them on ``linear`` and ``poly:d`` and a few on the ratio
-    kinds, and the merge stops as soon as ``count`` terms are listed.
+    kinds, and the merge stops as soon as ``count`` terms are listed.  The
+    listed terms are coalesced into runs as they come: a term extends the
+    run being listed when it has its code and the next ratio index, and
+    starts a run otherwise.
 
     With ``horizon`` None every entry is final.  With ``horizon`` H the
     merge reads only m <= H and then lists the FIFO; an entry is certified
@@ -240,14 +299,21 @@ def oracle_diameters(
             yield key, n, 1, m
 
     entries = DiameterEntries.for_pair(p, q)
-    read = 0
+    segment, read = SEGMENTS.index(ORACLE), 0
+    run_code = first = length = certified = 0  # the run being listed
     for key, n, code, read in itertools.islice(merged(), count):
-        entries.alpha_index.append(n)
-        entries.codes.append(code)
-        entries.certified += bound is None or key > bound  # a prefix: the keys decrease
+        if code == run_code and n == first + length:
+            length += 1  # the term extends the run
+        else:
+            if length:
+                entries.append(run_code, first, length, segment)
+            run_code, first, length = code, n, 1
+        certified += bound is None or key > bound  # a prefix: the keys decrease
+    if length:
+        entries.append(run_code, first, length, segment)
+    entries.certified = certified
     if len(entries) < count:
         raise CoverageError(f"the oracle's merge listed {len(entries)} of {count} terms")
-    entries.segments = bytearray([SEGMENTS.index(ORACLE)]) * len(entries)
     if horizon is not None and not entries.certified:
         raise UncertifiableError(
             f"prefix of {horizon} ratio terms certifies no diameter; increase the prefix length"
@@ -312,8 +378,11 @@ def _build_plan(
     while True:
         a += 1
         n_a = bnd.element(a)
-        if not (bnd.contains(n_a) and bnd.count_below(n_a) == a - 1):
+        if not bnd.contains(n_a):
             raise CoverageError(f"band element n_{a} = {n_a} is off the band")
+        if (below := bnd.count_below(n_a)) != a - 1:
+            raise CoverageError(f"band element n_{a} = {n_a} has {below} band elements below "
+                                f"it, expected {a - 1}")
         i_a = _find_i(seq, bnd, mult, n_a)
         if i_a is None:
             k_a = None
@@ -346,8 +415,11 @@ def closedform_diameters(
     fill the remaining positions in increasing order of their ratio index,
     read as one run per diagonal, up to its column-p marker.  After the
     head, each plan row's stretch (L, K and M pieces) precedes its band term
-    (J), and the tail follows the last row with a qualifying i_a.  A band
-    element that fails its check, a piece that does not start at the next
+    (J), and the tail follows the last row with a qualifying i_a.  Each
+    piece, a slice of off-band indices or one band term, is appended to the
+    table as one run, which extends the run before it when it continues it;
+    no per-entry record is made.  A band element that fails its check, a
+    piece that does not start at the next
     index, a wrong shift, an increase, a table short of ``count`` entries,
     or a next band or off-band term that beats d_(count-1) or an off-band
     index skipped by the fill raises CoverageError.
@@ -400,11 +472,11 @@ def closedform_diameters(
     last_num = last_index = 0
 
     def place(n: int, code: int, run: range, label: str, shift: int | None) -> None:
-        """List ``run``, increasing alpha indices of one code, from d_n on.
-        The values strictly decrease inside it (one negative coefficient,
-        rising indices), so only its first entry is checked: against the
-        piece's shift, which then holds for all of it, and against the entry
-        before it."""
+        """Append ``run``, increasing alpha indices of one code, from d_n on,
+        as one run of the table.  The values strictly decrease inside it
+        (one negative coefficient, rising indices), so only its first entry
+        is checked: against the piece's shift, which then holds for all of
+        it, and against the entry before it."""
         nonlocal last_num, last_index
         num, m = nums[code], run[0]
         if shift is not None and m != n + shift:
@@ -416,8 +488,7 @@ def closedform_diameters(
                 else n and seq.compare(last_num, last_index, num, m) < 0):
             raise CoverageError(f"diameters not non-increasing at index {n}")
         last_num, last_index = num, run[-1]
-        entries.alpha_index.extend(run)
-        entries.codes.extend(bytes([code]) * len(run))
+        entries.append(code, m, len(run), SEGMENTS.index(label))
 
     def mark(start: int, end: int, label: str, shift: int | None) -> None:
         """Emit [start, end] up to count - 1 run by run: each band term placed
@@ -442,7 +513,6 @@ def closedform_diameters(
                 n_a = rows[r].n_a
                 place(j, 1, range(n_a, n_a + 1), label, shift)
                 r, n = r + 1, j + 1
-        entries.segments.extend(itertools.repeat(SEGMENTS.index(label), end + 1 - start))
 
     def stretch(row: PlanRow, k_last: int | None, end: int, last: str) -> None:
         """The positions from one past ``row``'s band term to ``end``, cut

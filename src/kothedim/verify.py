@@ -64,15 +64,18 @@ def _check_pair(p: int, q: int, table: DiameterTable) -> None:
 def verify_sandwich(
     family: KotheFamily, p: int, q: int, table: DiameterTable
 ) -> SandwichReport:
-    """Exact scan of both bounds over the certified range (n >= 1).
+    """Exact scan of both bounds over the certified range (n >= 1), one
+    run of the table at a time.
 
     An entry's coefficient is read by its code as a numerator over pq
     (:func:`~kothedim.kothe.ratio_numerators`).  An off-band entry (code 0)
     shares the bounds' coefficient c_pq < 0, and alpha strictly increases,
     so its index decides: at (n, m) it breaks the upper bound iff m < n
-    and the lower one iff m > 4n.  Only a band entry (code 1) has the
-    other coefficient, and each of its bounds is one ``seq.compare``.  A
-    ``file`` alpha is first checked to hold every value the bounds name,
+    and the lower one iff m > 4n.  On an off-band run, where m = n + s for
+    one shift s, every n breaks the upper bound iff s < 0, and the lower
+    one iff 3n < s, a prefix of the run.  Only a band entry (code 1) has
+    the other coefficient, and each of its bounds is one ``seq.compare``.
+    A ``file`` alpha is first checked to hold every value the bounds name,
     so a short prefix raises ``PrefixExhaustedError`` as a compare would.
     A table of another pair raises ``ValueError``.
     """
@@ -80,21 +83,24 @@ def verify_sandwich(
     seq = family.seq
     c_num, red_num = ratio_numerators(p, q)
     horizon = table.certified_horizon
+    runs = list(table.entries.runs(1, horizon + 1))
     if seq.kind == "file":
-        seq.prefill(max(4 * horizon, max(table.entries.alpha_index[1 : horizon + 1], default=0)))
+        seq.prefill(max(4 * horizon, max((m + length - 1 for _, length, _, m, _ in runs),
+                                         default=0)))
     upper_violations: list[int] = []
     lower_violations: list[int] = []
-    for n, code, m in table.entries.rows(1, horizon + 1):
+    for start, length, code, first, _ in runs:
         if code:
-            if seq.compare(red_num, m, c_num, n) > 0:
-                upper_violations.append(n)
-            if seq.compare(red_num, m, c_num, 4 * n) < 0:
-                lower_violations.append(n)
+            for n, m in zip(range(start, start + length), range(first, first + length)):
+                if seq.compare(red_num, m, c_num, n) > 0:
+                    upper_violations.append(n)
+                if seq.compare(red_num, m, c_num, 4 * n) < 0:
+                    lower_violations.append(n)
         else:
-            if m < n:
-                upper_violations.append(n)
-            if m > 4 * n:
-                lower_violations.append(n)
+            shift, end = first - start, start + length
+            if shift < 0:
+                upper_violations.extend(range(start, end))
+            lower_violations.extend(range(start, min(end, (shift - 1) // 3 + 1)))
     n_found = lower_violations[-1] + 1 if lower_violations else 1
     if n_found > horizon:
         n_found = None
@@ -117,12 +123,14 @@ def _tail_band(table: DiameterTable) -> list[PlanRow]:
     return [row for row in table.plan[table.a0 - 1 :] if row.n_a - 1 <= horizon]
 
 
-def _decay_ratios(seq, table: DiameterTable, positions: Iterable[int]) -> Iterator[Rational]:
-    """The exact ratios -log(d_n) / alpha_{n+1} at ``positions``, built from
-    no alpha value: -coeff itself where d_n's alpha index is n + 1."""
+def _decay_ratios(seq, table: DiameterTable, windows: Iterable[tuple[int, int]]
+                  ) -> Iterator[Rational]:
+    """The exact ratios -log(d_n) / alpha_{n+1} at the positions start..stop-1
+    of each (start, stop) of ``windows``, read through ``rows`` and built
+    from no alpha value: -coeff itself where d_n's alpha index is n + 1."""
     entries, negated = table.entries, [-coeff for coeff in table.entries.coeffs]
-    for n in positions:
-        neg, m = negated[entries.codes[n]], entries.alpha_index[n]
+    for n, code, m in itertools.chain.from_iterable(itertools.starmap(entries.rows, windows)):
+        neg = negated[code]
         yield neg if m == n + 1 else neg * seq.quotient(m, n + 1)
 
 
@@ -148,7 +156,7 @@ def eadd_ratio(
             "increase the count"
         )
     rows = _tail_band(table)
-    ratios = _decay_ratios(family.seq, table, (row.n_a - 1 for row in rows))
+    ratios = _decay_ratios(family.seq, table, ((row.n_a - 1, row.n_a) for row in rows))
     return [{"a": row.a, "n_a": row.n_a, "ratio": ratio} for row, ratio in zip(rows, ratios)]
 
 
@@ -187,7 +195,7 @@ def aa_statistic(
     for (p, q), table in sorted(tables.items()):
         horizon = table.certified_horizon
         lo = max(0, horizon - tail_window + 1)
-        sup = max(_decay_ratios(seq, table, range(lo, horizon + 1)), default=None)
+        sup = max(_decay_ratios(seq, table, [(lo, horizon + 1)]), default=None)
         # the tail band terms land at n_a - 1 <= horizon
         red = [row.n_a - 1 for row in _tail_band(table) if row.n_a - 1 >= lo]
         stat.per_pair.append({
@@ -196,7 +204,8 @@ def aa_statistic(
             "window": [lo, horizon],
             "sup_ratio": sup,
             "sup_ratio_approx": fraction_to_float(sup)[0] if sup is not None else None,
-            "band_subsequence_sup": max(_decay_ratios(seq, table, red), default=None),
+            "band_subsequence_sup": max(_decay_ratios(seq, table, ((n, n + 1) for n in red)),
+                                        default=None),
             "band_points_in_window": len(red),
         })
         if sup is not None:
@@ -225,8 +234,11 @@ def edd_tail_check(
     consecutive ratio terms with one numerator are in order by their
     indices, so only the terms next to a band element (read from
     ``BandIndexing.element``) can be out of order; the kernel orders
-    those.  An entry with ratio term n + 1's index and numerator matches
-    it, others are compared.  A ``file`` alpha too short for
+    those.  The entries are read one run at a time: an off-band run of
+    shift 1 matches its ratio terms iff no index of them is on the band
+    (two ``count_below`` calls).  Every other run is read entry by entry:
+    an entry with ratio term n + 1's index and numerator matches it, others
+    are compared.  A ``file`` alpha too short for
     alpha_(horizon+1) raises ``PrefixExhaustedError`` unless a ratio term
     out of order is found first.
     """
@@ -259,7 +271,14 @@ def edd_tail_check(
     else:
         if threshold < horizon:  # the skipped compares would have read up to alpha_(horizon+1)
             seq.prefill(horizon + 1)
-    for n, code, m in table.entries.rows(threshold, horizon + 1):
+    entries = table.entries
+    # an off-band run of shift 1 lists its ratio terms themselves when none
+    # of their indices is on the band; the other runs are read entry by entry
+    rows = itertools.chain.from_iterable(
+        entries.rows(start, start + length)
+        for start, length, code, first, _ in entries.runs(threshold, horizon + 1)
+        if code or first != start + 1 or bnd.count_below(first + length) != bnd.count_below(first))
+    for n, code, m in rows:
         num, r = nums[code], nums[n + 1 in band]
         if (m != n + 1 or num != r) and seq.compare(num, m, r, n + 1) != 0:
             witnesses.append({"type": "value", "n": n})
@@ -321,8 +340,8 @@ def delta_membership_probe(
             # theta*alpha_{n+1} + log d_n as one term over alpha_{n+1}
             seq = family.seq
             best: LogTerm | None = None
-            certified = range(table.certified_horizon + 1)
-            for n, ratio in zip(certified, _decay_ratios(seq, table, certified)):
+            certified = table.certified_horizon + 1
+            for n, ratio in zip(range(certified), _decay_ratios(seq, table, [(0, certified)])):
                 v = LogTerm(theta - ratio, n + 1)
                 if best is None or logterm_cmp(v, best, seq) > 0:
                     best = v

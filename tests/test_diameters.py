@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -734,6 +735,21 @@ def test_a_repeated_band_term_raises_at_its_second_place(monkeypatch, t, count):
 
 
 @pytest.mark.parametrize("t, count", [(2, 4), (3, 7)])
+def test_a_band_element_at_the_wrong_rank_is_reported_by_its_rank(monkeypatch, t, count):
+    """n_(t+1) read as n_t lies on the band, so the plan does not call it off
+    the band: it names the t - 1 band elements below it where t are due."""
+    n_t = BandIndexing(p=1, q=2).element(t)
+    monkeypatch.setattr(*fault("repeat", t))
+    with pytest.raises(CoverageError) as raised:
+        closedform_diameters(family("poly:2"), 1, 2, count)
+    assert str(raised.value) == (
+        f"band element n_{t + 1} = {n_t} has {t - 1} band elements below it, expected {t}")
+    monkeypatch.setattr(*fault("element", t))
+    with pytest.raises(CoverageError, match=f"^band element n_{t} = {n_t + 1} is off the band$"):
+        closedform_diameters(family("poly:2"), 1, 2, count)
+
+
+@pytest.mark.parametrize("t, count", [(2, 4), (3, 7)])
 def test_a_plan_placing_a_band_term_twice_raises_at_its_second_place(monkeypatch, t, count):
     """Row t + 1 of the plan replaced by row t one place later, the row a
     repeated n_t would give: every shift and the check across the end
@@ -797,11 +813,9 @@ def test_faulted_band_elements_raise_or_match_the_oracle(monkeypatch):
 def matches_values(table, oracle, oracle_values, seq) -> bool:
     """Value by value: an entry with the oracle's code and alpha index at its
     position matches; any other is compared by its exact log value."""
-    theirs = oracle.entries
     return all(
-        (code, m) == (theirs.codes[n], theirs.alpha_index[n])
-        or table.entries[n].log_value(seq) == oracle_values[n]
-        for n, code, m in table.entries.rows()
+        (code, m) == (o_code, o_m) or table.entries[n].log_value(seq) == oracle_values[n]
+        for (n, code, m), (_, o_code, o_m) in zip(table.entries.rows(), oracle.entries.rows())
     )
 
 
@@ -863,10 +877,11 @@ def test_entries_view_reads_like_a_list_of_entries():
     assert entries[3:7] == listed[3:7] and [e.n for e in entries[3:7]] == [3, 4, 5, 6]
     assert entries[::-4] == listed[::-4] and entries[7:3] == [] and entries[:] == listed
     assert list(reversed(entries)) == listed[::-1]
-    # the columns hold what the entries show
-    assert [entries.coeffs[c] for c in entries.codes] == [e.coeff for e in listed]
-    assert list(entries.alpha_index) == [e.alpha_index for e in listed]
-    assert [dm.SEGMENTS[s] for s in entries.segments] == [e.segment for e in listed]
+    # the rows and runs hold what the entries show
+    assert [entries.coeffs[c] for _, c, _ in entries.rows()] == [e.coeff for e in listed]
+    assert [m for _, _, m in entries.rows()] == [e.alpha_index for e in listed]
+    assert [dm.SEGMENTS[s] for _, length, _, _, s in entries.runs()
+            for _ in range(length)] == [e.segment for e in listed]
     assert entries.certified == 30 == table.certified_horizon + 1
     assert all(e.certified for e in listed)
     # the oracle at a horizon certifies a prefix: its entries read the flags from its length
@@ -904,9 +919,11 @@ def test_entries_view_item_assignment():
     entries[5] = dataclasses.replace(entries[5], coeff=Fraction(before[5].coeff.numerator,
                                                                 before[5].coeff.denominator))
     assert entries[5] == before[5]
-    other = entries.coeffs[1 - entries.codes[6]]
+    [(_, code, _)] = entries.rows(6, 7)
+    other = entries.coeffs[1 - code]
     entries[6] = dataclasses.replace(entries[6], coeff=other, segment="tail")
-    assert entries.codes[6] == 1 - entries.coeffs.index(before[6].coeff)
+    assert [code for _, code, _ in entries.rows(6, 7)] == [
+        1 - entries.coeffs.index(before[6].coeff)]
     assert entries[6] == DiameterEntry(other, before[6].alpha_index, 6, "tail", True)
     assert list(entries)[6] == entries[6]
     with pytest.raises(ValueError, match="-1/10 is neither -3/10 nor -13/10"):
@@ -926,6 +943,76 @@ def test_entries_view_item_assignment():
     assert oracle[-1] == last
     with pytest.raises(IndexError):
         entries[40] = dataclasses.replace(before[0], n=40)
+
+
+def test_append_extends_the_last_run_only_where_the_entries_continue_it():
+    """Same code, same segment and the next alpha index extend a run; any
+    other append starts one.  ``runs`` and ``rows`` cut them to a range."""
+    entries = dm.DiameterEntries.for_pair(2, 5)
+    head, tail = dm.SEGMENTS.index(dm.HEAD), dm.SEGMENTS.index(dm.TAIL)
+    for code, first, length, segment in [(0, 1, 2, head), (0, 3, 3, head), (0, 6, 1, tail),
+                                         (1, 7, 1, tail), (1, 9, 2, tail)]:
+        entries.append(code, first, length, segment)
+    assert list(entries.runs()) == [
+        (0, 5, 0, 1, head), (5, 1, 0, 6, tail), (6, 1, 1, 7, tail), (7, 2, 1, 9, tail)]
+    assert len(entries) == 9
+    assert [e.alpha_index for e in entries] == [1, 2, 3, 4, 5, 6, 7, 9, 10]
+    assert list(entries.runs(3, 8)) == [
+        (3, 2, 0, 4, head), (5, 1, 0, 6, tail), (6, 1, 1, 7, tail), (7, 1, 1, 9, tail)]
+    assert list(entries.rows(4, 7)) == [(4, 0, 5), (5, 0, 6), (6, 1, 7)]
+    assert list(entries.runs(9)) == list(entries.rows(5, 5)) == []
+
+
+def test_item_assignment_inside_a_run_splits_it_in_three():
+    """A write inside a run leaves every other entry as it was and adds at
+    most two runs; a write of a one-entry run replaces it."""
+    fam = family("factorial")
+    table = closedform_diameters(fam, 2, 5, 400)
+    entries = table.entries
+    start, length, code, first, _ = max(entries.runs(), key=lambda run: run[1])
+    assert length > 3
+    before, runs = list(entries), len(list(entries.runs()))
+    for n, change in [(start + 1, {"alpha_index": first + 5}),
+                      (start + length - 2, {"coeff": entries.coeffs[1 - code]}),
+                      (start, {"segment": dm.HEAD})]:
+        entries[n] = dataclasses.replace(entries[n], **change)
+        assert entries[n] == dataclasses.replace(before[n], **change) == list(entries)[n]
+        assert [e for e in entries if e.n != n] == [e for e in before if e.n != n]
+        assert len(list(entries.runs())) <= runs + 2
+        assert list(entries.rows()) == [(e.n, entries.coeffs.index(e.coeff), e.alpha_index)
+                                        for e in entries]
+        before, runs = list(entries), len(list(entries.runs()))
+    # the entry written at start + 1 is a run of its own: writing it back replaces it
+    entries[start + 1] = dataclasses.replace(entries[start + 1], alpha_index=first + 1)
+    assert len(list(entries.runs())) == runs
+    assert [e for e in entries if e.n != start + 1] == [e for e in before if e.n != start + 1]
+
+
+@pytest.mark.parametrize("spec", ["linear", "poly:2", "factorial", "superproduct"])
+def test_tables_hold_a_number_of_runs_that_grows_like_sqrt_count(spec):
+    """Band terms are the only breaks of a run, and the band holds about
+    sqrt(count) indices below count: 2:5 has 5,448 runs on linear, 7,224
+    on poly:2 and 2,827 on the ratio kinds at count 10^6."""
+    fam = family(spec)
+    for count in (10**4, 10**6):
+        entries = closedform_diameters(fam, 2, 5, count).entries
+        assert len(entries) == count
+        assert len(list(entries.runs())) < 10 * math.isqrt(count)
+
+
+def test_closed_form_at_count_10_6_allocates_under_2_mib():
+    """Runs and the plan are all the closed form keeps; per-entry columns
+    took about 10 MiB here."""
+    fam = family("linear")
+    closedform_diameters(fam, 2, 5, 100)
+    tracemalloc.start()
+    try:
+        table = closedform_diameters(fam, 2, 5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 10**6
+    assert peak < 2 * 2**20
 
 
 def test_replacing_entries_with_a_list_raises():
@@ -952,8 +1039,8 @@ def test_readme_library_example_prints_what_it_says(capsys):
         "True",
         "200 DiameterEntry(coeff=Fraction(-1, 2), alpha_index=200, n=199, segment='tail',"
         " certified=True)",
-        "(Fraction(-1, 2), Fraction(-3, 2)) bytearray(b'\\x01\\x00\\x01\\x01')"
-        " array('q', [1, 3, 2, 4])",
+        "(Fraction(-1, 2), Fraction(-3, 2)) [(0, 1, 1), (1, 0, 3), (2, 1, 2), (3, 1, 4)]"
+        " (191, 9, 0, 192, 5)",
     ]
 
 

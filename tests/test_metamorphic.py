@@ -33,9 +33,9 @@ def report(family: KotheFamily, p: int, q: int, count: int) -> dict:
     entries = table.entries
     sandwich = verify_sandwich(family, p, q, table)
     return {
-        "codes": bytes(entries.codes),
-        "alpha_index": entries.alpha_index.tolist(),
-        "segments": bytes(entries.segments),
+        "codes": [code for _, code, _ in entries.rows()],
+        "alpha_index": [m for _, _, m in entries.rows()],
+        "segments": [seg for _, length, _, _, seg in entries.runs() for _ in range(length)],
         "certified": entries.certified,
         "plan": table.plan,
         "a0": table.a0,

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ def test_sandwich_matches_the_entry_wise_kernel_reference(spec):
         table = table_for(fam, p, q, 300)
         for step, shifts in [(1, (0,)), (3, (-7, 1)), (5, (2, -1, 9)), (4, (-60, 700, 3))]:
             moved = shifted(table, step, shifts)
-            assert {0, 1} <= set(moved.entries.codes[1:])
+            assert {0, 1} <= {code for _, code, _ in moved.entries.rows(1)}
             report = verify_sandwich(fam, p, q, moved)
             assert (report.upper_violations, report.lower_violations) == sandwich_by_kernel(
                 fam, p, q, moved), (spec, p, q, step, shifts)
@@ -181,7 +182,7 @@ def test_sandwich_calls_the_kernel_twice_per_band_entry(monkeypatch):
         assert len(calls) == closed_calls
         del calls[:]
         verify_sandwich(fam, 2, 5, table)
-        assert len(calls) == sandwich_calls == 2 * sum(table.entries.codes[1:])
+        assert len(calls) == sandwich_calls == 2 * sum(code for _, code, _ in table.entries.rows(1))
 
 
 def test_sandwich_rejects_a_coefficient_off_pq():
@@ -365,13 +366,52 @@ def test_edd_tail_finds_a_tail_entry_off_its_ratio_term(spec, fault):
     e = entries[n]
     assert e.alpha_index == n + 1
     if fault == "code":
-        e = dataclasses.replace(e, coeff=entries.coeffs[1 - entries.codes[n]])
+        [(_, code, _)] = entries.rows(n, n + 1)
+        e = dataclasses.replace(e, coeff=entries.coeffs[1 - code])
     else:
         e = dataclasses.replace(e, alpha_index=e.alpha_index + fault)
     entries[n] = e
     report = edd_tail_check(fam, 1, 2, table)
     assert report.verdict == "fail"
     assert report.witnesses == [{"type": "value", "n": n}]
+
+
+def edd_tail_by_entry(fam, p, q, table):
+    """edd-tail's value witness, entry by entry: the first n from the
+    threshold whose d_n is not ratio term n + 1, by one kernel compare each."""
+    seq, nums, bnd = fam.seq, ratio_numerators(p, q), BandIndexing(p=p, q=q)
+    for n, code, m in table.entries.rows(table.tail_start, table.certified_horizon + 1):
+        if seq.compare(nums[code], m, nums[bnd.contains(n + 1)], n + 1) != 0:
+            return [{"type": "value", "n": n}]
+    return []
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_per_run_checks_match_an_entry_wise_scan_on_faulted_tables(spec):
+    """One entry written into the middle, the first or the last place of a
+    tail run, or onto a band term, by alpha index or by code: the per-run
+    sandwich and edd-tail report what an entry-wise scan reports."""
+    fam = family(spec)
+    for p, q in [(1, 2), (2, 5)]:
+        table = table_for(fam, p, q, 300)
+        tail = [run for run in table.entries.runs(table.tail_start) if run[1] > 2]
+        start, length, _, _, _ = tail[len(tail) // 2]
+        band = next(n for n, code, _ in table.entries.rows(table.tail_start + 1) if code)
+        places = [start + length // 2, start, start + length - 1, band]
+        for n, change in itertools.product(places, [-1, 1, 4 * 300, "code"]):
+            moved = copy.deepcopy(table)
+            e = moved.entries[n]
+            moved.entries[n] = dataclasses.replace(
+                e, coeff=moved.entries.coeffs[1 - moved.entries.coeffs.index(e.coeff)]
+            ) if change == "code" else dataclasses.replace(e, alpha_index=e.alpha_index + change)
+            report = verify_sandwich(fam, p, q, moved)
+            assert (report.upper_violations, report.lower_violations) == sandwich_by_kernel(
+                fam, p, q, moved), (spec, p, q, n, change)
+            check = edd_tail_check(fam, p, q, moved)
+            assert check.witnesses == edd_tail_by_entry(fam, p, q, moved) == [
+                {"type": "value", "n": n}], (spec, p, q, n, change)
+        assert edd_tail_check(fam, p, q, table).witnesses == edd_tail_by_entry(
+            fam, p, q, table) == []
 
 
 def test_edd_tail_on_a_file_of_factorials_reads_alpha_to_horizon_plus_one(tmp_path):
