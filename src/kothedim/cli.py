@@ -27,7 +27,7 @@ from . import diameters as dm
 from . import kothe as km
 from . import sequences as sq
 from . import verify as vf
-from .exact import cancel, format_rational, fraction_to_float, parse_rational
+from .exact import EXACT_DECIMAL, cancel, format_rational, fraction_to_float, parse_rational
 from .grid import BandIndexing, column_of, unpair
 from .report import SCHEMA_VERSION, jsonable
 
@@ -444,8 +444,8 @@ def _quotient_cells(k: int, a: int, digits: Decimal, den: int) -> tuple[str, str
         approx = repr(k * a / den)  # correctly rounded, as float() of the Fraction
     except OverflowError:  # past the double range, clamped as fraction_to_float does
         approx = "inf"
-    top = digits if k == 1 else sq.EXACT_DECIMAL.multiply(digits, k)
-    top = str(top if g == 1 else sq.EXACT_DECIMAL.divide_int(top, g))
+    top = digits if k == 1 else EXACT_DECIMAL.multiply(digits, k)
+    top = str(top if g == 1 else EXACT_DECIMAL.divide_int(top, g))
     return approx, top if den == g else f"{top}/{den // g}"
 
 

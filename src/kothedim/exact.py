@@ -9,8 +9,10 @@ there.
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -21,6 +23,18 @@ if TYPE_CHECKING:  # pragma: no cover
 # terms with a positive denominator, exact ordering.  The alias keeps call
 # sites honest about which quantities are part of the exact domain.
 Rational = Fraction
+
+# integer arithmetic on Decimals is exact here: no precision or exponent
+# bound binds, and a result that would round raises instead
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
+# ints of at most this many bits (617 digits) are printed by str, inside
+# the least int-to-str digit limit that Python admits (640)
+_STR_BITS = 2048
+
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"p/q"`` or a plain integer/decimal string into a Fraction.
@@ -33,12 +47,42 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"zero denominator in rational {text.strip()!r}") from None
 
 
+def int_text(n: int) -> str:
+    """``str(n)`` at any size, in subquadratic time and past Python's
+    int-to-str digit limit.  A long int is split into halves by bits, each
+    half converted to an exact Decimal and the two recombined as ``hi *
+    2**w + lo`` (the method of CPython 3.12's ``_pylong``); ``str`` of the
+    Decimal is linear in its digits, where ``str`` of an int is quadratic
+    on CPython 3.11.  Only ints of at most _STR_BITS bits go through ``str``."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2**w, each width computed once
+        if (p := powers.get(w)) is None:
+            p = powers[w] = (Decimal(1 << w) if w <= _STR_BITS else
+                             EXACT_DECIMAL.multiply(power(w >> 1), power(w - (w >> 1))))
+        return p
+
+    def exact(m: int, w: int) -> Decimal:  # m >= 0 of at most w bits
+        if w <= _STR_BITS:
+            return Decimal(str(m))
+        half = w >> 1
+        return EXACT_DECIMAL.fma(exact(m >> half, w - half), power(half),
+                                 exact(m & ((1 << half) - 1), half))
+
+    digits = str(exact(abs(n), n.bit_length()))
+    return f"-{digits}" if n < 0 else digits
+
+
 def format_rational(x: Rational | int) -> str:
     """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1; an int
-    has a numerator and a denominator of 1 too, so it is not copied."""
+    has a numerator and a denominator of 1 too, so it is not copied.  Both
+    are printed by :func:`int_text`: in subquadratic time, with no digit
+    limit."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 @dataclass(frozen=True, slots=True, init=False)

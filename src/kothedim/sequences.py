@@ -7,7 +7,6 @@ classification routines only verify necessary conditions, reporting
 """
 from __future__ import annotations
 
-import decimal
 import math
 import numbers
 import operator
@@ -18,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from pathlib import Path
 
-from .exact import Rational, cancel, format_rational, parse_rational
+from .exact import EXACT_DECIMAL, Rational, cancel, format_rational, parse_rational
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -27,12 +26,8 @@ UNSPECIFIED = "unspecified"
 # the unstable kinds, whose successive ratios alpha_i / alpha_{i-1} are ints
 _RATIO_KINDS = ("factorial", "superproduct")
 
-# integer arithmetic on Decimals is exact here: no precision or exponent
-# bound binds, and a result that would round raises instead
-EXACT_DECIMAL = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
-)
+# the most ratios that ratio_product multiplies in order; a longer range is halved
+_PRODUCT_LEAF = 16
 
 
 class SequenceError(ValueError):
@@ -192,11 +187,26 @@ class ExponentSequence:
         ``factorial``, 1 + (i-1)i for ``superproduct``; always >= 2."""
         return i if self.kind == "factorial" else 1 + (i - 1) * i
 
+    def ratio_product(self, lo: int, hi: int) -> int:
+        """``alpha_hi / alpha_lo`` of a ratio kind, for 1 <= lo <= hi: the
+        product of :meth:`_ratio` over lo+1..hi, taken as a balanced tree.
+        A range is halved until it holds at most _PRODUCT_LEAF ratios, which
+        are multiplied in order, so the ratios are read in index order and
+        the big factors of a long product are of about equal size, where a
+        left-to-right walk is quadratic in the product's length.
+        :meth:`scaled` and :meth:`quotient` take every product of ratios
+        from here."""
+        if hi - lo <= _PRODUCT_LEAF:
+            return math.prod(map(self._ratio, range(lo + 1, hi + 1)))
+        mid = (lo + hi) // 2
+        return self.ratio_product(lo, mid) * self.ratio_product(mid, hi)
+
     def scaled(self, n: int) -> int:
         """The exact integer ``alpha_n * scale`` (1-based): n**d, a
-        ``file``'s memo entry, or for a ratio kind one :meth:`_ratio` step
-        per index from the cursor (forward, or back by exact division), or
-        from alpha_1 when that is nearer."""
+        ``file``'s memo entry, or for a ratio kind the cursor's value moved
+        to n by one :meth:`ratio_product`, a multiplication forward or an
+        exact division back, from alpha_1 when that is nearer; a read at
+        the cursor does no arithmetic."""
         if n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {n}")
         if self.degree is not None:
@@ -207,10 +217,10 @@ class ExponentSequence:
         i, v = self._last
         if n < i - n:
             i, v = 1, 1
-        for j in range(i + 1, n + 1):
-            v *= self._ratio(j)
-        for j in range(i, n, -1):
-            v //= self._ratio(j)
+        if n > i:
+            v *= self.ratio_product(i, n)
+        elif n < i:
+            v //= self.ratio_product(n, i)
         self._last = (n, v)
         return v
 
@@ -268,14 +278,15 @@ class ExponentSequence:
         return sa * (-s if m <= n else s)
 
     def quotient(self, m: int, n: int) -> Rational:
-        """The exact ``alpha_m / alpha_n``: a ratio kind multiplies the
-        :meth:`_ratio` steps between the two indices and never reads a
-        value; the other kinds divide :meth:`scaled` integers."""
+        """The exact ``alpha_m / alpha_n``: on a ratio kind the
+        :meth:`ratio_product` between the two indices or its reciprocal,
+        which reads no value and leaves the cursor where it is; the other
+        kinds divide :meth:`scaled` integers."""
         if self.kind not in _RATIO_KINDS:
             return Fraction(self.scaled(m), self.scaled(n))
         if m < 1 or n < 1:
             raise SequenceError(f"alpha index must be >= 1, got {min(m, n)}")
-        r = math.prod(map(self._ratio, range(min(m, n) + 1, max(m, n) + 1)))
+        r = self.ratio_product(min(m, n), max(m, n))
         return Fraction(r) if m >= n else Fraction(1, r)
 
     def compare_to(self, a: int, m: int, c: int) -> int:

@@ -2,6 +2,8 @@ import dataclasses
 import inspect
 import math
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from kothedim.exact import (
     LogTerm,
     format_rational,
     fraction_to_float,
+    int_text,
     logterm_cmp,
     parse_rational,
     scaled_numerator,
@@ -346,3 +349,47 @@ def test_scaled_numerator_needs_a_dividing_denominator():
     assert scaled_numerator(Fraction(-3, 4), 12) == -9
     with pytest.raises(ValueError, match="coefficient -3/4 has no denominator dividing 6"):
         scaled_numerator(Fraction(-3, 4), 6)
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """Lift Python's int-to-str digit limit (Python 3.10 has none), so
+    that ``str`` of a long int is a reference; put it back after."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_int_text_is_str_near_powers_of_ten_and_at_random(no_int_str_limit):
+    """10**k and its neighbours on both sides of the str base case (617
+    digits) and of the first halvings, and random ints to 2 * 10**5 bits."""
+    for k in range(1300):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            assert int_text(n) == str(n) and int_text(-n) == str(-n), k
+    rng = random.Random(39)
+    for bits in (1, 2047, 2048, 2049, 4097, 10**4, 65537, 2 * 10**5):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert int_text(n) == str(n) and int_text(-n) == str(-n), bits
+        assert format_rational(Fraction(n, 3 * n + 1)) == f"{n}/{3 * n + 1}"
+
+
+def test_int_text_of_two_million_bits_matches_its_digits():
+    """A random 602,060-digit string (2 * 10**6 bits), made an int by
+    halving the string, prints back as itself, under the default limit."""
+
+    def parse(digits: str) -> int:
+        if len(digits) <= 600:
+            return int(digits)
+        k = len(digits) // 2
+        return parse(digits[:-k]) * 10**k + parse(digits[-k:])
+
+    rng = random.Random(7)
+    digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=602059))
+    n = parse(digits)
+    assert n.bit_length() == 2 * 10**6
+    assert int_text(n) == digits
+    assert int_text(-n) == "-" + digits
+    assert int_text(0) == "0" and int_text(1) == "1" and int_text(-1) == "-1"

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -181,6 +183,34 @@ def test_d2_factorial_small_witness():
     family = KotheFamily(ExponentSequence.factorial())
     report = check_d2_failure(family, 2, Fraction(1000), search_cap=50)
     assert report.witnesses[0]["n"] == 8  # first column-2 element with (2/3) n! > 1000
+
+
+@contextlib.contextmanager
+def int_str_limit(digits: int):
+    """Python's int-to-str digit limit set to ``digits`` (0: none) for the
+    block; Python 3.10 has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_d2_witness_past_the_int_str_digit_limit_serializes():
+    """The column-60 witness n = 1830 has the exponent (31/1830) 1830! =
+    31 * 1829!, of 5,176 digits: past Python's default int-to-str limit,
+    which nothing lifts outside the CLI."""
+    family = KotheFamily(ExponentSequence.factorial())
+    with int_str_limit(4300):
+        witness = check_d2_failure(family, 60, Fraction(10)).to_json()["witnesses"][0]
+    with int_str_limit(0):
+        want = str(31 * math.factorial(1829))
+    assert witness["n"] == 1830
+    assert witness["exponent_value"] == want and len(want) > 4300
 
 
 def test_d2_search_cap():

@@ -368,3 +368,42 @@ def test_classification_and_probe_horizons_have_a_floor():
     with pytest.raises(SequenceError, match="classification horizon must be >= 4"):
         classify_prefix(seq, 3)
     assert classify_prefix(seq, 4).horizon == 4
+
+
+def recurrence_at(spec: str, indices: set[int]) -> dict[int, int]:
+    """alpha_n of a ratio kind at the given indices, from its recurrence,
+    keeping only those values."""
+    want, value = {}, 1
+    for n in range(1, max(indices) + 1):
+        if n > 1:
+            value *= n if spec == "factorial" else 1 + (n - 1) * n
+        if n in indices:
+            want[n] = value
+    return want
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_long_cursor_moves_read_the_recurrence(spec):
+    """Far forward from a fresh sequence, far back by exact division, back
+    by one, a read at the cursor, back to alpha_1 and far back from near
+    alpha_1's side: each read is one ratio product from the cursor or from
+    alpha_1."""
+    reads = [5000, 3000, 2999, 2999, 4999, 2, 1, 4000, 2001, 1, 4321, 2100]
+    want = recurrence_at(spec, set(reads))
+    seq = ExponentSequence.from_spec(spec)
+    for n in reads:
+        assert seq.scaled(n) == want[n], n
+        assert seq._last == (n, want[n])
+    if spec == "factorial":
+        assert all(want[n] == math.factorial(n) for n in reads)
+    assert seq.memo == [1]
+
+
+@pytest.mark.parametrize("spec", ["factorial", "superproduct"])
+def test_quotient_equals_the_fraction_of_two_reads_and_keeps_the_cursor(spec):
+    seq, reader = ExponentSequence.from_spec(spec), ExponentSequence.from_spec(spec)
+    seq.scaled(50)
+    pairs = [(1, 3000), (2500, 4000), (17, 18), (4999, 2), (1, 2), (700, 700), (1, 1), (1234, 1250)]
+    for m, n in pairs + [(n, m) for m, n in pairs]:
+        assert seq.quotient(m, n) == Fraction(reader.scaled(m), reader.scaled(n)), (m, n)
+    assert seq._last[0] == 50
